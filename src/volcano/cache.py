@@ -1,11 +1,12 @@
 """Incremental analysis cache for within-corpus clone detection.
 
-The cache is one JSON file in a `.volcano-cache/` directory: normalized
-fragment records keyed by content digest (so renamed or duplicated files
-reuse work), the id-to-digest binding of the last run, and the clone
-pairs found. incremental_scan re-extracts only contracts whose digest
-changed and re-runs LCS only for pairs touching them; the result is
-extensionally equal to a from-scratch analysis of the current corpus.
+The cache is one JSON file in a `.volcano-cache/` directory: fragment
+records, with lines normalized in the configured mode only, keyed by
+content digest (so renamed or duplicated files reuse work), the
+id-to-digest binding of the last run, and the clone pairs found.
+incremental_scan re-extracts only contracts whose digest changed and
+re-runs LCS only for pairs touching them; the result is extensionally
+equal to a from-scratch analysis of the current corpus.
 
 A cache written under a different clone configuration is an error; an
 unreadable cache is treated as absent (full analysis, with a warning).
@@ -18,43 +19,29 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clone_engine import CloneConfig, ClonePair, cluster_classes, lcs_length
+from .clone_engine import CloneConfig, ClonePair, cluster_classes, detect_pairs
 from .corpus import Corpus, SourceContract
 from .errors import CacheConfigMismatch
 from .extractor import FragmentRef, extract_functions
-from .normalize import (
-    NormalizedFragment,
-    RenamingMode,
-    _digests,
-    pretty_print,
-    rename_blind,
-    rename_consistent,
-)
+from .normalize import NormalizedFragment, RenamingMode, _digests, in_mode, pretty_print
 
 log = logging.getLogger(__name__)
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
 
 
-def _fragment_records(contract: SourceContract) -> list[dict]:
-    records = []
-    for fragment in extract_functions(contract):
-        none = pretty_print(fragment)
-        records.append(
-            {
-                "name": fragment.name,
-                "start_line": fragment.start_line,
-                "end_line": fragment.end_line,
-                "lines": {
-                    RenamingMode.NONE.value: list(none.lines),
-                    RenamingMode.BLIND.value: list(rename_blind(none).lines),
-                    RenamingMode.CONSISTENT.value: list(rename_consistent(none).lines),
-                },
-            }
-        )
-    return records
+def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict]:
+    return [
+        {
+            "name": fragment.name,
+            "start_line": fragment.start_line,
+            "end_line": fragment.end_line,
+            "lines": {mode.value: list(in_mode(pretty_print(fragment), mode).lines)},
+        }
+        for fragment in extract_functions(contract)
+    ]
 
 
 def _restore(contract_id: str, record: dict, mode: RenamingMode) -> NormalizedFragment:
@@ -186,48 +173,19 @@ def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: Clone
         if digest in records:
             continue
         cached = cache.fragments.get(digest)
-        records[digest] = cached if cached is not None else _fragment_records(contract)
+        records[digest] = cached if cached is not None else _fragment_records(contract, cfg.mode)
 
-    fragments = []
-    for contract in changed_contracts:
-        for record in records[contract.content_digest]:
-            fragments.append(_restore(contract.id, record, cfg.mode))
-
-    eligible = sorted(
-        (
-            nf
-            for nf in fragments
-            if cfg.min_lines <= len(nf.lines) and (cfg.max_lines is None or len(nf.lines) <= cfg.max_lines)
-        ),
-        key=lambda nf: nf.origin,
-    )
+    fragments = [
+        _restore(contract.id, record, cfg.mode)
+        for contract in changed_contracts
+        for record in records[contract.content_digest]
+    ]
     reused = [
         p
         for p in cache.pairs
         if p.left.contract_id in unchanged and p.right.contract_id in unchanged
     ]
-    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
-    cutoff = den - num
-    fresh = []
-    n = len(eligible)
-    for i in range(n):
-        a = eligible[i]
-        a_old = a.origin.contract_id in unchanged
-        da = a.line_digests
-        na = len(da)
-        for j in range(i + 1, n):
-            b = eligible[j]
-            if a_old and b.origin.contract_id in unchanged:
-                continue  # covered by the cached pair set
-            db = b.line_digests
-            nb = len(db)
-            lo, hi = (na, nb) if na <= nb else (nb, na)
-            if lo * den < cutoff * hi:
-                continue
-            lcs = lcs_length(da, db)
-            if (hi - lcs) * den <= num * hi:
-                fresh.append(ClonePair(a.origin, b.origin, lcs / hi, lcs_len=lcs, max_len=hi))
-
+    fresh = detect_pairs(fragments, cfg, unchanged)
     pairs = sorted(reused + fresh, key=lambda p: (p.left, p.right))
     classes = cluster_classes(pairs)
 

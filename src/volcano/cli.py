@@ -465,6 +465,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyFragment, ModeMismatch
@@ -140,62 +140,62 @@ def _check_mode(nf: NormalizedFragment, cfg: CloneConfig):
         )
 
 
-def _within_window(n: int, cfg: CloneConfig) -> bool:
+def within_window(n: int, cfg: CloneConfig) -> bool:
+    """Whether a fragment of n normalized lines is inside [min_lines, max_lines]."""
     return n >= cfg.min_lines and (cfg.max_lines is None or n <= cfg.max_lines)
+
+
+def clone_lcs(a, b, cfg: CloneConfig) -> int | None:
+    """LCS length of two line sequences when they are clones under cfg, else None.
+
+    Pairs whose sizes alone force the difference past max_difference are
+    rejected before any LCS work; the threshold test is exact.
+    """
+    na, nb = len(a), len(b)
+    lo, hi = (na, nb) if na <= nb else (nb, na)
+    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
+    if lo * den < (den - num) * hi:
+        return None
+    lcs = lcs_length(a, b)
+    return lcs if (hi - lcs) * den <= num * hi else None
 
 
 def is_clone_pair(a: NormalizedFragment, b: NormalizedFragment, cfg: CloneConfig) -> bool:
     """Decide the clone relation for one pair; a fragment never pairs with itself."""
-    _check_mode(a, cfg)
-    _check_mode(b, cfg)
-    if a.origin == b.origin:
-        return False
-    na, nb = len(a.line_digests), len(b.line_digests)
-    if not (_within_window(na, cfg) and _within_window(nb, cfg)):
-        return False
-    lo, hi = min(na, nb), max(na, nb)
-    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
-    if lo * den < (den - num) * hi:
-        return False
-    lcs = lcs_length(a.line_digests, b.line_digests)
-    return (hi - lcs) * den <= num * hi
+    return bool(detect_pairs([a, b], cfg))
 
 
-def detect_pairs(fragments, cfg: CloneConfig) -> list[ClonePair]:
+def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePair]:
     """All clone pairs among fragments, in canonical (left, right) order.
 
-    Fragments outside [min_lines, max_lines] never pair; pairs whose sizes
-    alone force the difference past max_difference are skipped before any
-    LCS work.
+    Fragments outside [min_lines, max_lines] never pair, nor do fragments
+    with the same origin. Pairs between two fragments whose contract ids
+    are both in known are left out: the caller already has them.
     """
     for nf in fragments:
         _check_mode(nf, cfg)
     eligible = sorted(
-        (nf for nf in fragments if _within_window(len(nf.line_digests), cfg)),
+        (nf for nf in fragments if within_window(len(nf.line_digests), cfg)),
         key=lambda nf: nf.origin,
     )
-    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
-    cutoff = den - num
     pairs = []
     n = len(eligible)
-    for i in range(n):
-        a = eligible[i]
+    for i, a in enumerate(eligible):
+        origin = a.origin
+        j = i + 1
+        while j < n and eligible[j].origin == origin:
+            j += 1  # equal origins sort next to each other
+        a_known = origin.contract_id in known
         da = a.line_digests
         na = len(da)
-        for j in range(i + 1, n):
-            b = eligible[j]
-            if a.origin == b.origin:
+        for b in eligible[j:]:
+            if a_known and b.origin.contract_id in known:
                 continue
             db = b.line_digests
-            nb = len(db)
-            lo, hi = (na, nb) if na <= nb else (nb, na)
-            if lo * den < cutoff * hi:
-                continue
-            lcs = lcs_length(da, db)
-            if (hi - lcs) * den <= num * hi:
-                pairs.append(
-                    ClonePair(a.origin, b.origin, lcs / hi, lcs_len=lcs, max_len=hi)
-                )
+            lcs = clone_lcs(da, db, cfg)
+            if lcs is not None:
+                hi = max(na, len(db))
+                pairs.append(ClonePair(origin, b.origin, lcs / hi, lcs_len=lcs, max_len=hi))
     return pairs
 
 

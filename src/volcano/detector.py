@@ -16,7 +16,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clone_engine import CloneConfig, cluster_classes, detect_pairs, lcs_length, similarity
+from .clone_engine import (
+    CloneConfig,
+    clone_lcs,
+    cluster_classes,
+    detect_pairs,
+    similarity,
+    within_window,
+)
 from .corpus import Corpus
 from .errors import EmptySignatureSet
 from .extractor import FragmentRef, extract_functions
@@ -88,6 +95,8 @@ _WORKER = {}
 
 
 def _payload_of(sigs: SignatureSet, cfg: CloneConfig):
+    if not len(sigs):
+        raise EmptySignatureSet("scan needs at least one signature")
     return [(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs]
 
 
@@ -97,28 +106,22 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
 
     started = time.perf_counter()
     contract = SourceContract(id=contract_id, source_text=source_text, content_digest="")
-    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
-    cutoff = den - num
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
     for fragment in extract_functions(contract):
         nf = in_mode(pretty_print(fragment), cfg.mode)
-        n = len(nf.line_digests)
-        if n < cfg.min_lines or (cfg.max_lines is not None and n > cfg.max_lines):
+        lines = nf.line_digests
+        if not within_window(len(lines), cfg):
             continue
         for sig_id, vuln_type, exemplar in payload:
-            ne = len(exemplar.line_digests)
-            lo, hi = (n, ne) if n <= ne else (ne, n)
-            if lo * den < cutoff * hi:
-                continue
-            lcs = lcs_length(nf.line_digests, exemplar.line_digests)
-            if (hi - lcs) * den <= num * hi:
+            lcs = clone_lcs(lines, exemplar.line_digests, cfg)
+            if lcs is not None:
                 detections.append(
                     Detection(
                         sig_id=sig_id,
                         vuln_type=vuln_type,
                         target=nf.origin,
-                        similarity=lcs / hi,
+                        similarity=lcs / max(len(lines), len(exemplar.line_digests)),
                         mode=cfg.mode,
                         threshold=cfg.max_difference,
                     )
@@ -180,24 +183,20 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     return out
 
 
-def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
-    """Match every signature against every fragment of the target corpus."""
-    if not len(sigs):
-        raise EmptySignatureSet("scan needs at least one signature")
-    payload = _payload_of(sigs, cfg)
-
-    results = []
+def _scan_contracts(target: Corpus, payload, cfg: CloneConfig, jobs: int) -> list:
+    """_scan_source over every contract of target, in corpus order."""
     if jobs > 1 and len(target) > 1:
         tasks = [(c.id, c.source_text) for c in target]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(payload, cfg)
         ) as pool:
             chunk = max(1, len(tasks) // (jobs * 4))
-            results = list(pool.map(_scan_task, tasks, chunksize=chunk))
-    else:
-        for contract in target:
-            results.append(_scan_source(contract.id, contract.source_text, payload, cfg))
+            return list(pool.map(_scan_task, tasks, chunksize=chunk))
+    return [_scan_source(c.id, c.source_text, payload, cfg) for c in target]
 
+
+def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, results) -> ScanReport:
+    """The scan report of target from the _scan_source results of its contracts."""
     detections: list[Detection] = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
     per_contract_ms = []
@@ -207,13 +206,8 @@ def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) ->
         per_contract_ms.append(elapsed)
     detections.sort(key=lambda d: (d.target, d.sig_id))
 
-    seen: dict[str, set] = {name: set() for name in _ALL_TYPES}
-    for d in detections:
-        seen[d.vuln_type.name].add(d.target)
-    per_type = {name: len(refs) for name, refs in seen.items()}
-
     total_ms = sum(per_contract_ms)
-    return ScanReport(
+    report = ScanReport(
         config={
             "corpus": target.label,
             "signature_count": len(sigs),
@@ -221,13 +215,21 @@ def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) ->
             **cfg.to_dict(),
         },
         detections=detections,
-        per_type_instances=per_type,
+        per_type_instances={},
         classes=_cross_classes(payload, hits, cfg),
         per_contract_ms=per_contract_ms,
         total_ms=total_ms,
         average_ms=(total_ms / len(per_contract_ms)) if per_contract_ms else None,
         contract_count=len(target),
     )
+    report.per_type_instances = count_instances(report)
+    return report
+
+
+def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
+    """Match every signature against every fragment of the target corpus."""
+    payload = _payload_of(sigs, cfg)
+    return _assemble(target, sigs, payload, cfg, _scan_contracts(target, payload, cfg, jobs))
 
 
 def count_instances(report: ScanReport) -> dict[str, int]:
@@ -319,14 +321,28 @@ def analyze_evolution(
 
     Classes are computed independently per bucket. A separate pass over
     the whole corpus flags classes that would span buckets, so nothing is
-    silently double-counted.
+    silently double-counted. Each contract is scanned once per config:
+    a contract's scan result does not depend on the rest of the corpus,
+    so every bucket's report and the whole-corpus one are assembled from
+    the same results.
     """
     bucket_names = list(buckets)
+    bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
+    union = Corpus(
+        label="all-buckets",
+        contracts=[c for bucket in bucket_names for c in buckets[bucket]],
+    )
     cells = []
+    cross = []
     for cfg in cfg_range:
         pct = _threshold_percent(cfg)
+        payload = _payload_of(sigs, cfg)
+        results = _scan_contracts(union, payload, cfg, jobs)
+        start = 0
         for bucket in bucket_names:
-            report = scan(buckets[bucket], sigs, cfg, jobs=jobs)
+            corpus = buckets[bucket]
+            report = _assemble(corpus, sigs, payload, cfg, results[start:start + len(corpus)])
+            start += len(corpus)
             min_sim: dict[str, float] = {}
             det_count: dict[str, int] = {}
             for d in report.detections:
@@ -351,15 +367,7 @@ def analyze_evolution(
                     }
                 )
 
-    bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
-    union = Corpus(
-        label="all-buckets",
-        contracts=[c for bucket in bucket_names for c in buckets[bucket]],
-    )
-    cross = []
-    for cfg in cfg_range:
-        report = scan(union, sigs, cfg, jobs=jobs)
-        for cls in report.classes:
+        for cls in _assemble(union, sigs, payload, cfg, results).classes:
             spanned = sorted(
                 {
                     bucket_of[m["contract_id"]]

@@ -47,6 +47,10 @@ class UnlabeledContract(VolcanoError):
     """Signature derivation needs a label for every contract in the corpus."""
 
 
+class MalformedLabels(VolcanoError):
+    """A labels CSV row lacks the contract_id,vuln_type columns."""
+
+
 class MissingAnnotation(VolcanoError):
     """Signature file function lacks the @volcano:vuln= header comment."""
 

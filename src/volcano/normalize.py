@@ -217,9 +217,3 @@ def in_mode(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
         return nf
     return _rename(nf, mode)
 
-
-def normalized_fragments(contract, mode: RenamingMode) -> list[NormalizedFragment]:
-    """Extract and normalize every fragment of a contract in one go."""
-    from .extractor import extract_functions
-
-    return [in_mode(pretty_print(f), mode) for f in extract_functions(contract)]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .clone_engine import CloneConfig, cluster_classes, detect_pairs
 from .corpus import Corpus, SourceContract
-from .errors import MissingAnnotation, UnknownType, UnlabeledContract
+from .errors import MalformedLabels, MissingAnnotation, UnknownType, UnlabeledContract
 from .extractor import extract_functions
 from .normalize import NormalizedFragment, RenamingMode, in_mode, pretty_print
 
@@ -323,9 +323,14 @@ def read_labels_csv(path) -> dict[str, VulnerabilityType]:
 
     labels: dict[str, VulnerabilityType] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not row[0].strip():
                 continue
+            if len(row) < 2:
+                raise MalformedLabels(
+                    f"{path}: row {reader.line_num} needs contract_id,vuln_type, got {row!r}"
+                )
             cid, type_name = row[0].strip(), row[1].strip()
             if cid == "contract_id" and type_name == "vuln_type":
                 continue

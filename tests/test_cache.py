@@ -162,15 +162,16 @@ def test_fragment_index_restores_each_mode():
     corpus = clone_rich_corpus(2)
     cache = AnalysisCache.empty(BLIND_10)
     incremental_scan(cache, corpus, BLIND_10)
-    for mode in RenamingMode:
-        index = fragment_index(cache, corpus, mode)
-        assert len(index) == 2
-        for ref, nf in index.items():
-            assert nf.origin == ref
-            assert nf.mode is mode
-            assert len(nf.lines) == len(nf.line_digests)
-    blind = fragment_index(cache, corpus, RenamingMode.BLIND)
-    assert all("X" in "\n".join(nf.lines) for nf in blind.values())
+    # a cache is bound to one config, so it keeps lines for its own mode only
+    for records in cache.fragments.values():
+        assert all(set(r["lines"]) == {"blind"} for r in records)
+    index = fragment_index(cache, corpus, RenamingMode.BLIND)
+    assert len(index) == 2
+    for ref, nf in index.items():
+        assert nf.origin == ref
+        assert nf.mode is RenamingMode.BLIND
+        assert len(nf.lines) == len(nf.line_digests)
+    assert all("X" in "\n".join(nf.lines) for nf in index.values())
 
 
 def test_duplicate_content_shares_fragment_records():

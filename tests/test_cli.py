@@ -133,6 +133,20 @@ def test_normalize_single_file(tmp_path, capsys):
     assert "suicide ( X1 ) ;" in out
 
 
+def test_non_utf8_inputs_exit_one(tmp_path, capsys):
+    path = tmp_path / "bad.sol"
+    path.write_bytes(b"contract C { function f() public { x = 1; } }\xff\xfe")
+    assert main(["normalize", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: input is not valid UTF-8")
+    root = tmp_path / "labeled"
+    root.mkdir()
+    (root / "d1.sol").write_text(wrap("    function close(address t) public { selfdestruct(t); }"))
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(b"contract_id,vuln_type\nd1.sol,DOS\xff\n")
+    assert main(["derive", "--in", str(root), "--labels", str(labels), "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.startswith("error: input is not valid UTF-8")
+
+
 def test_normalize_directory_blocks(corpus_dir, capsys):
     assert main(["normalize", "--in", str(corpus_dir), "--mode", "blind"]) == 0
     out = capsys.readouterr().out
@@ -162,6 +176,23 @@ def test_clones_cache_lifecycle(corpus_dir, tmp_path, capsys):
     assert main(["cache", "clear", "--in", str(corpus_dir)]) == 0
     assert not cache_file.exists()
     assert main(["clones", "--in", str(corpus_dir), "--threshold", "20", "--out", str(out)]) == 0
+
+
+def test_clones_never_pairs_a_fragment_with_itself(tmp_path):
+    # the nested Yul function shares its enclosing function's name and line,
+    # so both fragments carry the same FragmentRef
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "A.sol").write_text(
+        "pragma solidity ^0.5.0;\ncontract A {\n"
+        "function f() public { assembly { function f(x) -> y { { } { } { } { } { } { } } } }\n}\n"
+    )
+    out = tmp_path / "clones.json"
+    assert main(
+        ["clones", "--in", str(root), "--mode", "blind", "--threshold", "30", "--out", str(out)]
+    ) == 0
+    doc = json.loads(out.read_text())
+    assert doc["pairs"] == [] and doc["classes"] == []
 
 
 def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):
@@ -210,6 +241,16 @@ def test_derive_unlabeled_exits_one(tmp_path, capsys):
     labels.write_text("contract_id,vuln_type\nother.sol,DOS\n")
     assert main(["derive", "--in", str(root), "--labels", str(labels), "--out", str(tmp_path / "s")]) == 1
     assert "no label for d1.sol" in capsys.readouterr().err
+
+
+def test_derive_one_column_label_row_exits_one(tmp_path, capsys):
+    root = tmp_path / "labeled"
+    root.mkdir()
+    (root / "d1.sol").write_text(wrap("    function close(address t) public { selfdestruct(t); }"))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("contract_id,vuln_type\nd1.sol\n")
+    assert main(["derive", "--in", str(root), "--labels", str(labels), "--out", str(tmp_path / "s")]) == 1
+    assert f"error: {labels}: row 2" in capsys.readouterr().err
 
 
 def test_evolve_writes_csv_and_json(corpus_dir, tmp_path, capsys):

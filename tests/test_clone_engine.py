@@ -7,11 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import lcs_oracle, make_contract, norm, pair_key_set, wrap
 
 from volcano.clone_engine import (
     CloneConfig,
+    clone_lcs,
     cluster_classes,
     detect_pairs,
     is_clone_pair,
@@ -181,6 +184,27 @@ def test_detect_pairs_canonical_order_and_shuffle_stable():
     for _ in range(5):
         rng.shuffle(frags)
         assert detect_pairs(frags, config) == baseline
+
+
+def test_detect_pairs_leaves_out_pairs_among_known_contracts():
+    frags = [frag(cid, ["x", "y", "z"]) for cid in "abcd"]
+    full = detect_pairs(frags, cfg())
+    assert len(full) == 6
+    got = detect_pairs(frags, cfg(), known={"a", "b"})
+    assert got == [p for p in full if {p.left.contract_id, p.right.contract_id} != {"a", "b"}]
+    assert detect_pairs(frags, cfg(), known=set("abcd")) == []
+
+
+_lines = st.lists(st.sampled_from("abc"), max_size=8)
+
+
+@given(_lines, _lines, st.integers(min_value=0, max_value=30))
+def test_clone_lcs_matches_oracle_threshold(a, b, k):
+    """The size filter never rejects a pair the exact oracle decision accepts."""
+    hi = max(len(a), len(b))
+    lcs = lcs_oracle(a, b)
+    want = lcs if (hi - lcs) * 100 <= k * hi else None
+    assert clone_lcs(a, b, cfg(Fraction(k, 100))) == want
 
 
 def test_pair_similarity_fields_consistent():

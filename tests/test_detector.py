@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_corpus, wrap
 
+import volcano.detector as detector_mod
 from volcano.clone_engine import CloneConfig
 from volcano.corpus import Corpus, sort_by_version
 from volcano.detector import (
@@ -20,6 +21,7 @@ from volcano.detector import (
     write_catalog_csv,
 )
 from volcano.errors import EmptySignatureSet
+from volcano.extractor import extract_functions
 from volcano.normalize import RenamingMode
 from volcano.signatures import SignatureSet, builtin_signatures
 
@@ -221,6 +223,19 @@ def test_evolution_flags_cross_bucket_classes():
     flagged = report.cross_bucket_classes[0]
     assert flagged["buckets"] == ["^0.3", "^0.4"]
     assert flagged["mode"] == "consistent"
+
+
+def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
+    corpus = make_corpus("evo", EVOLUTION_SOURCES)
+    calls = []
+
+    def counting(contract):
+        calls.append(contract.id)
+        return extract_functions(contract)
+
+    monkeypatch.setattr(detector_mod, "extract_functions", counting)
+    analyze_evolution(sort_by_version(corpus), builtin_signatures(), [CONSISTENT_0, CONSISTENT_30])
+    assert sorted(calls) == sorted([c.id for c in corpus] * 2)
 
 
 def test_detection_to_dict_shape():

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_corpus, wrap
 
 from volcano.clone_engine import CloneConfig
-from volcano.errors import MissingAnnotation, UnknownType, UnlabeledContract
+from volcano.errors import MalformedLabels, MissingAnnotation, UnknownType, UnlabeledContract
 from volcano.normalize import RenamingMode
 from volcano.signatures import (
     ANNOTATION_PREFIX,
@@ -178,6 +178,13 @@ def test_read_labels_csv(tmp_path):
         "a.sol": VulnerabilityType.REENTRANCY,
         "b.sol": VulnerabilityType.DOS,
     }
+
+
+def test_read_labels_csv_rejects_one_column_row(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("contract_id,vuln_type\na.sol,DOS\nb.sol\n")
+    with pytest.raises(MalformedLabels, match=r"labels\.csv: row 3"):
+        read_labels_csv(path)
 
 
 def _sweep(extra: list[str], name="sweepFunds", amount="amount", pool="pool") -> str:
