@@ -9,25 +9,43 @@ re-runs LCS only for pairs touching them; the result is extensionally
 equal to a from-scratch analysis of the current corpus.
 
 A cache written under a different clone configuration is an error; an
-unreadable cache is treated as absent (full analysis, with a warning).
+unreadable cache, or one written by different extraction, normalization,
+kernel or cache code, is treated as absent (full analysis, with a warning).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clone_engine import CloneConfig, ClonePair, cluster_classes, detect_pairs
 from .corpus import Corpus, SourceContract
 from .errors import CacheConfigMismatch
-from .extractor import FragmentRef, extract_functions
-from .normalize import NormalizedFragment, RenamingMode, _digests, in_mode, pretty_print
+from .extractor import FragmentRef
+from .normalize import NormalizedFragment, RenamingMode, normalize_contract
 
 log = logging.getLogger(__name__)
 
-CACHE_VERSION = 2
+# The modules whose code decides what a cache holds.
+VERSIONED_SOURCES = [
+    Path(__file__).with_name(name)
+    for name in ("extractor.py", "normalize.py", "clone_engine.py", "cache.py")
+]
+
+
+def code_version(paths) -> str:
+    """Short digest of the given source files, in order."""
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(Path(path).read_bytes())
+    return digest.hexdigest()[:16]
+
+
+CACHE_VERSION = code_version(VERSIONED_SOURCES)
 CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
 
@@ -35,28 +53,13 @@ DEFAULT_CACHE_DIR = ".volcano-cache"
 def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict]:
     return [
         {
-            "name": fragment.name,
-            "start_line": fragment.start_line,
-            "end_line": fragment.end_line,
-            "lines": {mode.value: list(in_mode(pretty_print(fragment), mode).lines)},
+            "name": nf.origin.name,
+            "start_line": nf.origin.start_line,
+            "end_line": nf.origin.end_line,
+            "lines": {mode.value: list(nf.lines)},
         }
-        for fragment in extract_functions(contract)
+        for nf in normalize_contract(contract, mode)
     ]
-
-
-def _restore(contract_id: str, record: dict, mode: RenamingMode) -> NormalizedFragment:
-    lines = tuple(record["lines"][mode.value])
-    return NormalizedFragment(
-        origin=FragmentRef(
-            contract_id=contract_id,
-            start_line=record["start_line"],
-            end_line=record["end_line"],
-            name=record["name"],
-        ),
-        mode=mode,
-        lines=lines,
-        line_digests=_digests(lines),
-    )
 
 
 def _ref_record(ref: FragmentRef) -> list:
@@ -141,12 +144,22 @@ class AnalysisCache:
 
 
 def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
-    """Normalized fragments of a corpus straight from cache records."""
+    """Normalized fragments of a corpus straight from cache records, by origin.
+
+    Fragments that share one origin (a nested Yul function declared on its
+    enclosing function's line, under the same name) keep the last one.
+    """
     index = {}
     for contract in corpus:
         for record in cache.fragments.get(contract.content_digest, []):
-            nf = _restore(contract.id, record, mode)
-            index[nf.origin] = nf
+            ref = FragmentRef(
+                contract_id=contract.id,
+                start_line=record["start_line"],
+                end_line=record["end_line"],
+                name=record["name"],
+            )
+            lines = tuple(map(sys.intern, record["lines"][mode.value]))
+            index[ref] = NormalizedFragment(origin=ref, mode=mode, lines=lines)
     return index
 
 
@@ -174,22 +187,15 @@ def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: Clone
             continue
         cached = cache.fragments.get(digest)
         records[digest] = cached if cached is not None else _fragment_records(contract, cfg.mode)
+    cache.contracts = {cid: c.content_digest for cid, c in current.items()}
+    cache.fragments = records
 
-    fragments = [
-        _restore(contract.id, record, cfg.mode)
-        for contract in changed_contracts
-        for record in records[contract.content_digest]
-    ]
+    fragments = fragment_index(cache, changed_contracts, cfg.mode).values()
     reused = [
         p
         for p in cache.pairs
         if p.left.contract_id in unchanged and p.right.contract_id in unchanged
     ]
     fresh = detect_pairs(fragments, cfg, unchanged)
-    pairs = sorted(reused + fresh, key=lambda p: (p.left, p.right))
-    classes = cluster_classes(pairs)
-
-    cache.contracts = {cid: c.content_digest for cid, c in current.items()}
-    cache.fragments = records
-    cache.pairs = pairs
-    return pairs, classes
+    cache.pairs = sorted(reused + fresh, key=lambda p: (p.left, p.right))
+    return cache.pairs, cluster_classes(cache.pairs)

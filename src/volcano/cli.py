@@ -28,11 +28,11 @@ from pathlib import Path
 
 from . import cache as cache_mod
 from . import corpus as corpus_mod
-from .clone_engine import CloneConfig, similarity
+from .clone_engine import CloneConfig, class_row
 from .detector import analyze_evolution, scan, write_catalog_csv
 from .errors import VolcanoError
 from .extractor import extract_functions
-from .normalize import RenamingMode, in_mode, pretty_print
+from .normalize import RenamingMode, normalize_contract
 from .signatures import (
     builtin_signatures,
     derive_signatures,
@@ -46,7 +46,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Echo of the flags a run was invoked with; round-trips through dicts."""
+    """Echo of the flags a run was invoked with."""
 
     command: str
     mode: str = "consistent"
@@ -65,10 +65,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -148,16 +144,19 @@ def _add_clone_flags(sub, default_mode: str, default_threshold: int):
     )
     sub.add_argument("--min-lines", dest="min_lines", type=_positive_int, default=3)
     sub.add_argument("--max-lines", dest="max_lines", type=_positive_int, default=None)
-    sub.add_argument("--jobs", type=_positive_int, default=1, help="worker process cap")
 
 
 def _clone_config(args) -> CloneConfig:
-    return CloneConfig(
-        mode=RenamingMode(args.mode),
-        max_difference=Fraction(args.threshold, 100),
-        min_lines=args.min_lines,
-        max_lines=args.max_lines,
-    )
+    try:
+        return CloneConfig(
+            mode=RenamingMode(args.mode),
+            max_difference=Fraction(args.threshold, 100),
+            min_lines=args.min_lines,
+            max_lines=args.max_lines,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _load_corpus(args) -> corpus_mod.Corpus:
@@ -191,8 +190,10 @@ def _cmd_fetch(args) -> int:
         print("error: no addresses given (use --address or --addresses)", file=sys.stderr)
         return 2
     for addr in addresses:
-        if not re.fullmatch(r"0x[0-9a-fA-F]{40}", addr):
-            print(f"error: malformed address {addr!r}", file=sys.stderr)
+        try:
+            _address_arg(addr)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     api_key = args.api_key or os.environ.get(corpus_mod.EXPLORER_KEY_ENV, "")
     budget = corpus_mod.RateBudget(args.rate)
@@ -243,8 +244,7 @@ def _cmd_normalize(args) -> int:
         contracts = list(corpus_mod.load_corpus(path))
     blocks = []
     for contract in contracts:
-        for fragment in extract_functions(contract):
-            nf = in_mode(pretty_print(fragment), mode)
+        for nf in normalize_contract(contract, mode):
             header = f"-- {nf.origin.uid} [{mode.value}]"
             blocks.append("\n".join([header, *nf.lines]))
     _write_or_print("\n\n".join(blocks) + ("\n" if blocks else ""), args.out)
@@ -254,37 +254,19 @@ def _cmd_normalize(args) -> int:
 def clone_report_dict(cache, corpus, cfg: CloneConfig, pairs, classes) -> dict:
     """Deterministic JSON document for a within-corpus clone analysis."""
     index = cache_mod.fragment_index(cache, corpus, cfg.mode)
-    class_rows = []
-    for cls in classes:
-        exemplar = index[cls.members[0]]
-        class_rows.append(
-            {
-                "class_id": cls.class_id,
-                "members": [
-                    {
-                        "contract_id": m.contract_id,
-                        "name": m.name,
-                        "start_line": m.start_line,
-                        "end_line": m.end_line,
-                        "similarity_to_exemplar": similarity(index[m], exemplar),
-                    }
-                    for m in cls.members
-                ],
-            }
-        )
     return {
         "config": cfg.to_dict(),
         "pairs": [
             {"left": p.left.uid, "right": p.right.uid, "similarity": p.similarity}
             for p in pairs
         ],
-        "classes": class_rows,
+        "classes": [class_row(cls, index, index[cls.members[0]]) for cls in classes],
     }
 
 
 def _cmd_clones(args) -> int:
-    corpus = _load_corpus(args)
     cfg = _clone_config(args)
+    corpus = _load_corpus(args)
     cache_dir = Path(args.cache_dir) if args.cache_dir else Path(args.in_path) / cache_mod.DEFAULT_CACHE_DIR
     cache = None
     if not args.no_cache:
@@ -301,9 +283,9 @@ def _cmd_clones(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    cfg = _clone_config(args)
     corpus = _load_corpus(args)
     labels = read_labels_csv(args.labels)
-    cfg = _clone_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     review = args.review or str(out_dir / "review.json")
@@ -314,9 +296,9 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    cfg = _clone_config(args)
     corpus = _load_corpus(args)
     sigs = _load_sigs(args.sigs)
-    cfg = _clone_config(args)
     report = scan(corpus, sigs, cfg, jobs=args.jobs)
     report.config["run"] = RunConfig.from_args(args).to_dict()
     if args.format == "json":
@@ -432,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigs", required=True, help="'builtin', a signature dir, or an annotated .sol")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker process cap")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("evolve", help="vulnerability evolution across version buckets")

@@ -1,7 +1,7 @@
 """Near-miss clone detection over normalized fragments.
 
 Similarity between two fragments is |LCS| / max(|a|, |b|) computed over
-whole normalized lines (by line digest); a pair is a clone when the
+whole normalized lines, compared as strings; a pair is a clone when the
 difference 1 - similarity is at most max_difference, boundary inclusive.
 Threshold decisions use exact rational arithmetic: 10-line fragments with
 a 7-line LCS sit exactly on a 0.30 boundary, and binary floating point
@@ -58,15 +58,6 @@ class CloneConfig:
             "max_lines": self.max_lines,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CloneConfig":
-        return cls(
-            mode=RenamingMode(d["mode"]),
-            max_difference=Fraction(d["max_difference"]),
-            min_lines=d["min_lines"],
-            max_lines=d["max_lines"],
-        )
-
     def digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha1(blob).hexdigest()[:16]
@@ -122,7 +113,7 @@ def lcs_length(a, b) -> int:
 
 
 def _sequences(value):
-    return value.line_digests if isinstance(value, NormalizedFragment) else value
+    return value.lines if isinstance(value, NormalizedFragment) else value
 
 
 def similarity(a, b) -> float:
@@ -175,7 +166,7 @@ def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePa
     for nf in fragments:
         _check_mode(nf, cfg)
     eligible = sorted(
-        (nf for nf in fragments if within_window(len(nf.line_digests), cfg)),
+        (nf for nf in fragments if within_window(len(nf.lines), cfg)),
         key=lambda nf: nf.origin,
     )
     pairs = []
@@ -186,15 +177,15 @@ def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePa
         while j < n and eligible[j].origin == origin:
             j += 1  # equal origins sort next to each other
         a_known = origin.contract_id in known
-        da = a.line_digests
-        na = len(da)
+        la = a.lines
+        na = len(la)
         for b in eligible[j:]:
             if a_known and b.origin.contract_id in known:
                 continue
-            db = b.line_digests
-            lcs = clone_lcs(da, db, cfg)
+            lb = b.lines
+            lcs = clone_lcs(la, lb, cfg)
             if lcs is not None:
-                hi = max(na, len(db))
+                hi = max(na, len(lb))
                 pairs.append(ClonePair(origin, b.origin, lcs / hi, lcs_len=lcs, max_len=hi))
     return pairs
 
@@ -235,3 +226,20 @@ def cluster_classes(pairs) -> list[CloneClass]:
         )
     classes.sort(key=lambda c: c.members[0])
     return classes
+
+
+def class_row(cls: CloneClass, by_ref, exemplar: NormalizedFragment) -> dict:
+    """Report row of a clone class: every member with its similarity to exemplar."""
+    return {
+        "class_id": cls.class_id,
+        "members": [
+            {
+                "contract_id": m.contract_id,
+                "name": m.name,
+                "start_line": m.start_line,
+                "end_line": m.end_line,
+                "similarity_to_exemplar": similarity(by_ref[m], exemplar),
+            }
+            for m in cls.members
+        ],
+    }

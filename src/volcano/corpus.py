@@ -10,7 +10,6 @@ compiler version its first pragma admits: `^0.4.24` and
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 import time
@@ -222,19 +221,6 @@ def dedupe(corpus: Corpus) -> Corpus:
         seen.add(c.content_digest)
         kept.append(c)
     return Corpus(label=corpus.label, contracts=kept, skipped=corpus.skipped)
-
-
-def write_manifest(corpus: Corpus, out_path) -> None:
-    rows = [
-        {
-            "id": c.id,
-            "digest": c.content_digest,
-            "version_bucket": c.version.bucket if c.version else "unknown",
-            "path": c.path,
-        }
-        for c in corpus
-    ]
-    Path(out_path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
 
 class RateBudget:

@@ -18,16 +18,16 @@ from fractions import Fraction
 
 from .clone_engine import (
     CloneConfig,
+    class_row,
     clone_lcs,
     cluster_classes,
     detect_pairs,
-    similarity,
     within_window,
 )
-from .corpus import Corpus
+from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
-from .extractor import FragmentRef, extract_functions
-from .normalize import NormalizedFragment, RenamingMode, in_mode, pretty_print
+from .extractor import FragmentRef
+from .normalize import NormalizedFragment, RenamingMode, normalize_contract
 from .signatures import SignatureSet, VulnerabilityType
 
 _ALL_TYPES = [t.name for t in VulnerabilityType]
@@ -102,26 +102,23 @@ def _payload_of(sigs: SignatureSet, cfg: CloneConfig):
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     """Scan one contract; returns (detections, detected fragments, elapsed ms)."""
-    from .corpus import SourceContract
-
     started = time.perf_counter()
     contract = SourceContract(id=contract_id, source_text=source_text, content_digest="")
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
-    for fragment in extract_functions(contract):
-        nf = in_mode(pretty_print(fragment), cfg.mode)
-        lines = nf.line_digests
+    for nf in normalize_contract(contract, cfg.mode):
+        lines = nf.lines
         if not within_window(len(lines), cfg):
             continue
         for sig_id, vuln_type, exemplar in payload:
-            lcs = clone_lcs(lines, exemplar.line_digests, cfg)
+            lcs = clone_lcs(lines, exemplar.lines, cfg)
             if lcs is not None:
                 detections.append(
                     Detection(
                         sig_id=sig_id,
                         vuln_type=vuln_type,
                         target=nf.origin,
-                        similarity=lcs / max(len(lines), len(exemplar.line_digests)),
+                        similarity=lcs / max(len(lines), len(exemplar.lines)),
                         mode=cfg.mode,
                         threshold=cfg.max_difference,
                     )
@@ -163,23 +160,9 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
         target_members = [m for m in cls.members if m not in sig_types]
         if not sig_members or not target_members:
             continue
-        exemplar = by_ref[sig_members[0]]
-        out.append(
-            {
-                "class_id": cls.class_id,
-                "vuln_types": sorted({t for m in sig_members for t in sig_types[m]}),
-                "members": [
-                    {
-                        "contract_id": m.contract_id,
-                        "name": m.name,
-                        "start_line": m.start_line,
-                        "end_line": m.end_line,
-                        "similarity_to_exemplar": similarity(by_ref[m], exemplar),
-                    }
-                    for m in cls.members
-                ],
-            }
-        )
+        row = class_row(cls, by_ref, by_ref[sig_members[0]])
+        row["vuln_types"] = sorted({t for m in sig_members for t in sig_types[m]})
+        out.append(row)
     return out
 
 

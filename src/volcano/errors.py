@@ -51,6 +51,10 @@ class MalformedLabels(VolcanoError):
     """A labels CSV row lacks the contract_id,vuln_type columns."""
 
 
+class MalformedManifest(VolcanoError):
+    """A signature directory's manifest.json is not valid JSON or lacks fields."""
+
+
 class MissingAnnotation(VolcanoError):
     """Signature file function lacks the @volcano:vuln= header comment."""
 

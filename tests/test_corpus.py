@@ -21,7 +21,6 @@ from volcano.corpus import (
     load_corpus,
     parse_pragma,
     sort_by_version,
-    write_manifest,
 )
 from volcano.errors import MissingRoot, NetworkError, NotVerified, RateLimited
 
@@ -194,21 +193,6 @@ def test_dedupe_keeps_first_occurrence():
     corpus = make_corpus("d", {"x": text, "y": text, "z": wrap("    function g() public { b = 2; }")})
     kept = dedupe(corpus)
     assert [c.id for c in kept] == ["x", "z"]
-
-
-def test_write_manifest(tmp_path):
-    corpus = make_corpus("m", {"a": wrap("    function f() public { a = 1; }")})
-    out = tmp_path / "manifest.json"
-    write_manifest(corpus, out)
-    rows = json.loads(out.read_text())
-    assert rows == [
-        {
-            "id": "a",
-            "digest": corpus.contracts[0].content_digest,
-            "version_bucket": "^0.4",
-            "path": "a.sol",
-        }
-    ]
 
 
 class FakeTime:

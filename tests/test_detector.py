@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_corpus, wrap
 
-import volcano.detector as detector_mod
+import volcano.normalize as normalize_mod
 from volcano.clone_engine import CloneConfig
 from volcano.corpus import Corpus, sort_by_version
 from volcano.detector import (
@@ -227,14 +227,15 @@ def test_evolution_flags_cross_bucket_classes():
 
 def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
     corpus = make_corpus("evo", EVOLUTION_SOURCES)
+    sigs = builtin_signatures()
     calls = []
 
     def counting(contract):
         calls.append(contract.id)
         return extract_functions(contract)
 
-    monkeypatch.setattr(detector_mod, "extract_functions", counting)
-    analyze_evolution(sort_by_version(corpus), builtin_signatures(), [CONSISTENT_0, CONSISTENT_30])
+    monkeypatch.setattr(normalize_mod, "extract_functions", counting)
+    analyze_evolution(sort_by_version(corpus), sigs, [CONSISTENT_0, CONSISTENT_30])
     assert sorted(calls) == sorted([c.id for c in corpus] * 2)
 
 

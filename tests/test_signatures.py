@@ -11,7 +11,13 @@ import pytest
 from conftest import make_corpus, wrap
 
 from volcano.clone_engine import CloneConfig
-from volcano.errors import MalformedLabels, MissingAnnotation, UnknownType, UnlabeledContract
+from volcano.errors import (
+    MalformedLabels,
+    MalformedManifest,
+    MissingAnnotation,
+    UnknownType,
+    UnlabeledContract,
+)
 from volcano.normalize import RenamingMode
 from volcano.signatures import (
     ANNOTATION_PREFIX,
@@ -163,6 +169,23 @@ def test_save_load_round_trip_extensional(tmp_path):
         (s.sig_id, s.vuln_type.name, s.exemplar.lines, s.placeholder) for s in ss
     )
     assert as_tuple(after) == as_tuple(before)
+
+
+@pytest.mark.parametrize(
+    "manifest, detail",
+    [
+        ("{ not json", "JSONDecodeError"),
+        ('{"signatures": [{"sig_id": "x"}]}', "'source_file'"),
+        ('["not", "an", "object"]', "AttributeError"),
+    ],
+)
+def test_load_malformed_manifest_names_the_file(tmp_path, manifest, detail):
+    save_signatures(builtin_signatures(), tmp_path)
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(MalformedManifest) as err:
+        load_signatures(tmp_path)
+    assert str(tmp_path / "manifest.json") in str(err.value)
+    assert detail in str(err.value)
 
 
 def test_read_labels_csv(tmp_path):
