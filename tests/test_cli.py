@@ -96,6 +96,9 @@ def test_jobs_only_on_commands_that_use_it(command, corpus_dir, tmp_path):
     with pytest.raises(SystemExit) as err:
         main([command, "--in", str(corpus_dir), "--jobs", "2", *extra])
     assert err.value.code == 2
+    scan_args = build_parser().parse_args(["scan", "--in", "/x", "--sigs", "builtin", "--jobs", "2"])
+    evolve_args = build_parser().parse_args(["evolve", "--in", "/x", "--sigs", "b", "--out", "o", "--jobs", "2"])
+    assert scan_args.jobs == evolve_args.jobs == 2
 
 
 def test_malformed_signature_manifest_exits_one(corpus_dir, tmp_path, capsys):
