@@ -5,6 +5,7 @@ from .clone_engine import (
     CloneClass,
     CloneConfig,
     ClonePair,
+    clone_classes,
     cluster_classes,
     detect_pairs,
     is_clone_pair,

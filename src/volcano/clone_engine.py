@@ -7,12 +7,15 @@ Threshold decisions use exact rational arithmetic: 10-line fragments with
 a 7-line LCS sit exactly on a 0.30 boundary, and binary floating point
 would push them over it.
 
-Clone classes are the connected components of the pair graph.
+Clone classes are the connected components of the pair graph. A decision
+depends only on the two line sequences and the config, so it is made once
+per distinct pair of sequences and holds for every fragment carrying them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,12 +159,16 @@ def is_clone_pair(a: NormalizedFragment, b: NormalizedFragment, cfg: CloneConfig
     return bool(detect_pairs([a, b], cfg))
 
 
-def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePair]:
-    """All clone pairs among fragments, in canonical (left, right) order.
+def _sequence_pairs(fragments, cfg: CloneConfig, known):
+    """Clone decisions among fragments, made once per pair of distinct sequences.
 
-    Fragments outside [min_lines, max_lines] never pair, nor do fragments
-    with the same origin. Pairs between two fragments whose contract ids
-    are both in known are left out: the caller already has them.
+    Returns (eligible, ref_of, pairs): eligible is the in-window fragments
+    sorted by origin, ref_of[i] the first index in eligible with the origin
+    of eligible[i], and pairs the clone pairs of sequences as
+    (group_a, group_b, lcs, hi), each group the indices of the fragments
+    holding one sequence. group_a is group_b for the fragments of one
+    sequence, clones of each other with no LCS work. Sequence pairs whose
+    fragments all sit in known contracts are left out.
     """
     for nf in fragments:
         _check_mode(nf, cfg)
@@ -169,30 +176,54 @@ def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePa
         (nf for nf in fragments if within_window(len(nf.lines), cfg)),
         key=lambda nf: nf.origin,
     )
+    ref_of = []
+    groups: dict[tuple, list[int]] = {}
+    for i, nf in enumerate(eligible):
+        # Equal origins sort next to each other.
+        ref_of.append(ref_of[-1] if i and nf.origin == eligible[i - 1].origin else i)
+        groups.setdefault(nf.lines, []).append(i)
+    seqs = [
+        (lines, group, all(eligible[i].origin.contract_id in known for i in group))
+        for lines, group in groups.items()
+    ]
     pairs = []
-    n = len(eligible)
-    for i, a in enumerate(eligible):
-        origin = a.origin
-        j = i + 1
-        while j < n and eligible[j].origin == origin:
-            j += 1  # equal origins sort next to each other
-        a_known = origin.contract_id in known
-        la = a.lines
+    for x, (la, ga, a_known) in enumerate(seqs):
+        if len(ga) > 1 and not a_known:
+            pairs.append((ga, ga, len(la), len(la)))
         na = len(la)
-        for b in eligible[j:]:
-            if a_known and b.origin.contract_id in known:
+        for lb, gb, b_known in seqs[x + 1:]:
+            if a_known and b_known:
                 continue
-            lb = b.lines
             lcs = clone_lcs(la, lb, cfg)
             if lcs is not None:
-                hi = max(na, len(lb))
-                pairs.append(ClonePair(origin, b.origin, lcs / hi, lcs_len=lcs, max_len=hi))
-    return pairs
+                pairs.append((ga, gb, lcs, max(na, len(lb))))
+    return eligible, ref_of, pairs
 
 
-def cluster_classes(pairs) -> list[CloneClass]:
-    """Connected components of the pair graph; every class has >= 2 members."""
-    parent: dict[FragmentRef, FragmentRef] = {}
+def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePair]:
+    """All clone pairs among fragments, in canonical (left, right) order.
+
+    Fragments outside [min_lines, max_lines] never pair, nor do fragments
+    with the same origin. Pairs between two fragments whose contract ids
+    are both in known are left out: the caller already has them.
+    """
+    eligible, ref_of, seq_pairs = _sequence_pairs(fragments, cfg, known)
+    in_known = [nf.origin.contract_id in known for nf in eligible]
+    found = []
+    for ga, gb, lcs, hi in seq_pairs:
+        for i, j in itertools.combinations(ga, 2) if ga is gb else itertools.product(ga, gb):
+            if ref_of[i] != ref_of[j] and not (in_known[i] and in_known[j]):
+                found.append((i, j, lcs, hi) if i < j else (j, i, lcs, hi))
+    found.sort()
+    return [
+        ClonePair(eligible[i].origin, eligible[j].origin, lcs / hi, lcs_len=lcs, max_len=hi)
+        for i, j, lcs, hi in found
+    ]
+
+
+def _components(edges) -> list[list]:
+    """Connected components of the graph of edges."""
+    parent: dict = {}
 
     def find(x):
         root = x
@@ -202,21 +233,23 @@ def cluster_classes(pairs) -> list[CloneClass]:
             parent[x], x = root, parent[x]
         return root
 
-    def union(x, y):
+    for x, y in edges:
         parent.setdefault(x, x)
         parent.setdefault(y, y)
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[ry] = rx
+    groups: dict = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
 
-    for p in pairs:
-        union(p.left, p.right)
-    groups: dict[FragmentRef, list[FragmentRef]] = {}
-    for ref in parent:
-        groups.setdefault(find(ref), []).append(ref)
+
+def _classes(components) -> list[CloneClass]:
+    """Clone classes of components of refs: sorted members, id from their uids."""
     classes = []
-    for members in groups.values():
-        members.sort()
+    for members in components:
+        members = sorted(members)
         blob = "\n".join(m.uid for m in members).encode("utf-8")
         classes.append(
             CloneClass(
@@ -226,6 +259,26 @@ def cluster_classes(pairs) -> list[CloneClass]:
         )
     classes.sort(key=lambda c: c.members[0])
     return classes
+
+
+def cluster_classes(pairs) -> list[CloneClass]:
+    """Connected components of the pair graph; every class has >= 2 members."""
+    return _classes(_components((p.left, p.right) for p in pairs))
+
+
+def clone_classes(fragments, cfg: CloneConfig) -> list[CloneClass]:
+    """cluster_classes(detect_pairs(fragments, cfg)), without building a pair.
+
+    A clone pair of sequences joins the origins of all its fragments when
+    they hold two or more origins: the fragments of one sequence are joined
+    through each other, two sequences through one fragment of each.
+    """
+    eligible, ref_of, seq_pairs = _sequence_pairs(fragments, cfg, frozenset())
+    edges = []
+    for ga, gb, _, _ in seq_pairs:
+        a = ref_of[ga[0]]
+        edges.extend((a, ref_of[i]) for i in (ga if ga is gb else gb[:1]) if ref_of[i] != a)
+    return _classes([[eligible[i].origin for i in comp] for comp in _components(edges)])
 
 
 def class_row(cls: CloneClass, by_ref, exemplar: NormalizedFragment) -> dict:

@@ -4,8 +4,9 @@ scan() matches every signature exemplar against every eligible fragment
 of a target corpus under one clone configuration. The report carries the
 raw detections, per-type instance counts (distinct target fragments),
 clone classes over the union of exemplars and detected fragments, and
-wall-clock timing per contract. Timing excludes corpus loading and lives
-in its own section so the detection body stays deterministic.
+wall-clock timing per contract and for the cross-class phase. Timing
+excludes corpus loading and lives in its own section so the detection
+body stays deterministic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from fractions import Fraction
 from .clone_engine import (
     CloneConfig,
     class_row,
+    clone_classes,
     clone_lcs,
-    cluster_classes,
-    detect_pairs,
     within_window,
 )
 from .corpus import Corpus, SourceContract
@@ -64,6 +64,7 @@ class ScanReport:
     total_ms: float
     average_ms: float | None
     contract_count: int
+    cross_classes_ms: float
 
     def body_dict(self) -> dict:
         """Everything deterministic: the report minus its timing section."""
@@ -80,6 +81,7 @@ class ScanReport:
             "per_contract_ms": self.per_contract_ms,
             "total_ms": self.total_ms,
             "average_ms": self.average_ms,
+            "cross_classes_ms": self.cross_classes_ms,
         }
         return out
 
@@ -95,23 +97,38 @@ _WORKER = {}
 
 
 def _payload_of(sigs: SignatureSet, cfg: CloneConfig):
+    """One (sig_id, vuln_type, exemplar, decisions) entry per signature.
+
+    decisions maps a candidate's normalized lines to clone_lcs(lines,
+    exemplar lines, cfg), filled as the scan meets each sequence, so a
+    sequence repeated across the corpus is decided once per signature.
+    A payload serves one config; every worker process holds its own copy.
+    """
     if not len(sigs):
         raise EmptySignatureSet("scan needs at least one signature")
-    return [(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs]
+    return [(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode), {}) for s in sigs]
 
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
-    """Scan one contract; returns (detections, detected fragments, elapsed ms)."""
+    """Scan one contract; returns (detections, detected fragments, elapsed ms).
+
+    Fragments that share one origin (a nested Yul function declared on its
+    enclosing function's line, under the same name) keep the last one.
+    """
     started = time.perf_counter()
     contract = SourceContract(id=contract_id, source_text=source_text, content_digest="")
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
-    for nf in normalize_contract(contract, cfg.mode):
+    by_origin = {nf.origin: nf for nf in normalize_contract(contract, cfg.mode)}
+    for nf in by_origin.values():
         lines = nf.lines
         if not within_window(len(lines), cfg):
             continue
-        for sig_id, vuln_type, exemplar in payload:
-            lcs = clone_lcs(lines, exemplar.lines, cfg)
+        for sig_id, vuln_type, exemplar, decisions in payload:
+            try:
+                lcs = decisions[lines]
+            except KeyError:
+                lcs = decisions[lines] = clone_lcs(lines, exemplar.lines, cfg)
             if lcs is not None:
                 detections.append(
                     Detection(
@@ -148,14 +165,14 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     """
     by_ref: dict[FragmentRef, NormalizedFragment] = {}
     sig_types: dict[FragmentRef, list] = {}
-    for sig_id, vuln_type, exemplar in payload:
+    for sig_id, vuln_type, exemplar, _ in payload:
         by_ref[exemplar.origin] = exemplar
         sig_types.setdefault(exemplar.origin, []).append(vuln_type.name)
     for ref, nf in hits.items():
         by_ref.setdefault(ref, nf)
 
     out = []
-    for cls in cluster_classes(detect_pairs(list(by_ref.values()), cfg)):
+    for cls in clone_classes(list(by_ref.values()), cfg):
         sig_members = [m for m in cls.members if m in sig_types]
         target_members = [m for m in cls.members if m not in sig_types]
         if not sig_members or not target_members:
@@ -190,6 +207,9 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
     detections.sort(key=lambda d: (d.target, d.sig_id))
 
     total_ms = sum(per_contract_ms)
+    started = time.perf_counter()
+    classes = _cross_classes(payload, hits, cfg)
+    cross_classes_ms = (time.perf_counter() - started) * 1000.0
     report = ScanReport(
         config={
             "corpus": target.label,
@@ -199,11 +219,12 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
         },
         detections=detections,
         per_type_instances={},
-        classes=_cross_classes(payload, hits, cfg),
+        classes=classes,
         per_contract_ms=per_contract_ms,
         total_ms=total_ms,
         average_ms=(total_ms / len(per_contract_ms)) if per_contract_ms else None,
         contract_count=len(target),
+        cross_classes_ms=cross_classes_ms,
     )
     report.per_type_instances = count_instances(report)
     return report

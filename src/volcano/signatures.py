@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clone_engine import CloneConfig, cluster_classes, detect_pairs
+from .clone_engine import CloneConfig, clone_classes
 from .corpus import Corpus, SourceContract
 from .errors import (
     MalformedLabels,
@@ -367,8 +367,7 @@ def derive_signatures(
             none_by_ref[none_nf.origin] = none_nf
             mode_frags.append(in_mode(none_nf, cfg.mode))
 
-    pairs = detect_pairs(mode_frags, cfg)
-    classes = cluster_classes(pairs)
+    classes = clone_classes(mode_frags, cfg)
     if not classes:
         log.warning("derivation found no clone classes in corpus %s", vuln_corpus.label)
 

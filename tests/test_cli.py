@@ -255,6 +255,29 @@ def test_clones_lists_a_pair_of_origins_once(tmp_path):
         assert [(p["left"], p["right"]) for p in doc["pairs"]] == [("A.sol:f:3-3", "B.sol:f:3-3")]
 
 
+def test_scan_lists_a_detection_of_an_origin_once(tmp_path):
+    # each file holds a function and a nested Yul function that share one
+    # FragmentRef; scan keeps the last of them, as clones does
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("A", "B"):
+        (root / f"{name}.sol").write_text(
+            "contract C {\n"
+            "function f() public { assembly { function f(x) -> y { { } { } { } { } { } { } } } }\n}\n"
+        )
+    sig = tmp_path / "sig.sol"
+    sig.write_text("// @volcano:vuln=DOS\nfunction f(x) -> y { { } { } { } { } { } { } }\n")
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--in", str(root), "--sigs", str(sig), "--mode", "blind", "--threshold", "30",
+            "--min-lines", "1", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert [(d["contract_id"], d["similarity"]) for d in doc["detections"]] == [
+        ("A.sol", 1.0), ("B.sol", 1.0),
+    ]
+    assert doc["per_type_instances"]["DOS"] == 2
+
+
 def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):
     out = tmp_path / "clones.json"
     assert main(["clones", "--in", str(corpus_dir), "--no-cache", "--out", str(out)]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import lcs_oracle, make_contract, norm, pair_key_set, wrap
 
 from volcano.clone_engine import (
     CloneConfig,
+    clone_classes,
     clone_lcs,
     cluster_classes,
     detect_pairs,
@@ -203,6 +205,66 @@ def test_clone_lcs_matches_oracle_threshold(a, b, k):
     lcs = lcs_oracle(a, b)
     want = lcs if (hi - lcs) * 100 <= k * hi else None
     assert clone_lcs(a, b, cfg(Fraction(k, 100))) == want
+
+
+# Fragments drawn from few contracts, start lines and sequences, so that
+# sequences and whole origins repeat; end_line does not follow the line
+# count, so one origin can carry two different sequences.
+_fragments = st.lists(
+    st.builds(
+        lambda cid, start, lines: NormalizedFragment(
+            origin=FragmentRef(cid, start, start, "f"), mode=RenamingMode.BLIND, lines=tuple(lines)
+        ),
+        st.sampled_from("abcd"),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(
+            [(), ("a",), ("a", "b"), ("a", "b", "c"), ("a", "c", "b"), ("b", "b", "a", "c"),
+             ("a", "b", "c", "a", "b"), ("c", "a", "b", "c", "a", "b")]
+        ),
+    ),
+    max_size=12,
+)
+_configs = st.builds(
+    lambda k, lo, extra: cfg(Fraction(k, 100), min_lines=lo, max_lines=None if extra is None else lo + extra),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=4),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+
+
+def _brute_pairs(fragments, config, known):
+    """Every clone pair by a double loop over fragments sorted by origin."""
+    def inside(nf):
+        n = len(nf.lines)
+        return config.min_lines <= n and (config.max_lines is None or n <= config.max_lines)
+
+    eligible = sorted((nf for nf in fragments if inside(nf)), key=lambda nf: nf.origin)
+    out = []
+    for i, a in enumerate(eligible):
+        for b in eligible[i + 1:]:
+            if a.origin == b.origin:
+                continue
+            if a.origin.contract_id in known and b.origin.contract_id in known:
+                continue
+            hi = max(len(a.lines), len(b.lines))
+            lcs = lcs_oracle(a.lines, b.lines)
+            if Fraction(hi - lcs, hi) <= config.max_difference:
+                out.append((a.origin, b.origin, lcs, hi))
+    return out
+
+
+@given(_fragments, _configs, st.sets(st.sampled_from("abcd")))
+def test_detect_pairs_equals_brute_force(fragments, config, known):
+    got = [(p.left, p.right, p.lcs_len, p.max_len) for p in detect_pairs(fragments, config, known)]
+    want = _brute_pairs(fragments, config, known)
+    assert Counter(got) == Counter(want)
+    if len({nf.origin for nf in fragments}) == len(fragments):
+        assert got == want
+
+
+@given(_fragments, _configs)
+def test_clone_classes_equal_clustered_pairs(fragments, config):
+    assert clone_classes(fragments, config) == cluster_classes(detect_pairs(fragments, config))
 
 
 def test_pair_similarity_fields_consistent():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import re
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 
 from conftest import make_corpus, wrap
 
+import volcano.detector as detector_mod
 import volcano.normalize as normalize_mod
-from volcano.clone_engine import CloneConfig
+from volcano.clone_engine import CloneConfig, clone_lcs
 from volcano.corpus import Corpus, sort_by_version
 from volcano.detector import (
     EvolutionReport,
@@ -25,6 +27,8 @@ from volcano.extractor import extract_functions
 from volcano.normalize import RenamingMode
 from volcano.signatures import SignatureSet, builtin_signatures
 
+BLIND_0 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(0))
+BLIND_30 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(30, 100))
 CONSISTENT_0 = CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(0))
 CONSISTENT_30 = CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(30, 100))
 
@@ -132,6 +136,66 @@ def test_scan_parallel_matches_serial():
     serial = scan(corpus, builtin_signatures(), CONSISTENT_30, jobs=1)
     parallel = scan(corpus, builtin_signatures(), CONSISTENT_30, jobs=2)
     assert serial.canonical_json() == parallel.canonical_json()
+    # every kill is one sequence, decided once per signature in each worker
+    assert len(parallel.detections) == 8
+
+
+# Six contracts over two sequences: every kill and every tally is the same
+# sequence under consistent renaming, whatever its identifiers.
+REPEATING_SOURCES = {
+    f"r{i}": wrap(
+        f"    function kill(address bad{i}) external {{\n        suicide(bad{i});\n    }}\n"
+        f"    function tally(uint a{i}) public {{\n        sum{i} += a{i};\n    }}"
+    )
+    for i in range(6)
+}
+
+
+def test_scan_decides_each_sequence_once_per_signature(monkeypatch):
+    corpus = make_corpus("rep", REPEATING_SOURCES)
+    sigs = builtin_signatures()
+    calls = []
+
+    def counting(lines, exemplar_lines, cfg):
+        # Two signatures may share an exemplar sequence; each holds its own tuple.
+        calls.append((lines, id(exemplar_lines)))
+        return clone_lcs(lines, exemplar_lines, cfg)
+
+    monkeypatch.setattr(detector_mod, "clone_lcs", counting)
+    report = scan(corpus, sigs, CONSISTENT_30)
+    assert len(calls) == len(set(calls)) == 2 * len(sigs)
+    assert report.per_type_instances["DOS"] == 6
+    assert len(report.detections) == 12  # six kills x two DOS signatures
+
+
+@pytest.mark.parametrize("configs", [[BLIND_0, CONSISTENT_30], [BLIND_0, BLIND_30]])
+def test_evolution_matches_one_run_per_config(configs):
+    sources = dict(REPEATING_SOURCES)
+    sources.update(EVOLUTION_SOURCES)
+    buckets = sort_by_version(make_corpus("evo", sources))
+    sigs = builtin_signatures()
+    together = analyze_evolution(buckets, sigs, configs)
+    apart = [analyze_evolution(buckets, sigs, [cfg]) for cfg in configs]
+    assert together.cells == [cell for report in apart for cell in report.cells]
+    assert together.cross_bucket_classes == [c for r in apart for c in r.cross_bucket_classes]
+    detections = {
+        (c["mode"], c["threshold_percent"], c["bucket"], c["vuln_type"]): c["detections"]
+        for c in together.cells
+    }
+    for cfg in configs:
+        pct = int(cfg.max_difference * 100)
+        for bucket, corpus in buckets.items():
+            report = scan(corpus, sigs, cfg)
+            for name in report.per_type_instances:
+                want = sum(1 for d in report.detections if d.vuln_type.name == name)
+                assert detections[(cfg.mode.value, pct, bucket, name)] == want
+
+
+def test_scan_timing_reports_the_cross_class_phase():
+    report = scan(make_corpus("victims", {"v": KILL_CONTRACT}), builtin_signatures(), CONSISTENT_30)
+    assert report.cross_classes_ms > 0
+    assert json.loads(report.to_json())["timing"]["cross_classes_ms"] == report.cross_classes_ms
+    assert "cross_classes_ms" not in report.canonical_json()
 
 
 def test_scan_classes_require_signature_and_target():
