@@ -144,11 +144,7 @@ class AnalysisCache:
 
 
 def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
-    """Normalized fragments of a corpus straight from cache records, by origin.
-
-    Fragments that share one origin (a nested Yul function declared on its
-    enclosing function's line, under the same name) keep the last one.
-    """
+    """Normalized fragments of a corpus straight from cache records, by origin."""
     index = {}
     for contract in corpus:
         for record in cache.fragments.get(contract.content_digest, []):

@@ -130,10 +130,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_corpus_flags(sub, with_dedupe=True):
+def _add_corpus_flags(sub):
     sub.add_argument("--in", dest="in_path", required=True, help="corpus root directory")
-    if with_dedupe:
-        sub.add_argument("--dedupe", action="store_true", help="drop byte-identical duplicates")
+    sub.add_argument("--dedupe", action="store_true", help="drop byte-identical duplicates")
 
 
 def _add_clone_flags(sub, default_mode: str, default_threshold: int):
@@ -161,7 +160,7 @@ def _clone_config(args) -> CloneConfig:
 
 def _load_corpus(args) -> corpus_mod.Corpus:
     corpus = corpus_mod.load_corpus(args.in_path)
-    if getattr(args, "dedupe", False):
+    if args.dedupe:
         corpus = corpus_mod.dedupe(corpus)
     return corpus
 

@@ -49,7 +49,6 @@ class SourceContract:
     source_text: str
     content_digest: str
     version: SolidityVersion | None = None
-    path: str = ""
 
 
 @dataclass
@@ -184,7 +183,6 @@ def load_corpus(root, label: str | None = None) -> Corpus:
                 source_text=text,
                 content_digest=hashlib.sha256(data).hexdigest(),
                 version=parse_pragma(text),
-                path=str(path),
             )
         )
     if not contracts:
@@ -307,6 +305,5 @@ def fetch_contract(
             source_text=source,
             content_digest=hashlib.sha256(data).hexdigest(),
             version=parse_pragma(source),
-            path=str(out),
         )
     raise last_error

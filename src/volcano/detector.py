@@ -61,10 +61,19 @@ class ScanReport:
     per_type_instances: dict[str, int]
     classes: list[dict]
     per_contract_ms: list[float]
-    total_ms: float
-    average_ms: float | None
-    contract_count: int
     cross_classes_ms: float
+
+    @property
+    def contract_count(self) -> int:
+        return len(self.per_contract_ms)
+
+    @property
+    def total_ms(self) -> float:
+        return sum(self.per_contract_ms)
+
+    @property
+    def average_ms(self) -> float | None:
+        return self.total_ms / self.contract_count if self.per_contract_ms else None
 
     def body_dict(self) -> dict:
         """Everything deterministic: the report minus its timing section."""
@@ -110,17 +119,12 @@ def _payload_of(sigs: SignatureSet, cfg: CloneConfig):
 
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
-    """Scan one contract; returns (detections, detected fragments, elapsed ms).
-
-    Fragments that share one origin (a nested Yul function declared on its
-    enclosing function's line, under the same name) keep the last one.
-    """
+    """Scan one contract; returns (detections, detected fragments, elapsed ms)."""
     started = time.perf_counter()
     contract = SourceContract(id=contract_id, source_text=source_text, content_digest="")
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
-    by_origin = {nf.origin: nf for nf in normalize_contract(contract, cfg.mode)}
-    for nf in by_origin.values():
+    for nf in normalize_contract(contract, cfg.mode):
         lines = nf.lines
         if not within_window(len(lines), cfg):
             continue
@@ -206,7 +210,6 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
         per_contract_ms.append(elapsed)
     detections.sort(key=lambda d: (d.target, d.sig_id))
 
-    total_ms = sum(per_contract_ms)
     started = time.perf_counter()
     classes = _cross_classes(payload, hits, cfg)
     cross_classes_ms = (time.perf_counter() - started) * 1000.0
@@ -221,9 +224,6 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
         per_type_instances={},
         classes=classes,
         per_contract_ms=per_contract_ms,
-        total_ms=total_ms,
-        average_ms=(total_ms / len(per_contract_ms)) if per_contract_ms else None,
-        contract_count=len(target),
         cross_classes_ms=cross_classes_ms,
     )
     report.per_type_instances = count_instances(report)
@@ -347,27 +347,17 @@ def analyze_evolution(
             corpus = buckets[bucket]
             report = _assemble(corpus, sigs, payload, cfg, results[start:start + len(corpus)])
             start += len(corpus)
-            min_sim: dict[str, float] = {}
-            det_count: dict[str, int] = {}
-            for d in report.detections:
-                name = d.vuln_type.name
-                det_count[name] = det_count.get(name, 0) + 1
-                if name not in min_sim or d.similarity < min_sim[name]:
-                    min_sim[name] = d.similarity
-            class_count: dict[str, int] = {}
-            for cls in report.classes:
-                for name in cls["vuln_types"]:
-                    class_count[name] = class_count.get(name, 0) + 1
             for name in _ALL_TYPES:
+                sims = [d.similarity for d in report.detections if d.vuln_type.name == name]
                 cells.append(
                     {
                         "mode": cfg.mode.value,
                         "threshold_percent": pct,
                         "vuln_type": name,
                         "bucket": bucket,
-                        "class_count": class_count.get(name, 0),
-                        "min_similarity": min_sim.get(name),
-                        "detections": det_count.get(name, 0),
+                        "class_count": sum(name in cls["vuln_types"] for cls in report.classes),
+                        "min_similarity": min(sims, default=None),
+                        "detections": len(sims),
                     }
                 )
 

@@ -113,18 +113,11 @@ class FunctionFragment:
     name: str
     start_line: int  # 1-based, inclusive
     end_line: int
-    raw_lines: tuple[str, ...]
-    # Exact header-to-closing-brace slice. raw_lines are whole source lines
-    # and may carry neighbouring code when several constructs share a line;
-    # normalization works from this precise slice instead.
-    exact_text: str = field(default="", repr=False)
+    exact_text: str = field(repr=False)  # header through closing brace
 
     @property
     def ref(self) -> FragmentRef:
         return FragmentRef(self.contract_id, self.start_line, self.end_line, self.name)
-
-    def code(self) -> str:
-        return self.exact_text or "\n".join(self.raw_lines)
 
 
 def _try_extract(tokens, k, n):
@@ -194,19 +187,20 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
 
     Fragments appear in source order. Nested definitions (a Yul function in
     an assembly block, say) become their own fragments; the enclosing one
-    still spans them lexically.
+    still spans them lexically. A fragment's ref is its identity: when two
+    definitions share one (a nested function with its enclosing function's
+    name, on the same lines), the last one is kept, at the first one's place.
     """
     text = contract.source_text
     canvas = mask_comments_and_strings(text)
     tokens = [(m.group(0), m.start()) for m in _CANVAS_TOKEN_RE.finditer(canvas)]
     n = len(tokens)
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-    source_lines = text.split("\n")
 
     def line_of(pos: int) -> int:
         return bisect.bisect_right(line_starts, pos)
 
-    fragments = []
+    fragments: dict[FragmentRef, FunctionFragment] = {}
     for k in range(n):
         word, pos = tokens[k]
         if word not in _DECL_WORDS:
@@ -222,16 +216,12 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
             )
             continue
         close_pos = tokens[close][1]
-        start_line = line_of(pos)
-        end_line = line_of(close_pos)
-        fragments.append(
-            FunctionFragment(
-                contract_id=contract.id,
-                name=name,
-                start_line=start_line,
-                end_line=end_line,
-                raw_lines=tuple(source_lines[start_line - 1:end_line]),
-                exact_text=text[pos:close_pos + 1],
-            )
+        fragment = FunctionFragment(
+            contract_id=contract.id,
+            name=name,
+            start_line=line_of(pos),
+            end_line=line_of(close_pos),
+            exact_text=text[pos:close_pos + 1],
         )
-    return fragments
+        fragments[fragment.ref] = fragment
+    return list(fragments.values())

@@ -135,7 +135,7 @@ def _split_lines(tokens: list[str]) -> list[str]:
 
 def pretty_print(fragment: FunctionFragment) -> NormalizedFragment:
     """Normalize layout only; renaming mode stays NONE."""
-    code = strip_comments(fragment.code())
+    code = strip_comments(fragment.exact_text)
     lines = tuple(map(sys.intern, _split_lines(tokenize(code))))
     if not lines:
         raise EmptyFragment(fragment.ref.uid)

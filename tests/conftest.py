@@ -8,13 +8,12 @@ from volcano.extractor import FunctionFragment, extract_functions
 from volcano.normalize import RenamingMode, in_mode, pretty_print
 
 
-def make_contract(cid: str, text: str, path: str | None = None) -> SourceContract:
+def make_contract(cid: str, text: str) -> SourceContract:
     return SourceContract(
         id=cid,
         source_text=text,
         content_digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         version=parse_pragma(text),
-        path=path or f"{cid}.sol",
     )
 
 

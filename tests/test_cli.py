@@ -8,6 +8,7 @@ import pytest
 from conftest import make_contract, wrap
 
 import volcano.corpus as corpus_mod
+import volcano.signatures as signatures_mod
 from volcano.cli import RunConfig, build_parser, emit_timing, main
 from volcano.errors import NotVerified
 
@@ -257,7 +258,7 @@ def test_clones_lists_a_pair_of_origins_once(tmp_path):
 
 def test_scan_lists_a_detection_of_an_origin_once(tmp_path):
     # each file holds a function and a nested Yul function that share one
-    # FragmentRef; scan keeps the last of them, as clones does
+    # FragmentRef; extraction keeps the last of them for every command
     root = tmp_path / "corpus"
     root.mkdir()
     for name in ("A", "B"):
@@ -276,6 +277,48 @@ def test_scan_lists_a_detection_of_an_origin_once(tmp_path):
         ("A.sol", 1.0), ("B.sol", 1.0),
     ]
     assert doc["per_type_instances"]["DOS"] == 2
+
+
+def test_derive_classes_equal_clones_classes_under_a_shared_origin(tmp_path, capsys, monkeypatch):
+    # A.sol's nested Yul function shares its enclosing function's name and
+    # line; extraction keeps one fragment per origin, the nested one, so
+    # derive sees the same fragments clones does
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name, inner in (("A", "f"), ("B", "h")):
+        (root / f"{name}.sol").write_text(
+            f"pragma solidity ^0.5.0;\ncontract {name} {{\n"
+            "function f() public { uint a = 1; uint b = 2; uint c = 3; "
+            f"assembly {{ function {inner}(x) -> y {{ {{ }} {{ }} {{ }} {{ }} {{ }} {{ }} }} }} }}\n}}\n"
+        )
+    labels = tmp_path / "labels.csv"
+    labels.write_text("contract_id,vuln_type\nA.sol,DOS\nB.sol,DOS\n")
+    flags = ["--mode", "blind", "--threshold", "30", "--min-lines", "1"]
+
+    assert main(["extract", "--in", str(root), "--dump"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    a_refs = [f"{r['name']}:{r['start_line']}-{r['end_line']}" for r in rows if r["contract_id"] == "A.sol"]
+    assert a_refs == ["f:3-3"]
+
+    out = tmp_path / "clones.json"
+    assert main(["clones", "--in", str(root), "--no-cache", "--out", str(out), *flags]) == 0
+    clones_classes = [
+        [f"{m['contract_id']}:{m['name']}:{m['start_line']}-{m['end_line']}" for m in cls["members"]]
+        for cls in json.loads(out.read_text())["classes"]
+    ]
+    assert clones_classes == [["A.sol:f:3-3", "B.sol:h:3-3"]]
+
+    derived = []
+    original = signatures_mod.clone_classes
+
+    def recording_clone_classes(*args, **kwargs):
+        derived[:] = original(*args, **kwargs)
+        return derived
+
+    monkeypatch.setattr(signatures_mod, "clone_classes", recording_clone_classes)
+    argv = ["derive", "--in", str(root), "--labels", str(labels), "--out", str(tmp_path / "s"), *flags]
+    assert main(argv) == 0
+    assert [[m.uid for m in cls.members] for cls in derived] == clones_classes
 
 
 def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):

@@ -4,8 +4,12 @@ from __future__ import annotations
 import logging
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from conftest import make_contract, single_fragment, wrap
 
+from volcano.corpus import SourceContract
 from volcano.extractor import (
     FragmentRef,
     extract_functions,
@@ -70,8 +74,8 @@ def test_extract_simple_function():
     assert [f.name for f in frags] == ["initialize"]
     frag = frags[0]
     assert (frag.start_line, frag.end_line) == (4, 6)
-    assert frag.code().startswith("function initialize()")
-    assert frag.code().endswith("}")
+    assert frag.exact_text.startswith("function initialize()")
+    assert frag.exact_text.endswith("}")
     assert frag.ref == FragmentRef("w", 4, 6, "initialize")
     assert frag.ref.uid == "w:initialize:4-6"
 
@@ -165,8 +169,8 @@ def test_minified_source_one_line():
     frags = extract_functions(make_contract("c", src))
     assert [f.name for f in frags] == ["a", "b"]
     assert all(f.start_line == f.end_line == 1 for f in frags)
-    assert frags[0].code() == "function a() public { x = 1; }"
-    assert frags[1].code() == "function b() public { y = 2; }"
+    assert frags[0].exact_text == "function a() public { x = 1; }"
+    assert frags[1].exact_text == "function b() public { y = 2; }"
 
 
 def test_extraction_count_matches_construction():
@@ -197,4 +201,43 @@ def test_code_round_trip_is_exact_slice():
     frag = single_fragment(src)
     start = src.index("function pay")
     end = src.index("}", src.index("// fee")) + 1
-    assert frag.code() == src[start:end]
+    assert frag.exact_text == src[start:end]
+
+
+# Arbitrary text, text glued from the pieces the scanner reacts to, and
+# nested definitions whose names and lines often clash.
+_PIECES = [
+    "function", "modifier", "constructor", "fallback", "receive", "assembly",
+    " f", " g", "(", ")", "{", "}", ";", " ", "\n", "//", "/*", "*/", '"', "'", "\\", "x",
+]
+_HEADERS = ["function f()", "function g()", "modifier f", "constructor()", "fallback()"]
+
+
+def _definition(parts):
+    header, body, sep = parts
+    return f"{header} {{{sep}{sep.join(body)}{sep}}}"
+
+
+_nested = st.recursive(
+    st.sampled_from(["", "x;", "// c\n", '"s"', "{ }", "}"]),
+    lambda inner: st.tuples(
+        st.sampled_from(_HEADERS), st.lists(inner, max_size=3), st.sampled_from([" ", "\n"])
+    ).map(_definition),
+    max_leaves=12,
+)
+_sources = st.one_of(
+    st.text(), st.lists(st.sampled_from(_PIECES), max_size=60).map("".join), _nested
+)
+
+
+@given(_sources)
+def test_extraction_is_total_and_keeps_one_fragment_per_ref(text):
+    refs = [f.ref for f in extract_functions(SourceContract("c", text, ""))]
+    assert len(refs) == len(set(refs))
+
+
+@given(_sources)
+def test_masking_keeps_length_and_newline_offsets(text):
+    masked = mask_comments_and_strings(text)
+    assert len(masked) == len(text)
+    assert [i for i, ch in enumerate(masked) if ch == "\n"] == [i for i, ch in enumerate(text) if ch == "\n"]

@@ -176,10 +176,7 @@ def test_in_mode_and_mode_errors():
 
 
 def test_empty_fragment_raises():
-    ghost = FunctionFragment(
-        contract_id="c", name="f", start_line=1, end_line=1,
-        raw_lines=("",), exact_text="/* nothing */",
-    )
+    ghost = FunctionFragment(contract_id="c", name="f", start_line=1, end_line=1, exact_text="/* nothing */")
     with pytest.raises(EmptyFragment):
         pretty_print(ghost)
 
