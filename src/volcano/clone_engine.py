@@ -7,6 +7,9 @@ Threshold decisions use exact rational arithmetic: 10-line fragments with
 a 7-line LCS sit exactly on a 0.30 boundary, and binary floating point
 would push them over it.
 
+lcs_length is bit-parallel over Python ints: O(|a| * ceil(|b|/w)) word
+operations for w-bit machine words, and exact, not an approximation.
+
 Clone classes are the connected components of the pair graph. A decision
 depends only on the two line sequences and the config, so it is made once
 per distinct pair of sequences and holds for every fragment carrying them.
@@ -84,35 +87,25 @@ class CloneClass:
 
 
 def lcs_length(a, b) -> int:
-    """Length of the longest common subsequence of two sequences."""
+    """Length of the longest common subsequence of two sequences.
+
+    Bit-parallel (Allison & Dix 1986; Hyyrö 2004): v holds one bit per line
+    of b, its zero bits count the LCS of b and the lines of a read so far,
+    and each line of a updates all of them at once.
+    """
     if a == b:
         return len(a)
-    # Shared prefix/suffix contributes to any LCS; trimming it keeps the
-    # quadratic part small on near-clones.
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    mid_a = a[lo:hi_a]
-    mid_b = b[lo:hi_b]
-    trimmed = lo + (len(a) - hi_a)
-    if not mid_a or not mid_b:
-        return trimmed
-    if len(mid_a) < len(mid_b):
-        mid_a, mid_b = mid_b, mid_a
-    prev = [0] * (len(mid_b) + 1)
-    for x in mid_a:
-        cur = [0]
-        append = cur.append
-        best = 0
-        for j, y in enumerate(mid_b):
-            best = prev[j] + 1 if x == y else max(prev[j + 1], best)
-            append(best)
-        prev = cur
-    return trimmed + prev[-1]
+    masks = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for x in a:
+        m = masks.get(x)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _sequences(value):

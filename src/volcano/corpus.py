@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import requests
-
 from .errors import MissingRoot, NetworkError, NotVerified, RateLimited
 from .extractor import _mask
 
@@ -239,6 +237,8 @@ class RateBudget:
 
 
 def _http_get(url, params, timeout):
+    import requests
+
     return requests.get(url, params=params, timeout=timeout)
 
 
@@ -260,6 +260,10 @@ def fetch_contract(
     """
     if not _ADDRESS_RE.fullmatch(address):
         raise ValueError(f"malformed address: {address!r}")
+    # Imported here, not at module level: only fetch needs it, and the
+    # import takes about 0.1 s, which every other command would pay too.
+    import requests
+
     rate_budget = rate_budget or RateBudget()
     params = {
         "module": "contract",

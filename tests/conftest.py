@@ -1,4 +1,4 @@
-"""Shared helpers: corpus builders and the brute-force LCS oracle."""
+"""Shared helpers: corpus builders and the two reference LCS routines."""
 from __future__ import annotations
 
 import hashlib
@@ -55,6 +55,41 @@ def lcs_oracle(a, b) -> int:
         if all(x in it for x in sub):
             best = len(sub)
     return best
+
+
+def lcs_dp(a, b) -> int:
+    """Longest common subsequence by the textbook dynamic-programming table.
+
+    A second route beside the bit-parallel kernel under test, cheap enough
+    for long sequences: the shared prefix and suffix are trimmed first, then
+    one row of the table is kept at a time.
+    """
+    if a == b:
+        return len(a)
+    lo = 0
+    hi_a, hi_b = len(a), len(b)
+    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    mid_a = a[lo:hi_a]
+    mid_b = b[lo:hi_b]
+    trimmed = lo + (len(a) - hi_a)
+    if not mid_a or not mid_b:
+        return trimmed
+    if len(mid_a) < len(mid_b):
+        mid_a, mid_b = mid_b, mid_a
+    prev = [0] * (len(mid_b) + 1)
+    for x in mid_a:
+        cur = [0]
+        append = cur.append
+        best = 0
+        for j, y in enumerate(mid_b):
+            best = prev[j] + 1 if x == y else max(prev[j + 1], best)
+            append(best)
+        prev = cur
+    return trimmed + prev[-1]
 
 
 def pair_key_set(pairs):

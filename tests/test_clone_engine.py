@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import lcs_oracle, make_contract, norm, pair_key_set, wrap
+from conftest import lcs_dp, lcs_oracle, make_contract, norm, pair_key_set, wrap
 
 from volcano.clone_engine import (
     CloneConfig,
@@ -59,6 +59,32 @@ def test_lcs_matches_oracle_exhaustively_small():
     for a in seqs:
         for b in seqs:
             assert lcs_length(a, b) == lcs_oracle(a, b)
+
+
+@st.composite
+def _line_pairs(draw, max_size):
+    """Two line tuples over one small alphabet, so that lines repeat."""
+    alphabet = st.sampled_from([f"line {i};" for i in range(draw(st.integers(1, 6)))])
+
+    def lines():
+        # Length drawn first: st.lists alone rarely goes past 64 items.
+        size = draw(st.integers(0, max_size))
+        return tuple(draw(st.lists(alphabet, min_size=size, max_size=size)))
+
+    return lines(), lines()
+
+
+@given(_line_pairs(200))
+def test_lcs_matches_dp_and_is_symmetric(pair):
+    """Past 64 lines the bit vectors are wider than one machine word."""
+    a, b = pair
+    assert lcs_length(a, b) == lcs_dp(a, b) == lcs_length(b, a)
+
+
+@given(_line_pairs(10))
+def test_lcs_matches_oracle(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_oracle(a, b)
 
 
 def test_similarity_frozen_values():

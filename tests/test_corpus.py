@@ -4,7 +4,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
@@ -356,3 +360,14 @@ def test_corpus_iteration_and_len():
     assert [c.id for c in corpus] == ["a"]
     assert isinstance(corpus, Corpus)
     assert make_contract("a", "contract C {}").version is None
+
+
+def test_importing_the_cli_does_not_import_requests():
+    """Only fetch needs requests, so other commands skip its import."""
+    src = str(Path(corpus_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import volcano.cli, sys; print('requests' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
