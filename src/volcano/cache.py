@@ -73,14 +73,13 @@ def _ref_from(record) -> FragmentRef:
 @dataclass
 class AnalysisCache:
     config_digest: str
-    config: dict
     contracts: dict[str, str] = field(default_factory=dict)  # id -> content digest
     fragments: dict[str, list[dict]] = field(default_factory=dict)  # digest -> records
     pairs: list[ClonePair] = field(default_factory=list)
 
     @classmethod
     def empty(cls, cfg: CloneConfig) -> "AnalysisCache":
-        return cls(config_digest=cfg.digest(), config=cfg.to_dict())
+        return cls(config_digest=cfg.digest())
 
     @classmethod
     def load(cls, cache_dir) -> "AnalysisCache | None":
@@ -96,20 +95,20 @@ class AnalysisCache:
                 ClonePair(
                     left=_ref_from(p["left"]),
                     right=_ref_from(p["right"]),
-                    similarity=p["lcs"] / p["max"],
                     lcs_len=p["lcs"],
                     max_len=p["max"],
                 )
                 for p in blob["pairs"]
             ]
+            if not all(0 <= p.lcs_len <= p.max_len and p.max_len for p in pairs):
+                raise ValueError("a clone pair has an impossible LCS length")
             return cls(
                 config_digest=blob["config_digest"],
-                config=blob["config"],
                 contracts=blob["contracts"],
                 fragments=blob["fragments"],
                 pairs=pairs,
             )
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             log.warning("cache %s is unreadable (%s); falling back to full analysis", path, exc)
             return None
 
@@ -119,7 +118,6 @@ class AnalysisCache:
         blob = {
             "version": CACHE_VERSION,
             "config_digest": self.config_digest,
-            "config": self.config,
             "contracts": self.contracts,
             "fragments": self.fragments,
             "pairs": [
@@ -137,7 +135,8 @@ class AnalysisCache:
         tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
         tmp.replace(path)
 
-    def clear(self, cache_dir) -> None:
+    @staticmethod
+    def clear(cache_dir) -> None:
         path = Path(cache_dir) / CACHE_FILE
         if path.exists():
             path.unlink()

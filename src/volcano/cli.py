@@ -20,7 +20,6 @@ import argparse
 import json
 import logging
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -118,7 +117,7 @@ def _threshold_arg(text: str) -> int:
 
 
 def _address_arg(text: str) -> str:
-    if not re.fullmatch(r"0x[0-9a-fA-F]{40}", text):
+    if not corpus_mod.ADDRESS_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"malformed address: {text!r}")
     return text
 
@@ -181,7 +180,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_fetch(args) -> int:
     addresses = list(args.address or [])
     if args.addresses:
-        for line in Path(args.addresses).read_text().splitlines():
+        for line in Path(args.addresses).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 addresses.append(line)
@@ -263,10 +262,17 @@ def clone_report_dict(cache, corpus, cfg: CloneConfig, pairs, classes) -> dict:
     }
 
 
+def _cache_dir(args) -> Path:
+    """--cache-dir, else the cache directory under --in, else one in the working directory."""
+    if args.cache_dir:
+        return Path(args.cache_dir)
+    return Path(args.in_path or ".") / cache_mod.DEFAULT_CACHE_DIR
+
+
 def _cmd_clones(args) -> int:
     cfg = _clone_config(args)
     corpus = _load_corpus(args)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else Path(args.in_path) / cache_mod.DEFAULT_CACHE_DIR
+    cache_dir = _cache_dir(args)
     cache = None
     if not args.no_cache:
         cache = cache_mod.AnalysisCache.load(cache_dir)
@@ -351,13 +357,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    if args.cache_dir:
-        cache_dir = Path(args.cache_dir)
-    elif args.in_path:
-        cache_dir = Path(args.in_path) / cache_mod.DEFAULT_CACHE_DIR
-    else:
-        cache_dir = Path(cache_mod.DEFAULT_CACHE_DIR)
-    cache_mod.AnalysisCache(config_digest="", config={}).clear(cache_dir)
+    cache_dir = _cache_dir(args)
+    cache_mod.AnalysisCache.clear(cache_dir)
     print(f"cache cleared under {cache_dir}")
     return 0
 

@@ -73,11 +73,12 @@ class CloneConfig:
 class ClonePair:
     left: FragmentRef
     right: FragmentRef
-    similarity: float
-    # Integer ingredients of the similarity, kept so caches can rebuild
-    # the exact same float.
-    lcs_len: int = 0
-    max_len: int = 0
+    lcs_len: int
+    max_len: int
+
+    @property
+    def similarity(self) -> float:
+        return self.lcs_len / self.max_len
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePa
                 found.append((i, j, lcs, hi) if i < j else (j, i, lcs, hi))
     found.sort()
     return [
-        ClonePair(eligible[i].origin, eligible[j].origin, lcs / hi, lcs_len=lcs, max_len=hi)
+        ClonePair(eligible[i].origin, eligible[j].origin, lcs_len=lcs, max_len=hi)
         for i, j, lcs, hi in found
     ]
 

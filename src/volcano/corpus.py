@@ -10,6 +10,7 @@ compiler version its first pragma admits: `^0.4.24` and
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import re
 import time
@@ -27,7 +28,7 @@ EXPLORER_KEY_ENV = "VOLCANO_EXPLORER_KEY"
 _BIG = 10 ** 9
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
 _CLAUSE_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*v?(\d+)(?:\.(\d+|x|\*))?(?:\.(\d+|x|\*))?")
-_ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
+ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
 
 
 @dataclass(frozen=True)
@@ -237,9 +238,51 @@ class RateBudget:
 
 
 def _http_get(url, params, timeout):
-    import requests
+    """GET url with params added to its query: (status, body bytes).
 
-    return requests.get(url, params=params, timeout=timeout)
+    An HTTP error status is returned; any other failure, a non-HTTP URL or
+    a garbled reply included, raises OSError. urllib.request is imported
+    here so that only fetch pays for its import (about 15 ms).
+    """
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    full_url = f"{url}{'&' if '?' in url else '?'}{urllib.parse.urlencode(params)}"
+    try:
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            raise urllib.error.URLError(f"not an HTTP URL: {url!r}")
+        try:
+            with urllib.request.urlopen(full_url, timeout=timeout) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read()
+    except (ValueError, http.client.HTTPException) as exc:
+        raise urllib.error.URLError(exc) from exc
+
+
+def _flatten(address: str, source: str) -> str:
+    """One Solidity text from an explorer SourceCode field.
+
+    A multi-file source is JSON: `{{standard JSON input}}` with the files
+    under "sources", or `{"A.sol": {"content": ...}}`. Its files are joined
+    in sorted path order, each after a `// File: "<path>"` line.
+    """
+    if not source.startswith("{"):
+        return source
+    if source.startswith("{{") and source.endswith("}}"):
+        source = source[1:-1]
+    try:
+        doc = json.loads(source)
+    except (ValueError, RecursionError):
+        doc = None
+    files = doc.get("sources", doc) if isinstance(doc, dict) else None
+    if not (isinstance(files, dict) and files and all(
+        isinstance(f, dict) and isinstance(f.get("content"), str) for f in files.values()
+    )):
+        raise NetworkError(f"{address}: SourceCode is neither Solidity nor a multi-file source")
+    return "\n".join(f"// File: {json.dumps(path)}\n{files[path]['content']}" for path in sorted(files))
 
 
 def fetch_contract(
@@ -255,15 +298,12 @@ def fetch_contract(
 
     Malformed addresses are rejected before any network traffic. Transient
     failures retry with exponential backoff (1 s base); persistent rate
-    limiting raises RateLimited, anything else transport-shaped raises
-    NetworkError, and a verified-but-empty result raises NotVerified.
+    limiting raises RateLimited, a transport failure or a response of the
+    wrong shape raises NetworkError, and a verified-but-empty result raises
+    NotVerified. A multi-file source is written as one file (see _flatten).
     """
-    if not _ADDRESS_RE.fullmatch(address):
+    if not ADDRESS_RE.fullmatch(address):
         raise ValueError(f"malformed address: {address!r}")
-    # Imported here, not at module level: only fetch needs it, and the
-    # import takes about 0.1 s, which every other command would pay too.
-    import requests
-
     rate_budget = rate_budget or RateBudget()
     params = {
         "module": "contract",
@@ -277,17 +317,22 @@ def fetch_contract(
             _sleep(1.0 * 2 ** (attempt - 1))
         rate_budget.wait()
         try:
-            resp = _http_get(base_url, params=params, timeout=30)
-        except requests.RequestException as exc:
+            status, body = _http_get(base_url, params=params, timeout=30)
+        except OSError as exc:
             last_error = NetworkError(f"{address}: {exc}")
             continue
-        if resp.status_code == 429 or resp.status_code >= 500:
-            kind = RateLimited if resp.status_code == 429 else NetworkError
-            last_error = kind(f"{address}: HTTP {resp.status_code}")
+        if status == 429 or status >= 500:
+            kind = RateLimited if status == 429 else NetworkError
+            last_error = kind(f"{address}: HTTP {status}")
             continue
-        if resp.status_code != 200:
-            raise NetworkError(f"{address}: HTTP {resp.status_code}")
-        payload = resp.json()
+        if status != 200:
+            raise NetworkError(f"{address}: HTTP {status}")
+        try:
+            payload = json.loads(body)
+        except (ValueError, RecursionError):
+            payload = None
+        if not isinstance(payload, dict):
+            raise NetworkError(f"{address}: explorer response is not a JSON object")
         result = payload.get("result")
         if payload.get("status") == "0":
             note = f"{payload.get('message', '')} {result}".lower()
@@ -295,13 +340,18 @@ def fetch_contract(
                 last_error = RateLimited(f"{address}: {note.strip()}")
                 continue
             raise NetworkError(f"{address}: explorer said {note.strip()!r}")
-        entry = result[0] if isinstance(result, list) and result else {}
-        source = entry.get("SourceCode") or ""
-        if not source.strip():
+        entry = result[0] if isinstance(result, list) and result else None
+        if not isinstance(entry, dict) or not isinstance(entry.get("SourceCode"), str):
+            raise NetworkError(f"{address}: explorer result has no SourceCode string")
+        if not entry["SourceCode"].strip():
             raise NotVerified(f"no verified source for {address}")
+        source = _flatten(address, entry["SourceCode"])
         corpus_dir = Path(corpus_dir)
         corpus_dir.mkdir(parents=True, exist_ok=True)
-        data = source.encode("utf-8")
+        try:
+            data = source.encode("utf-8")
+        except UnicodeEncodeError:
+            raise NetworkError(f"{address}: SourceCode is not valid Unicode") from None
         out = corpus_dir / f"{address}.sol"
         out.write_bytes(data)
         return SourceContract(

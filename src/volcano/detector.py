@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -190,6 +189,9 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
 def _scan_contracts(target: Corpus, payload, cfg: CloneConfig, jobs: int) -> list:
     """_scan_source over every contract of target, in corpus order."""
     if jobs > 1 and len(target) > 1:
+        # Imported here: it loads multiprocessing, which only --jobs needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(c.id, c.source_text) for c in target]
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(payload, cfg)

@@ -5,9 +5,12 @@ import json
 import logging
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import volcano.normalize as normalize_mod
 from conftest import make_corpus, pair_key_set, wrap
@@ -122,6 +125,56 @@ def test_incremental_add_modify_remove_match_full_scan():
         assert incremental == scratch, f"divergence after {op} at step {step}"
 
 
+EDIT = st.tuples(
+    st.sampled_from(["add", "modify", "remove", "rename", "duplicate"]),
+    st.integers(0, 63),  # which existing file
+    st.integers(0, 11),  # name of the new file
+    st.integers(0, 3),  # content: contract_text(tag, variant)
+    st.integers(0, 2),
+)
+
+
+def _apply(sources: dict[str, str], op, pick, name, tag, variant) -> None:
+    existing = sorted(sources)
+    new_name, text = f"c{name:02d}.sol", contract_text(tag, variant)
+    if op == "add" or not existing:
+        sources[new_name] = text
+        return
+    victim = existing[pick % len(existing)]
+    if op == "modify":
+        sources[victim] = text
+    elif op == "remove":
+        del sources[victim]
+    elif op == "rename":
+        sources[new_name] = sources.pop(victim)
+    else:
+        sources[new_name] = sources[victim]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=st.sampled_from([BLIND_10, CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(30, 100))]),
+    generations=st.lists(st.lists(EDIT, min_size=1, max_size=4), min_size=1, max_size=4),
+)
+def test_incremental_equals_scratch_across_saved_generations(cfg, generations):
+    def key(pairs, classes):
+        return (
+            [(p.left, p.right, p.lcs_len, p.max_len, p.similarity) for p in pairs],
+            [(c.class_id, c.members) for c in classes],
+        )
+
+    sources = {f"c{i:02d}.sol": contract_text(i % 3, variant=i % 2) for i in range(0, 8, 2)}
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for edits in [[]] + generations:
+            for edit in edits:
+                _apply(sources, *edit)
+            corpus = make_corpus("edited", dict(sorted(sources.items())))
+            cache = AnalysisCache.load(cache_dir) or AnalysisCache.empty(cfg)
+            incremental = key(*incremental_scan(cache, corpus, cfg))
+            cache.save(cache_dir)
+            assert incremental == key(*full_result(corpus, cfg))
+
+
 def test_cache_config_mismatch_raises():
     corpus = clone_rich_corpus(4)
     cache = AnalysisCache.empty(BLIND_10)
@@ -134,6 +187,19 @@ def test_cache_config_mismatch_raises():
 
 def test_corrupt_cache_loads_as_none_with_warning(tmp_path, caplog):
     (tmp_path / CACHE_FILE).write_text("{ not json")
+    with caplog.at_level(logging.WARNING, logger="volcano.cache"):
+        assert AnalysisCache.load(tmp_path) is None
+    assert any("falling back to full analysis" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("lcs,longest", [(3, 0), (7, 6), ("6", 6), (None, 6)])
+def test_cache_with_an_impossible_pair_loads_as_none(lcs, longest, tmp_path, caplog):
+    cache = AnalysisCache.empty(BLIND_10)
+    incremental_scan(cache, clone_rich_corpus(), BLIND_10)
+    cache.save(tmp_path)
+    blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    blob["pairs"][0].update(lcs=lcs, max=longest)
+    (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
     with caplog.at_level(logging.WARNING, logger="volcano.cache"):
         assert AnalysisCache.load(tmp_path) is None
     assert any("falling back to full analysis" in r.message for r in caplog.records)

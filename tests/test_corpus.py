@@ -2,19 +2,24 @@
 from __future__ import annotations
 
 import hashlib
+import http.server
 import json
 import logging
 import os
 import random
+import socketserver
 import subprocess
 import sys
+import threading
+import urllib.parse
 from pathlib import Path
 
 import pytest
-import requests
 
 import volcano.corpus as corpus_mod
 from conftest import make_contract, make_corpus, wrap
+from volcano.cli import main
+from volcano.extractor import extract_functions
 
 from volcano.corpus import (
     Corpus,
@@ -222,20 +227,16 @@ def test_rate_budget_spaces_requests():
     assert ft.slept == [0.5, 0.5]
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
+def _response(status: int = 200, payload=None) -> tuple[int, bytes]:
+    """An explorer response as _http_get returns it: (status, body bytes)."""
+    return status, json.dumps(payload or {}).encode()
 
 
 ADDR = "0x" + "ab" * 20
 
 
-def _verified(source: str) -> FakeResponse:
-    return FakeResponse(200, {"status": "1", "result": [{"SourceCode": source}]})
+def _verified(source: str) -> tuple[int, bytes]:
+    return _response(200, {"status": "1", "result": [{"SourceCode": source}]})
 
 
 def _budget():
@@ -292,7 +293,7 @@ def test_fetch_rate_limited_backs_off_then_raises(tmp_path, monkeypatch):
 
     def fake_get(url, params, timeout):
         calls.append(1)
-        return FakeResponse(429)
+        return _response(429)
 
     monkeypatch.setattr(corpus_mod, "_http_get", fake_get)
     with pytest.raises(RateLimited):
@@ -302,7 +303,7 @@ def test_fetch_rate_limited_backs_off_then_raises(tmp_path, monkeypatch):
 
 
 def test_fetch_server_error_then_success(tmp_path, monkeypatch):
-    responses = [FakeResponse(503), _verified(wrap("    function f() public { a = 1; }"))]
+    responses = [_response(503), _verified(wrap("    function f() public { a = 1; }"))]
 
     def fake_get(url, params, timeout):
         return responses.pop(0)
@@ -314,7 +315,7 @@ def test_fetch_server_error_then_success(tmp_path, monkeypatch):
 
 
 def test_fetch_transport_exception_then_success(tmp_path, monkeypatch):
-    responses = [requests.ConnectionError("boom"), _verified(wrap("    function f() public { a = 1; }"))]
+    responses = [ConnectionError("boom"), _verified(wrap("    function f() public { a = 1; }"))]
 
     def fake_get(url, params, timeout):
         item = responses.pop(0)
@@ -332,7 +333,7 @@ def test_fetch_explorer_rate_limit_message_retries(tmp_path, monkeypatch):
 
     def fake_get(url, params, timeout):
         calls.append(1)
-        return FakeResponse(200, {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"})
+        return _response(200, {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"})
 
     monkeypatch.setattr(corpus_mod, "_http_get", fake_get)
     with pytest.raises(RateLimited):
@@ -342,7 +343,7 @@ def test_fetch_explorer_rate_limit_message_retries(tmp_path, monkeypatch):
 
 def test_fetch_explorer_other_error_raises(tmp_path, monkeypatch):
     def fake_get(url, params, timeout):
-        return FakeResponse(200, {"status": "0", "message": "NOTOK", "result": "Invalid API Key"})
+        return _response(200, {"status": "0", "message": "NOTOK", "result": "Invalid API Key"})
 
     monkeypatch.setattr(corpus_mod, "_http_get", fake_get)
     with pytest.raises(NetworkError):
@@ -362,12 +363,219 @@ def test_corpus_iteration_and_len():
     assert make_contract("a", "contract C {}").version is None
 
 
-def test_importing_the_cli_does_not_import_requests():
-    """Only fetch needs requests, so other commands skip its import."""
+def _src_env() -> dict:
     src = str(Path(corpus_mod.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_importing_the_cli_does_not_import_requests():
+    """Only fetch needs an HTTP client and only --jobs a process pool, so other commands skip both."""
+    heavy = ["requests", "urllib.request", "concurrent.futures.process"]
     out = subprocess.run(
-        [sys.executable, "-c", "import volcano.cli, sys; print('requests' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", f"import volcano.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=_src_env(), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_fetch_rejects_a_response_of_the_wrong_shape(tmp_path, monkeypatch):
+    bodies = [
+        b"<html>Bad Gateway</html>",
+        b"[1, 2]",
+        b'"result"',
+        b"[" * 100_000,
+        json.dumps({"status": "1", "result": []}).encode(),
+        json.dumps({"status": "1", "result": "Contract source code not verified"}).encode(),
+        json.dumps({"status": "1", "result": [1]}).encode(),
+        json.dumps({"status": "1", "result": [{"ABI": "[]"}]}).encode(),
+        json.dumps({"status": "1", "result": [{"SourceCode": 5}]}).encode(),
+        json.dumps({"status": "1", "result": [{"SourceCode": "\ud800 contract C {}"}]}).encode(),
+    ]
+    for body in bodies:
+        monkeypatch.setattr(corpus_mod, "_http_get", lambda url, params, timeout: (200, body))
+        with pytest.raises(NetworkError, match=ADDR):
+            fetch_contract(ADDR, "KEY", tmp_path, rate_budget=_budget())
+    assert not list(tmp_path.iterdir())
+
+
+MULTI_FILES = {
+    "contracts/Pay.sol": wrap("    function pay(address to) public {\n        to.send(1);\n    }",
+                              pragma="pragma solidity ^0.6.2;"),
+    "contracts/Ledger.sol": wrap("    function take(uint n) public {\n        total -= n;\n    }",
+                                 pragma="pragma solidity ^0.5.1;"),
+    'odd\n// File: "injected.sol"': "contract D {\n    function drop() public {\n        x = 0;\n    }\n}\n",
+}
+
+
+@pytest.mark.parametrize("form", ["standard-json", "file-map"])
+def test_fetch_flattens_a_multi_file_source(form, tmp_path, monkeypatch):
+    files = {path: {"content": text} for path, text in MULTI_FILES.items()}
+    if form == "standard-json":
+        source = "{" + json.dumps({"language": "Solidity", "sources": files, "settings": {}}) + "}"
+    else:
+        source = json.dumps(files)
+    monkeypatch.setattr(corpus_mod, "_http_get", lambda url, params, timeout: _verified(source))
+    contract = fetch_contract(ADDR, "KEY", tmp_path, rate_budget=_budget())
+
+    text = (tmp_path / f"{ADDR}.sol").read_text()
+    assert contract.source_text == text
+    headers = [line for line in text.splitlines() if line.startswith("// File: ")]
+    assert headers == [f"// File: {json.dumps(path)}" for path in sorted(MULTI_FILES)]
+    assert {f.name for f in extract_functions(contract)} == {"pay", "take", "drop"}
+    assert contract.version == SolidityVersion(0, 5, "^0.5.1")  # Ledger.sol sorts before Pay.sol
+
+
+@pytest.mark.parametrize("source", ["{not json", "{{not json}}", "{}", '{"A.sol": "contract A {}"}',
+                                    '{{"language": "Solidity", "sources": {"A.sol": {"urls": []}}}}'])
+def test_fetch_rejects_a_broken_multi_file_source(source, tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_mod, "_http_get", lambda url, params, timeout: _verified(source))
+    with pytest.raises(NetworkError, match=ADDR):
+        fetch_contract(ADDR, "KEY", tmp_path, rate_budget=_budget())
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """Loopback requests go straight to the test server, whatever proxy is configured."""
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")
+
+
+@pytest.fixture
+def explorer(no_proxy):
+    """start(respond) serves a loopback explorer and returns (url, queries).
+
+    Each GET's query is parsed and appended to queries, then answered with
+    respond(queries) -> (status, body bytes).
+    """
+    servers = []
+
+    def start(respond):
+        queries = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                queries.append(dict(urllib.parse.parse_qsl(urllib.parse.urlsplit(self.path).query)))
+                status, body = respond(queries)
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_port}/api", queries
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _in_turn(*responses):
+    """Answer the n-th request with responses[n]; the last one repeats."""
+    return lambda queries: responses[min(len(queries), len(responses)) - 1]
+
+
+SOURCE = wrap("    function f() public { a = 1; }")
+
+
+def test_loopback_fetch_writes_the_source(explorer, tmp_path):
+    url, queries = explorer(_in_turn(_verified(SOURCE)))
+    contract = fetch_contract(ADDR, "KEY", tmp_path, base_url=url, rate_budget=_budget())
+    assert (tmp_path / f"{ADDR}.sol").read_text() == SOURCE == contract.source_text
+    assert queries == [{"module": "contract", "action": "getsourcecode", "address": ADDR, "apikey": "KEY"}]
+
+
+def test_loopback_rate_limit_raises_after_every_retry(explorer, tmp_path):
+    url, queries = explorer(_in_turn(_response(429)))
+    with pytest.raises(RateLimited):
+        fetch_contract(ADDR, "KEY", tmp_path, base_url=url, rate_budget=_budget(), retries=2,
+                       _sleep=lambda s: None)
+    assert len(queries) == 3
+
+
+def test_loopback_server_error_then_success(explorer, tmp_path):
+    url, queries = explorer(_in_turn(_response(503, {"message": "busy"}), _verified(SOURCE)))
+    contract = fetch_contract(ADDR, "KEY", tmp_path, base_url=url, rate_budget=_budget(),
+                              _sleep=lambda s: None)
+    assert contract.source_text == SOURCE
+    assert len(queries) == 2
+
+
+def test_loopback_non_json_body_raises(explorer, tmp_path):
+    url, queries = explorer(_in_turn((200, b"<html>maintenance</html>")))
+    with pytest.raises(NetworkError, match=ADDR):
+        fetch_contract(ADDR, "KEY", tmp_path, base_url=url, rate_budget=_budget())
+    assert len(queries) == 1
+
+
+def test_loopback_closed_port_raises(no_proxy, tmp_path):
+    server = http.server.HTTPServer(("127.0.0.1", 0), http.server.BaseHTTPRequestHandler)
+    port = server.server_port
+    server.server_close()
+    naps = []
+    with pytest.raises(NetworkError, match=ADDR):
+        fetch_contract(ADDR, "KEY", tmp_path, base_url=f"http://127.0.0.1:{port}/api",
+                       rate_budget=_budget(), retries=1, _sleep=naps.append)
+    assert naps == [1.0]
+
+
+@pytest.mark.parametrize("reply", [
+    b"NOT HTTP\r\n\r\n",
+    b"HTTP/1.0 200 OK\r\nContent-Length: 99\r\n\r\n{}",
+    b"HTTP/1.0 404 Not Found\r\nContent-Length: 99\r\n\r\n{}",
+])
+def test_loopback_garbled_response_raises(reply, no_proxy, tmp_path):
+    class Handler(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.recv(65536)
+            self.request.sendall(reply)
+
+    with socketserver.TCPServer(("127.0.0.1", 0), Handler) as server:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/api"
+        try:
+            with pytest.raises(NetworkError, match=ADDR):
+                fetch_contract(ADDR, "KEY", tmp_path, base_url=url, rate_budget=_budget(), retries=0)
+        finally:
+            server.shutdown()
+
+
+@pytest.mark.parametrize("url", ["file:///dev/null", "127.0.0.1/api", "http://[::1/api"])
+def test_fetch_from_a_non_http_url_raises(url, tmp_path):
+    with pytest.raises(NetworkError, match=ADDR):
+        fetch_contract(ADDR, "KEY", tmp_path, base_url=url, rate_budget=_budget(), retries=0)
+
+
+ADDR_2 = "0x" + "cd" * 20
+
+
+def test_cli_fetch_warns_about_a_bad_body_and_goes_on(explorer, tmp_path, capsys):
+    bodies = {ADDR: (200, b"[1, 2]"), ADDR_2: _verified(SOURCE)}
+    url, _ = explorer(lambda queries: bodies[queries[-1]["address"]])
+    out = tmp_path / "corpus"
+    argv = ["fetch", "--address", ADDR, "--address", ADDR_2, "--out", str(out),
+            "--explorer-url", url, "--rate", "1000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"warning: {ADDR}" in captured.err and "Traceback" not in captured.err
+    assert [p.name for p in out.iterdir()] == [f"{ADDR_2}.sol"]
+    assert "1/2 contracts fetched" in captured.out
+
+
+def test_cli_fetch_runs_without_requests(explorer, tmp_path):
+    url, queries = explorer(_in_turn(_verified(SOURCE)))
+    out = tmp_path / "corpus"
+    code = ('import sys; sys.modules["requests"] = None\n'
+            "from volcano.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    argv = ["fetch", "--address", ADDR, "--out", str(out), "--explorer-url", url]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (out / f"{ADDR}.sol").read_text() == SOURCE
+    assert len(queries) == 1
