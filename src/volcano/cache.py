@@ -48,6 +48,7 @@ def code_version(paths) -> str:
 CACHE_VERSION = code_version(VERSIONED_SOURCES)
 CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
+_MODES = {mode.value for mode in RenamingMode}
 
 
 def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict]:
@@ -60,6 +61,24 @@ def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict
         }
         for nf in normalize_contract(contract, mode)
     ]
+
+
+def _is_record(record) -> bool:
+    """Whether record has the shape _fragment_records writes."""
+    if not isinstance(record, dict):
+        return False
+    lines = record.get("lines")
+    return (
+        isinstance(record.get("name"), str)
+        and type(record.get("start_line")) is int
+        and type(record.get("end_line")) is int
+        and isinstance(lines, dict)
+        and len(lines) == 1
+        and all(
+            mode in _MODES and isinstance(seq, list) and all(isinstance(line, str) for line in seq)
+            for mode, seq in lines.items()
+        )
+    )
 
 
 def _ref_record(ref: FragmentRef) -> list:
@@ -102,10 +121,18 @@ class AnalysisCache:
             ]
             if not all(0 <= p.lcs_len <= p.max_len and p.max_len for p in pairs):
                 raise ValueError("a clone pair has an impossible LCS length")
+            contracts, fragments = blob["contracts"], blob["fragments"]
+            if not (
+                isinstance(contracts, dict)
+                and all(isinstance(d, str) for d in contracts.values())
+                and isinstance(fragments, dict)
+                and all(isinstance(rs, list) and all(map(_is_record, rs)) for rs in fragments.values())
+            ):
+                raise ValueError("a contract or fragment record has the wrong shape")
             return cls(
                 config_digest=blob["config_digest"],
-                contracts=blob["contracts"],
-                fragments=blob["fragments"],
+                contracts=contracts,
+                fragments=fragments,
                 pairs=pairs,
             )
         except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,49 +42,9 @@ from .signatures import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the flags a run was invoked with."""
-
-    command: str
-    mode: str = "consistent"
-    threshold_percent: int = 30
-    min_lines: int = 3
-    max_lines: int | None = None
-    jobs: int = 1
-    dedupe: bool = False
-    use_cache: bool = True
-    cache_dir: str | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    sigs_path: str | None = None
-    labels_path: str | None = None
-    fmt: str = "json"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        def get(name, default):
-            return getattr(args, name, default)
-
-        return cls(
-            command=args.command,
-            mode=get("mode", "consistent"),
-            threshold_percent=get("threshold", 30),
-            min_lines=get("min_lines", 3),
-            max_lines=get("max_lines", None),
-            jobs=get("jobs", 1),
-            dedupe=get("dedupe", False),
-            use_cache=not get("no_cache", False),
-            cache_dir=get("cache_dir", None),
-            in_path=get("in_path", None),
-            out_path=get("out", None),
-            sigs_path=get("sigs", None),
-            labels_path=get("labels", None),
-            fmt=get("format", "json"),
-        )
+def _run_echo(args) -> dict:
+    """The flags this run was invoked with, as the parser read them."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _clock(ms: float) -> str:
@@ -126,6 +85,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a positive number")
     return value
 
 
@@ -235,9 +201,7 @@ def _cmd_normalize(args) -> int:
     mode = RenamingMode(args.mode)
     if path.is_file():
         text = path.read_text(encoding="utf-8")
-        contracts = [
-            corpus_mod.SourceContract(id=path.name, source_text=text, content_digest="")
-        ]
+        contracts = [corpus_mod.SourceContract(path.name, text)]
     else:
         contracts = list(corpus_mod.load_corpus(path))
     blocks = []
@@ -282,7 +246,7 @@ def _cmd_clones(args) -> int:
     if not args.no_cache:
         cache.save(cache_dir)
     doc = clone_report_dict(cache, corpus, cfg, pairs, classes)
-    doc["run"] = RunConfig.from_args(args).to_dict()
+    doc["run"] = _run_echo(args)
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True), args.out)
     return 0
 
@@ -305,7 +269,7 @@ def _cmd_scan(args) -> int:
     corpus = _load_corpus(args)
     sigs = _load_sigs(args.sigs)
     report = scan(corpus, sigs, cfg, jobs=args.jobs)
-    report.config["run"] = RunConfig.from_args(args).to_dict()
+    report.config["run"] = _run_echo(args)
     if args.format == "json":
         _write_or_print(report.to_json(), args.out)
     elif args.format == "csv":
@@ -377,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explorer-url", dest="explorer_url", default=corpus_mod.DEFAULT_EXPLORER_URL)
     p.add_argument("--api-key", dest="api_key", default=None,
                    help=f"overrides ${corpus_mod.EXPLORER_KEY_ENV}")
-    p.add_argument("--rate", type=float, default=5.0, help="max requests per second")
+    p.add_argument("--rate", type=_positive_float, default=5.0, help="max requests per second")
     p.set_defaults(func=_cmd_fetch)
 
     p = sub.add_parser("extract", help="list function fragments of a corpus")

@@ -15,6 +15,7 @@ import logging
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import MissingRoot, NetworkError, NotVerified, RateLimited
@@ -25,7 +26,6 @@ log = logging.getLogger(__name__)
 DEFAULT_EXPLORER_URL = "https://api.etherscan.io/api"
 EXPLORER_KEY_ENV = "VOLCANO_EXPLORER_KEY"
 
-_BIG = 10 ** 9
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
 _CLAUSE_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*v?(\d+)(?:\.(\d+|x|\*))?(?:\.(\d+|x|\*))?")
 ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
@@ -44,10 +44,19 @@ class SolidityVersion:
 
 @dataclass(frozen=True)
 class SourceContract:
+    """A contract is its id and its text; the rest is derived on first read."""
+
     id: str
     source_text: str
-    content_digest: str
-    version: SolidityVersion | None = None
+
+    @cached_property
+    def content_digest(self) -> str:
+        """sha256 of the UTF-8 text: the digest of the file's bytes, as loading decodes strictly."""
+        return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def version(self) -> SolidityVersion | None:
+        return parse_pragma(self.source_text)
 
 
 @dataclass
@@ -69,49 +78,32 @@ def _num(part: str | None) -> int | None:
     return int(part)
 
 
-def _clause_admits(op: str, maj: int, minor: int | None, patch: int | None, v: tuple) -> bool:
+def _bounds(op: str, maj: int, minor: int | None, patch: int | None):
+    """The half-open interval [lo, hi) of versions one comparator admits.
+
+    hi None is unbounded. A missing or wildcard part widens the version
+    the clause names: `=0.4` admits every 0.4.z and `<=0` every 0.y.z.
+    """
     lo = (maj, minor or 0, patch or 0)
+    if minor is None:
+        past = (maj + 1, 0, 0)  # the first version past every one the clause names
+    elif patch is None:
+        past = (maj, minor + 1, 0)
+    else:
+        past = (maj, minor, patch + 1)
     if op in ("", "="):
-        hi = (maj, _BIG if minor is None else minor, _BIG if patch is None else patch)
-        return lo <= v <= hi
-    if op == "^":
-        if maj > 0:
-            hi = (maj + 1, 0, 0)
-        elif minor is None:
-            hi = (maj + 1, 0, 0)
-        elif minor > 0 or patch is None:
-            hi = (0, minor + 1, 0)
-        else:
-            hi = (0, 0, (patch or 0) + 1)
-        return lo <= v < hi
+        return lo, past
+    if op == "^":  # the leftmost nonzero part stays fixed
+        return lo, (maj + 1, 0, 0) if maj else (0, minor + 1, 0) if minor else past
     if op == "~":
-        hi = (maj + 1, 0, 0) if minor is None else (maj, minor + 1, 0)
-        return lo <= v < hi
+        return lo, (maj + 1, 0, 0) if minor is None else (maj, minor + 1, 0)
     if op == ">=":
-        return v >= lo
+        return lo, None
     if op == ">":
-        if patch is not None:
-            return v > (maj, minor or 0, patch)
-        if minor is not None:
-            return v >= (maj, minor + 1, 0)
-        return v >= (maj + 1, 0, 0)
+        return (past if patch is None else (maj, minor or 0, patch + 1)), None
     if op == "<=":
-        return v <= (maj, _BIG if minor is None else minor, _BIG if patch is None else patch)
-    if op == "<":
-        return v < lo
-    return False
-
-
-def _lower_candidate(op: str, maj: int, minor: int | None, patch: int | None):
-    if op in ("", "=", "^", "~", ">="):
-        return (maj, minor or 0, patch or 0)
-    if op == ">":
-        if patch is not None:
-            return (maj, minor or 0, patch + 1)
-        if minor is not None:
-            return (maj, minor + 1, 0)
-        return (maj + 1, 0, 0)
-    return None  # upper bounds contribute no lower edge
+        return (0, 0, 0), past
+    return (0, 0, 0), lo  # "<"
 
 
 def parse_pragma(source_text: str) -> SolidityVersion | None:
@@ -129,25 +121,15 @@ def parse_pragma(source_text: str) -> SolidityVersion | None:
     raw = m.group(1).strip()
     best = None
     for alternative in raw.split("||"):
-        clauses = [
-            (c.group(1) or "", int(c.group(2)), _num(c.group(3)), _num(c.group(4)))
+        bounds = [
+            _bounds(c.group(1) or "", int(c.group(2)), _num(c.group(3)), _num(c.group(4)))
             for c in _CLAUSE_RE.finditer(alternative)
         ]
-        if not clauses:
+        if not bounds:
             continue
-        candidates = {(0, 0, 0)}
-        for op, maj, minor, patch in clauses:
-            cand = _lower_candidate(op, maj, minor, patch)
-            if cand is not None:
-                candidates.add(cand)
-        admitted = [
-            v for v in candidates
-            if all(_clause_admits(op, maj, minor, patch, v) for op, maj, minor, patch in clauses)
-        ]
-        if admitted:
-            lowest = min(admitted)
-            if best is None or lowest < best:
-                best = lowest
+        lowest = max(lo for lo, _ in bounds)
+        if all(hi is None or lowest < hi for _, hi in bounds) and (best is None or lowest < best):
+            best = lowest
     if best is None:
         return None
     return SolidityVersion(major=best[0], minor=best[1], raw=raw)
@@ -165,9 +147,8 @@ def load_corpus(root, label: str | None = None) -> Corpus:
         key=lambda p: p.relative_to(root).as_posix(),
     )
     for path in paths:
-        data = path.read_bytes()
         try:
-            text = data.decode("utf-8")
+            text = path.read_bytes().decode("utf-8")
         except UnicodeDecodeError:
             skipped += 1
             log.warning("skipping %s: not valid UTF-8", path)
@@ -176,14 +157,7 @@ def load_corpus(root, label: str | None = None) -> Corpus:
             skipped += 1
             log.warning("skipping %s: empty file", path)
             continue
-        contracts.append(
-            SourceContract(
-                id=path.relative_to(root).as_posix(),
-                source_text=text,
-                content_digest=hashlib.sha256(data).hexdigest(),
-                version=parse_pragma(text),
-            )
-        )
+        contracts.append(SourceContract(path.relative_to(root).as_posix(), text))
     if not contracts:
         log.warning("empty corpus under %s", root)
     return Corpus(label=label or root.name, contracts=contracts, skipped=skipped)
@@ -354,10 +328,5 @@ def fetch_contract(
             raise NetworkError(f"{address}: SourceCode is not valid Unicode") from None
         out = corpus_dir / f"{address}.sol"
         out.write_bytes(data)
-        return SourceContract(
-            id=out.name,
-            source_text=source,
-            content_digest=hashlib.sha256(data).hexdigest(),
-            version=parse_pragma(source),
-        )
+        return SourceContract(out.name, source)
     raise last_error

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .clone_engine import (
     CloneConfig,
@@ -26,7 +25,7 @@ from .clone_engine import (
 from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
 from .extractor import FragmentRef
-from .normalize import NormalizedFragment, RenamingMode, normalize_contract
+from .normalize import NormalizedFragment, normalize_contract
 from .signatures import SignatureSet, VulnerabilityType
 
 _ALL_TYPES = [t.name for t in VulnerabilityType]
@@ -38,8 +37,6 @@ class Detection:
     vuln_type: VulnerabilityType
     target: FragmentRef
     similarity: float
-    mode: RenamingMode
-    threshold: Fraction
 
     def to_dict(self) -> dict:
         return {
@@ -57,10 +54,13 @@ class Detection:
 class ScanReport:
     config: dict
     detections: list[Detection]
-    per_type_instances: dict[str, int]
     classes: list[dict]
     per_contract_ms: list[float]
     cross_classes_ms: float
+
+    @property
+    def per_type_instances(self) -> dict[str, int]:
+        return count_instances(self)
 
     @property
     def contract_count(self) -> int:
@@ -93,10 +93,6 @@ class ScanReport:
         }
         return out
 
-    def canonical_json(self) -> str:
-        """Canonical byte form of the deterministic body."""
-        return json.dumps(self.body_dict(), sort_keys=True, separators=(",", ":"))
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
@@ -120,7 +116,7 @@ def _payload_of(sigs: SignatureSet, cfg: CloneConfig):
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     """Scan one contract; returns (detections, detected fragments, elapsed ms)."""
     started = time.perf_counter()
-    contract = SourceContract(id=contract_id, source_text=source_text, content_digest="")
+    contract = SourceContract(contract_id, source_text)
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
     for nf in normalize_contract(contract, cfg.mode):
@@ -139,8 +135,6 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
                         vuln_type=vuln_type,
                         target=nf.origin,
                         similarity=lcs / max(len(lines), len(exemplar.lines)),
-                        mode=cfg.mode,
-                        threshold=cfg.max_difference,
                     )
                 )
                 hits[nf.origin] = nf
@@ -215,7 +209,7 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
     started = time.perf_counter()
     classes = _cross_classes(payload, hits, cfg)
     cross_classes_ms = (time.perf_counter() - started) * 1000.0
-    report = ScanReport(
+    return ScanReport(
         config={
             "corpus": target.label,
             "signature_count": len(sigs),
@@ -223,13 +217,10 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
             **cfg.to_dict(),
         },
         detections=detections,
-        per_type_instances={},
         classes=classes,
         per_contract_ms=per_contract_ms,
         cross_classes_ms=cross_classes_ms,
     )
-    report.per_type_instances = count_instances(report)
-    return report
 
 
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:

@@ -87,12 +87,7 @@ class SignatureSet:
 
 def _exemplars(contract_id: str, source: str) -> list[NormalizedFragment]:
     """The mode-NONE fragments of one signature source text."""
-    contract = SourceContract(
-        id=contract_id,
-        source_text=source,
-        content_digest=hashlib.sha256(source.encode("utf-8")).hexdigest(),
-    )
-    return normalize_contract(contract, RenamingMode.NONE)
+    return normalize_contract(SourceContract(contract_id, source), RenamingMode.NONE)
 
 
 # Built-in exemplars. The re-entrancy and integer over/underflow entries

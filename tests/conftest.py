@@ -1,20 +1,13 @@
 """Shared helpers: corpus builders and the two reference LCS routines."""
 from __future__ import annotations
 
-import hashlib
-
-from volcano.corpus import Corpus, SourceContract, parse_pragma
+from volcano.corpus import Corpus, SourceContract
 from volcano.extractor import FunctionFragment, extract_functions
 from volcano.normalize import RenamingMode, in_mode, pretty_print
 
 
 def make_contract(cid: str, text: str) -> SourceContract:
-    return SourceContract(
-        id=cid,
-        source_text=text,
-        content_digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        version=parse_pragma(text),
-    )
+    return SourceContract(cid, text)
 
 
 def make_corpus(label: str, sources: dict[str, str]) -> Corpus:

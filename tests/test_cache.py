@@ -205,6 +205,52 @@ def test_cache_with_an_impossible_pair_loads_as_none(lcs, longest, tmp_path, cap
     assert any("falling back to full analysis" in r.message for r in caplog.records)
 
 
+def _drop(key):
+    def edit(record):
+        del record[key]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop("lines"),
+        _drop("name"),
+        lambda r: r.update(start_line="3"),
+        lambda r: r.update(end_line=None),
+        lambda r: r.update(lines=[["a ;"]]),
+        lambda r: r.update(lines={"blind": "a ;"}),
+        lambda r: r.update(lines={"blind": [1]}),
+        lambda r: r.update(lines={"sideways": ["a ;"]}),
+        lambda r: r.update(lines={}),
+    ],
+)
+def test_cache_with_a_misshapen_fragment_record_loads_as_none(edit, tmp_path, caplog):
+    cache = AnalysisCache.empty(BLIND_10)
+    incremental_scan(cache, clone_rich_corpus(), BLIND_10)
+    cache.save(tmp_path)
+    blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    edit(next(iter(blob["fragments"].values()))[0])
+    (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
+    with caplog.at_level(logging.WARNING, logger="volcano.cache"):
+        assert AnalysisCache.load(tmp_path) is None
+    assert any("falling back to full analysis" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("key,value", [("contracts", []), ("contracts", {"c00": 1}),
+                                       ("fragments", []), ("fragments", {"d": {}}), ("fragments", {"d": ["r"]})])
+def test_cache_with_misshapen_tables_loads_as_none(key, value, tmp_path, caplog):
+    cache = AnalysisCache.empty(BLIND_10)
+    incremental_scan(cache, clone_rich_corpus(), BLIND_10)
+    cache.save(tmp_path)
+    blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    blob[key] = value
+    (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
+    with caplog.at_level(logging.WARNING, logger="volcano.cache"):
+        assert AnalysisCache.load(tmp_path) is None
+    assert any("falling back to full analysis" in r.message for r in caplog.records)
+
+
 def test_wrong_version_cache_ignored(tmp_path, caplog):
     corpus = clone_rich_corpus(3)
     cache = AnalysisCache.empty(BLIND_10)

@@ -9,7 +9,7 @@ from conftest import make_contract, wrap
 
 import volcano.corpus as corpus_mod
 import volcano.signatures as signatures_mod
-from volcano.cli import RunConfig, build_parser, emit_timing, main
+from volcano.cli import build_parser, emit_timing, main
 from volcano.errors import NotVerified
 
 ADDR_A = "0x" + "aa" * 20
@@ -46,7 +46,7 @@ def test_scan_json_exit_zero_and_deterministic(corpus_dir, tmp_path, capsys):
     sig_ids = {d["sig_id"] for d in first["detections"]}
     assert {"dos-open-suicide", "dos-open-selfdestruct"} <= sig_ids
     assert first["config"]["run"]["command"] == "scan"
-    assert first["config"]["run"]["threshold_percent"] == 30
+    assert first["config"]["run"]["threshold"] == 30
 
 
 def test_scan_text_format(corpus_dir, capsys):
@@ -152,6 +152,19 @@ def test_fetch_malformed_address_exits_two(tmp_path, capsys):
     assert "malformed address" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "fast"])
+def test_fetch_rate_must_be_positive(rate, tmp_path, monkeypatch, capsys):
+    def fake_fetch(*args, **kw):
+        raise AssertionError("no fetch may start under a bad --rate")
+
+    monkeypatch.setattr(corpus_mod, "fetch_contract", fake_fetch)
+    with pytest.raises(SystemExit) as err:
+        main(["fetch", "--address", ADDR_A, "--out", str(tmp_path), "--rate", rate])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "error:" in stderr and "Traceback" not in stderr
+
+
 def test_fetch_without_addresses_exits_two(tmp_path, capsys):
     assert main(["fetch", "--out", str(tmp_path)]) == 2
     assert "no addresses" in capsys.readouterr().err
@@ -208,6 +221,7 @@ def test_clones_cache_lifecycle(corpus_dir, tmp_path, capsys):
     assert out.read_bytes() == first
     doc = json.loads(first)
     assert doc["run"]["command"] == "clones"
+    assert "jobs" not in doc["run"]
     assert doc["config"]["mode"] == "blind"
     pair_ends = {(p["left"].split(":")[0], p["right"].split(":")[0]) for p in doc["pairs"]}
     assert ("kill.sol", "kill06.sol") in pair_ends
@@ -321,6 +335,24 @@ def test_derive_classes_equal_clones_classes_under_a_shared_origin(tmp_path, cap
     assert [[m.uid for m in cls.members] for cls in derived] == clones_classes
 
 
+def test_clones_runs_in_full_over_a_cache_record_without_lines(corpus_dir, tmp_path, caplog):
+    argv = ["clones", "--in", str(corpus_dir), "--threshold", "25"]
+    fresh, cached = tmp_path / "fresh.json", tmp_path / "cached.json"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    cache_file = corpus_dir / ".volcano-cache" / "analysis.json"
+    blob = json.loads(cache_file.read_text())
+    for records in blob["fragments"].values():
+        for record in records:
+            del record["lines"]
+    cache_file.write_text(json.dumps(blob))
+    with caplog.at_level("WARNING", logger="volcano.cache"):
+        assert main([*argv, "--out", str(cached)]) == 0
+    assert any("falling back to full analysis" in r.message for r in caplog.records)
+    fresh_doc, cached_doc = json.loads(fresh.read_text()), json.loads(cached.read_text())
+    del fresh_doc["run"], cached_doc["run"]
+    assert cached_doc == fresh_doc
+
+
 def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):
     out = tmp_path / "clones.json"
     assert main(["clones", "--in", str(corpus_dir), "--no-cache", "--out", str(out)]) == 0
@@ -409,6 +441,34 @@ def test_evolve_rejects_bad_config_string(corpus_dir, tmp_path, capsys):
     assert "bad --configs entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,calls_per_contract",
+    [
+        (["scan", "--sigs", "builtin", "--out", "{tmp}/r.json"], 0),
+        (["scan", "--sigs", "builtin", "--format", "csv", "--out", "{tmp}/r.csv"], 1),
+        (["clones", "--cache-dir", "{tmp}/cache"], 0),
+        (["derive", "--labels", "{tmp}/labels.csv", "--out", "{tmp}/sigs"], 0),
+        (["evolve", "--sigs", "builtin", "--out", "{tmp}/e.csv"], 1),
+    ],
+)
+def test_pragmas_are_solved_only_where_a_version_is_read(
+    argv, calls_per_contract, corpus_dir, tmp_path, monkeypatch
+):
+    (tmp_path / "labels.csv").write_text("kill.sol,DOS\nkill06.sol,DOS\nsafe.sol,DOS\n")
+    solved = []
+    real = corpus_mod.parse_pragma
+    monkeypatch.setattr(corpus_mod, "parse_pragma", lambda text: solved.append(text) or real(text))
+    argv = [argv[0], "--in", str(corpus_dir), *(a.format(tmp=tmp_path) for a in argv[1:])]
+    assert main(argv) == 0
+    assert sorted(solved) == sorted([KILL, SAFE, KILL_06] * calls_per_contract)
+
+
+def test_loading_a_corpus_solves_no_pragma(corpus_dir, monkeypatch):
+    monkeypatch.setattr(corpus_mod, "parse_pragma", lambda text: pytest.fail("pragma solved"))
+    assert len(corpus_mod.load_corpus(corpus_dir)) == 3
+    assert len(signatures_mod.builtin_signatures()) == 12
+
+
 def test_emit_timing_frozen_strings():
     assert emit_timing([]) == "average NA, total 00:00:00"
     assert emit_timing([100.0] * 10) == "average 00:00:00 (100ms), total 00:00:01"
@@ -416,15 +476,23 @@ def test_emit_timing_frozen_strings():
     assert emit_timing([249998000.0]).endswith("total 2 days, 21:26:38")
 
 
-def test_run_config_round_trip():
-    rc = RunConfig(command="scan", mode="blind", threshold_percent=10, in_path="/x", fmt="csv")
-    assert rc.to_dict()["threshold_percent"] == 10 and rc.to_dict()["jobs"] == 1
-    args = build_parser().parse_args(["scan", "--in", "/x", "--sigs", "builtin", "--mode", "blind"])
-    echoed = RunConfig.from_args(args)
-    assert echoed.command == "scan"
-    assert echoed.mode == "blind"
-    assert echoed.threshold_percent == 30
-    assert echoed.use_cache is True
+def test_scan_run_echo_holds_only_the_flags_of_scan(corpus_dir, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["scan", "--in", str(corpus_dir), "--sigs", "builtin", "--mode", "blind", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["config"]["run"] == {
+        "command": "scan",
+        "in_path": str(corpus_dir),
+        "dedupe": False,
+        "mode": "blind",
+        "threshold": 30,
+        "min_lines": 3,
+        "max_lines": None,
+        "sigs": "builtin",
+        "out": str(out),
+        "format": "json",
+        "jobs": 1,
+    }
 
 
 def test_parser_defaults_follow_subcommand():

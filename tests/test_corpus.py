@@ -79,6 +79,11 @@ def test_load_corpus_empty_warns(tmp_path, caplog):
         ("0.4.x", (0, 4)),
         ("v0.4.24", (0, 4)),
         (">=0.4.21 <=0.4.25", (0, 4)),
+        ("=0.4", (0, 4)),
+        ("<=0", (0, 0)),
+        (">0.x", (1, 0)),
+        (">0.x.5", (0, 0)),  # the least version above some 0.x.5 is 0.0.6
+        ("~0.4.5 >=0.4.7", (0, 4)),
     ],
 )
 def test_parse_pragma_cases(constraint, expected):
@@ -144,32 +149,45 @@ def test_parse_pragma_matches_enumeration_oracle():
     rng = random.Random(20260814)
     grid = [
         (maj, minor, patch)
-        for maj in (0, 1)
+        for maj in (0, 1, 2)
         for minor in range(0, 14)
         for patch in range(0, 42)
     ]
 
-    def rand_clause():
-        op = rng.choice(["^", "~", ">=", ">", "<=", "<", "", "="])
-        return op, (0, rng.randint(0, 8), rng.randint(0, 30))
+    def rand_version(maj=None):
+        """(text, parts) of a version; absent or trailing x/* parts are None."""
+        maj = rng.randint(0, 1) if maj is None else maj
+        minor, patch = rng.randint(0, 8), rng.randint(0, 30)
+        wild = rng.choice("x*")
+        return rng.choice([
+            (f"{maj}.{minor}.{patch}", (maj, minor, patch)),
+            (f"{maj}.{minor}.{patch}", (maj, minor, patch)),
+            (f"{maj}", (maj, None, None)),
+            (f"{maj}.{minor}", (maj, minor, None)),
+            (f"{maj}.{wild}", (maj, None, None)),
+            (f"{maj}.{minor}.{wild}", (maj, minor, None)),
+            (f"{maj}.{wild}.{wild}", (maj, None, None)),
+        ])
 
-    for _ in range(150):
+    def rand_clause(op=None, maj=None):
+        return (rng.choice(["^", "~", ">=", ">", "<=", "<", "", "="]) if op is None else op,
+                *rand_version(maj))
+
+    for _ in range(400):
         shape = rng.random()
-        if shape < 0.5:
+        if shape < 0.4:
             alternatives = [[rand_clause()]]
+        elif shape < 0.6:
+            alternatives = [[rand_clause(">=", 0), rand_clause("<", 0)]]
         elif shape < 0.8:
-            low = (">=", (0, rng.randint(0, 6), rng.randint(0, 20)))
-            high = ("<", (0, rng.randint(0, 8), rng.randint(0, 20)))
-            alternatives = [[low, high]]
+            alternatives = [[rand_clause(), rand_clause()]]
         else:
             alternatives = [[rand_clause()], [rand_clause()]]
 
-        text = " || ".join(
-            " ".join(f"{op}{p[0]}.{p[1]}.{p[2]}" for op, p in alt) for alt in alternatives
-        )
+        text = " || ".join(" ".join(f"{op}{v}" for op, v, _ in alt) for alt in alternatives)
         want = None
         for v in grid:
-            if any(all(_admits(op, p, v) for op, p in alt) for alt in alternatives):
+            if any(all(_admits(op, p, v) for op, _, p in alt) for alt in alternatives):
                 want = v
                 break
         got = parse_pragma(f"pragma solidity {text};")

@@ -232,7 +232,7 @@ _sources = st.one_of(
 
 @given(_sources)
 def test_extraction_is_total_and_keeps_one_fragment_per_ref(text):
-    refs = [f.ref for f in extract_functions(SourceContract("c", text, ""))]
+    refs = [f.ref for f in extract_functions(SourceContract("c", text))]
     assert len(refs) == len(set(refs))
 
 
