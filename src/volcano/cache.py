@@ -5,8 +5,9 @@ records, with lines normalized in the configured mode only, keyed by
 content digest (so renamed or duplicated files reuse work), the
 id-to-digest binding of the last run, and the clone pairs found.
 incremental_scan re-extracts only contracts whose digest changed and
-re-runs LCS only for pairs touching them; the result is extensionally
-equal to a from-scratch analysis of the current corpus.
+re-runs LCS only for pairs touching them (and rebuilds any record that
+lacks the configured mode); the result is extensionally equal to a
+from-scratch analysis of the current corpus.
 
 A cache written under a different clone configuration is an error; an
 unreadable cache, or one written by different extraction, normalization,
@@ -48,7 +49,6 @@ def code_version(paths) -> str:
 CACHE_VERSION = code_version(VERSIONED_SOURCES)
 CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
-_MODES = {mode.value for mode in RenamingMode}
 
 
 def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict]:
@@ -75,8 +75,8 @@ def _is_record(record) -> bool:
         and isinstance(lines, dict)
         and len(lines) == 1
         and all(
-            mode in _MODES and isinstance(seq, list) and all(isinstance(line, str) for line in seq)
-            for mode, seq in lines.items()
+            isinstance(seq, list) and all(isinstance(line, str) for line in seq)
+            for seq in lines.values()
         )
     )
 
@@ -208,7 +208,9 @@ def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: Clone
         if digest in records:
             continue
         cached = cache.fragments.get(digest)
-        records[digest] = cached if cached is not None else _fragment_records(contract, cfg.mode)
+        if cached is None or not all(cfg.mode.value in r["lines"] for r in cached):
+            cached = _fragment_records(contract, cfg.mode)
+        records[digest] = cached
     cache.contracts = {cid: c.content_digest for cid, c in current.items()}
     cache.fragments = records
 

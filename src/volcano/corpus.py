@@ -14,7 +14,7 @@ import json
 import logging
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -48,6 +48,8 @@ class SourceContract:
 
     id: str
     source_text: str
+    # Older callers pass a digest third; it is accepted and dropped, never stored.
+    legacy_digest: InitVar[str | None] = None
 
     @cached_property
     def content_digest(self) -> str:

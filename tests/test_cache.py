@@ -206,9 +206,21 @@ def test_cache_with_an_impossible_pair_loads_as_none(lcs, longest, tmp_path, cap
 
 
 def _drop(key):
-    def edit(record):
-        del record[key]
+    def edit(blob):
+        del _first_record(blob)[key]
     return edit
+
+
+def _first_record(blob) -> dict:
+    return next(iter(blob["fragments"].values()))[0]
+
+
+def _set_record(**values):
+    return lambda blob: _first_record(blob).update(values)
+
+
+def _set_table(key, value):
+    return lambda blob: blob.update({key: value})
 
 
 @pytest.mark.parametrize(
@@ -216,35 +228,25 @@ def _drop(key):
     [
         _drop("lines"),
         _drop("name"),
-        lambda r: r.update(start_line="3"),
-        lambda r: r.update(end_line=None),
-        lambda r: r.update(lines=[["a ;"]]),
-        lambda r: r.update(lines={"blind": "a ;"}),
-        lambda r: r.update(lines={"blind": [1]}),
-        lambda r: r.update(lines={"sideways": ["a ;"]}),
-        lambda r: r.update(lines={}),
+        _set_record(start_line="3"),
+        _set_record(end_line=None),
+        _set_record(lines=[["a ;"]]),
+        _set_record(lines={"blind": "a ;"}),
+        _set_record(lines={"blind": [1]}),
+        _set_record(lines={}),
+        _set_table("contracts", []),
+        _set_table("contracts", {"c00": 1}),
+        _set_table("fragments", []),
+        _set_table("fragments", {"d": {}}),
+        _set_table("fragments", {"d": ["r"]}),
     ],
 )
-def test_cache_with_a_misshapen_fragment_record_loads_as_none(edit, tmp_path, caplog):
+def test_cache_of_the_wrong_shape_loads_as_none(edit, tmp_path, caplog):
     cache = AnalysisCache.empty(BLIND_10)
     incremental_scan(cache, clone_rich_corpus(), BLIND_10)
     cache.save(tmp_path)
     blob = json.loads((tmp_path / CACHE_FILE).read_text())
-    edit(next(iter(blob["fragments"].values()))[0])
-    (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
-    with caplog.at_level(logging.WARNING, logger="volcano.cache"):
-        assert AnalysisCache.load(tmp_path) is None
-    assert any("falling back to full analysis" in r.message for r in caplog.records)
-
-
-@pytest.mark.parametrize("key,value", [("contracts", []), ("contracts", {"c00": 1}),
-                                       ("fragments", []), ("fragments", {"d": {}}), ("fragments", {"d": ["r"]})])
-def test_cache_with_misshapen_tables_loads_as_none(key, value, tmp_path, caplog):
-    cache = AnalysisCache.empty(BLIND_10)
-    incremental_scan(cache, clone_rich_corpus(), BLIND_10)
-    cache.save(tmp_path)
-    blob = json.loads((tmp_path / CACHE_FILE).read_text())
-    blob[key] = value
+    edit(blob)
     (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
     with caplog.at_level(logging.WARNING, logger="volcano.cache"):
         assert AnalysisCache.load(tmp_path) is None

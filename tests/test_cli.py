@@ -335,19 +335,28 @@ def test_derive_classes_equal_clones_classes_under_a_shared_origin(tmp_path, cap
     assert [[m.uid for m in cls.members] for cls in derived] == clones_classes
 
 
-def test_clones_runs_in_full_over_a_cache_record_without_lines(corpus_dir, tmp_path, caplog):
-    argv = ["clones", "--in", str(corpus_dir), "--threshold", "25"]
+def _drop_lines(record):
+    del record["lines"]
+
+
+def _relabel_mode(record):
+    record["lines"] = {"none": record["lines"]["blind"]}
+
+
+@pytest.mark.parametrize("edit,warns", [(_drop_lines, True), (_relabel_mode, False)])
+def test_clones_over_misshapen_cache_records_equals_a_fresh_run(edit, warns, corpus_dir, tmp_path, caplog):
+    argv = ["clones", "--in", str(corpus_dir), "--mode", "blind", "--threshold", "25"]
     fresh, cached = tmp_path / "fresh.json", tmp_path / "cached.json"
     assert main([*argv, "--out", str(fresh)]) == 0
     cache_file = corpus_dir / ".volcano-cache" / "analysis.json"
     blob = json.loads(cache_file.read_text())
     for records in blob["fragments"].values():
         for record in records:
-            del record["lines"]
+            edit(record)
     cache_file.write_text(json.dumps(blob))
     with caplog.at_level("WARNING", logger="volcano.cache"):
         assert main([*argv, "--out", str(cached)]) == 0
-    assert any("falling back to full analysis" in r.message for r in caplog.records)
+    assert any("falling back to full analysis" in r.message for r in caplog.records) == warns
     fresh_doc, cached_doc = json.loads(fresh.read_text()), json.loads(cached.read_text())
     del fresh_doc["run"], cached_doc["run"]
     assert cached_doc == fresh_doc

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import urllib.parse
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from volcano.corpus import (
     Corpus,
     RateBudget,
     SolidityVersion,
+    SourceContract,
     dedupe,
     fetch_contract,
     load_corpus,
@@ -49,6 +51,15 @@ def test_load_corpus_recursive_sorted_and_skips(tmp_path):
     assert corpus.contracts[1].version.bucket == "^0.6"
     for c in corpus:
         assert c.content_digest == hashlib.sha256(c.source_text.encode()).hexdigest()
+
+
+def test_a_contract_is_its_id_and_text_and_drops_a_passed_digest():
+    text = wrap("    function f() public { a = 1; }", pragma="pragma solidity ^0.5.1;")
+    contract = SourceContract("c.sol", text, "not the digest")
+    assert [f.name for f in fields(contract)] == ["id", "source_text"]
+    assert contract == SourceContract("c.sol", text)
+    assert contract.content_digest == hashlib.sha256(text.encode()).hexdigest()
+    assert contract.version.bucket == "^0.5"
 
 
 def test_load_corpus_missing_root_raises(tmp_path):
