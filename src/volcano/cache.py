@@ -129,6 +129,13 @@ class AnalysisCache:
                 and all(isinstance(rs, list) and all(map(_is_record, rs)) for rs in fragments.values())
             ):
                 raise ValueError("a contract or fragment record has the wrong shape")
+            held = {
+                FragmentRef(cid, r["start_line"], r["end_line"], r["name"])
+                for cid, digest in contracts.items()
+                for r in fragments.get(digest, [])
+            }
+            if not all(p.left in held and p.right in held for p in pairs):
+                raise ValueError("a clone pair names a fragment the cache does not hold")
             return cls(
                 config_digest=blob["config_digest"],
                 contracts=contracts,
@@ -190,7 +197,9 @@ def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: Clone
 
     changed_contracts is the full current corpus snapshot; the diff against
     the cache (additions, modifications, removals) is taken here by content
-    digest. The cache object is updated in place to describe the current
+    digest. Pairs between unchanged contracts are reused as they stand:
+    AnalysisCache.load rejects a cache whose pairs name fragments it does
+    not hold. The cache object is updated in place to describe the current
     corpus; callers persist it with save().
     """
     if cache.config_digest != cfg.digest():

@@ -25,7 +25,7 @@ from .clone_engine import (
 from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
 from .extractor import FragmentRef
-from .normalize import NormalizedFragment, normalize_contract
+from .normalize import NormalizationMemo, NormalizedFragment, normalize_contract
 from .signatures import SignatureSet, VulnerabilityType
 
 _ALL_TYPES = [t.name for t in VulnerabilityType]
@@ -100,17 +100,26 @@ class ScanReport:
 _WORKER = {}
 
 
-def _payload_of(sigs: SignatureSet, cfg: CloneConfig):
-    """One (sig_id, vuln_type, exemplar, decisions) entry per signature.
+class _Payload(list):
+    """One (sig_id, vuln_type, exemplar, decisions) entry per signature, and
+    the run's NormalizationMemo as .memo.
 
     decisions maps a candidate's normalized lines to clone_lcs(lines,
     exemplar lines, cfg), filled as the scan meets each sequence, so a
-    sequence repeated across the corpus is decided once per signature.
-    A payload serves one config; every worker process holds its own copy.
+    sequence repeated across the corpus is decided once per signature; the
+    memo likewise normalizes each distinct fragment text once. A payload
+    serves one config; every worker process holds its own copy.
     """
+
+    def __init__(self, entries, memo: NormalizationMemo):
+        super().__init__(entries)
+        self.memo = memo
+
+
+def _payload_of(sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo) -> _Payload:
     if not len(sigs):
         raise EmptySignatureSet("scan needs at least one signature")
-    return [(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode), {}) for s in sigs]
+    return _Payload([(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode), {}) for s in sigs], memo)
 
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
@@ -119,7 +128,7 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     contract = SourceContract(contract_id, source_text)
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
-    for nf in normalize_contract(contract, cfg.mode):
+    for nf in normalize_contract(contract, cfg.mode, payload.memo):
         lines = nf.lines
         if not within_window(len(lines), cfg):
             continue
@@ -225,7 +234,7 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
 
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
     """Match every signature against every fragment of the target corpus."""
-    payload = _payload_of(sigs, cfg)
+    payload = _payload_of(sigs, cfg, NormalizationMemo())
     return _assemble(target, sigs, payload, cfg, _scan_contracts(target, payload, cfg, jobs))
 
 
@@ -321,7 +330,9 @@ def analyze_evolution(
     silently double-counted. Each contract is scanned once per config:
     a contract's scan result does not depend on the rest of the corpus,
     so every bucket's report and the whole-corpus one are assembled from
-    the same results.
+    the same results. One NormalizationMemo serves every config, so a
+    serial run pretty-prints each distinct fragment text once; under
+    jobs > 1 every worker holds its own copy.
     """
     bucket_names = list(buckets)
     bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
@@ -331,9 +342,10 @@ def analyze_evolution(
     )
     cells = []
     cross = []
+    memo = NormalizationMemo()
     for cfg in cfg_range:
         pct = _threshold_percent(cfg)
-        payload = _payload_of(sigs, cfg)
+        payload = _payload_of(sigs, cfg, memo)
         results = _scan_contracts(union, payload, cfg, jobs)
         start = 0
         for bucket in bucket_names:

@@ -9,7 +9,8 @@ else space-separated.
 
 rename_blind / rename_consistent implement the Type-2 abstractions on top:
 blind maps every renamable identifier to `X`; consistent maps the i-th
-distinct renamable identifier, in order of first occurrence, to `X<i>`.
+distinct renamable identifier, in order of first occurrence, to `X<i>`,
+skipping the one placeholder that would equal the declared name.
 Language keywords, the builtin globals and members below, elementary type
 names, literals, and the fragment's own declared name are never renamed.
 """
@@ -169,6 +170,7 @@ def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
     declared = _declared_name(nf.origin)
     consistent = mode is RenamingMode.CONSISTENT
     mapping: dict[str, str] = {}
+    placeholders = 0
     new_lines = []
     for line in nf.lines:
         out = []
@@ -176,7 +178,11 @@ def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
             if _renamable(t, declared):
                 if consistent:
                     if t not in mapping:
-                        mapping[t] = f"X{len(mapping) + 1}"
+                        placeholders += 1
+                        if f"X{placeholders}" == declared:
+                            # A fragment named X<i> keeps its name to itself.
+                            placeholders += 1
+                        mapping[t] = f"X{placeholders}"
                     out.append(mapping[t])
                 else:
                     out.append("X")
@@ -208,6 +214,46 @@ def in_mode(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
     return _rename(nf, mode)
 
 
-def normalize_contract(contract, mode: RenamingMode) -> list[NormalizedFragment]:
-    """Every function fragment of a contract, pretty-printed and renamed into mode."""
-    return [in_mode(pretty_print(fragment), mode) for fragment in extract_functions(contract)]
+class NormalizationMemo:
+    """Normalization results by content, for the length of one run.
+
+    Pretty-printing reads only a fragment's exact text, and renaming only
+    the printed lines, the declared name and the mode, so fragments that
+    agree on those normalize alike up to their origin. printed maps an
+    exact text to its mode-NONE lines; renamed maps (mode-NONE lines,
+    declared name, mode) to (lines, rename_map).
+    """
+
+    def __init__(self):
+        self.printed: dict[str, tuple[str, ...]] = {}
+        self.renamed: dict[tuple, tuple] = {}
+
+    def normalize(self, fragment: FunctionFragment, mode: RenamingMode) -> NormalizedFragment:
+        """in_mode(pretty_print(fragment), mode), computed once per distinct content."""
+        ref = fragment.ref
+        nf = None
+        lines = self.printed.get(fragment.exact_text)
+        if lines is None:
+            nf = pretty_print(fragment)
+            lines = self.printed[fragment.exact_text] = nf.lines
+        key = (lines, _declared_name(ref), mode)
+        done = self.renamed.get(key)
+        if done is None:
+            if nf is None:
+                nf = NormalizedFragment(origin=ref, mode=RenamingMode.NONE, lines=lines)
+            nf = in_mode(nf, mode)
+            self.renamed[key] = (nf.lines, nf.rename_map)
+            return nf
+        return NormalizedFragment(origin=ref, mode=mode, lines=done[0], rename_map=done[1])
+
+
+def normalize_contract(
+    contract, mode: RenamingMode, memo: NormalizationMemo | None = None
+) -> list[NormalizedFragment]:
+    """Every function fragment of a contract, pretty-printed and renamed into mode.
+
+    A run that passes one memo to every call normalizes each distinct
+    fragment text once; without one, the memo lives for this call only.
+    """
+    memo = NormalizationMemo() if memo is None else memo
+    return [memo.normalize(fragment, mode) for fragment in extract_functions(contract)]

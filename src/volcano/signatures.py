@@ -29,7 +29,7 @@ from .errors import (
     UnknownType,
     UnlabeledContract,
 )
-from .normalize import NormalizedFragment, RenamingMode, in_mode, normalize_contract
+from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, in_mode, normalize_contract
 
 log = logging.getLogger(__name__)
 
@@ -357,8 +357,9 @@ def derive_signatures(
 
     none_by_ref: dict = {}
     mode_frags = []
+    memo = NormalizationMemo()
     for contract in vuln_corpus:
-        for none_nf in normalize_contract(contract, RenamingMode.NONE):
+        for none_nf in normalize_contract(contract, RenamingMode.NONE, memo):
             none_by_ref[none_nf.origin] = none_nf
             mode_frags.append(in_mode(none_nf, cfg.mode))
 

@@ -362,6 +362,24 @@ def test_clones_over_misshapen_cache_records_equals_a_fresh_run(edit, warns, cor
     assert cached_doc == fresh_doc
 
 
+@pytest.mark.parametrize("left", [["kill.sol", 99, 2, "f"], ["kill.sol", "2", 4, "kill"]])
+def test_clones_over_a_cached_pair_of_unknown_fragments_equals_a_fresh_run(left, corpus_dir, tmp_path, caplog):
+    argv = ["clones", "--in", str(corpus_dir), "--mode", "blind", "--threshold", "25"]
+    fresh, cached = tmp_path / "fresh.json", tmp_path / "cached.json"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    cache_file = corpus_dir / ".volcano-cache" / "analysis.json"
+    blob = json.loads(cache_file.read_text())
+    assert blob["pairs"]
+    blob["pairs"][0]["left"] = left
+    cache_file.write_text(json.dumps(blob))
+    with caplog.at_level("WARNING", logger="volcano.cache"):
+        assert main([*argv, "--out", str(cached)]) == 0
+    assert any("falling back to full analysis" in r.message for r in caplog.records)
+    fresh_doc, cached_doc = json.loads(fresh.read_text()), json.loads(cached.read_text())
+    del fresh_doc["run"], cached_doc["run"]
+    assert cached_doc == fresh_doc
+
+
 def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):
     out = tmp_path / "clones.json"
     assert main(["clones", "--in", str(corpus_dir), "--no-cache", "--out", str(out)]) == 0

@@ -24,8 +24,8 @@ from volcano.detector import (
 )
 from volcano.errors import EmptySignatureSet
 from volcano.extractor import extract_functions
-from volcano.normalize import RenamingMode
-from volcano.signatures import SignatureSet, builtin_signatures
+from volcano.normalize import RenamingMode, pretty_print
+from volcano.signatures import SignatureSet, VulnerabilityType, builtin_signatures, derive_signatures
 
 BLIND_0 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(0))
 BLIND_30 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(30, 100))
@@ -170,6 +170,7 @@ def test_scan_decides_each_sequence_once_per_signature(monkeypatch):
 
 @pytest.mark.parametrize("configs", [[BLIND_0, CONSISTENT_30], [BLIND_0, BLIND_30]])
 def test_evolution_matches_one_run_per_config(configs):
+    """The configs of one run share a normalization memo; each gives its cells alone."""
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
     buckets = sort_by_version(make_corpus("evo", sources))
@@ -301,6 +302,45 @@ def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
     monkeypatch.setattr(normalize_mod, "extract_functions", counting)
     analyze_evolution(sort_by_version(corpus), sigs, [CONSISTENT_0, CONSISTENT_30])
     assert sorted(calls) == sorted([c.id for c in corpus] * 2)
+
+
+@pytest.mark.parametrize("configs", [[BLIND_0, CONSISTENT_30], [CONSISTENT_30, BLIND_30]])
+def test_evolution_parallel_matches_serial(configs):
+    sources = dict(REPEATING_SOURCES)
+    sources.update(EVOLUTION_SOURCES)
+    buckets = sort_by_version(make_corpus("evo", sources))
+    sigs = builtin_signatures()
+    serial = analyze_evolution(buckets, sigs, configs, jobs=1)
+    parallel = analyze_evolution(buckets, sigs, configs, jobs=2)
+    assert parallel.to_dict() == serial.to_dict()
+
+
+KILL_FUNCTION = "function kill(address evil) external {\n        suicide(evil);\n    }"
+
+
+def test_each_distinct_fragment_text_is_pretty_printed_once_per_run(monkeypatch):
+    corpus = make_corpus(
+        "copies",
+        {f"k{i}": wrap(f"    {KILL_FUNCTION}\n    function own{i}() public {{ owner = {i}; }}") for i in range(5)},
+    )
+    sigs = builtin_signatures()
+    printed = []
+
+    def counting(fragment):
+        printed.append(fragment.exact_text)
+        return pretty_print(fragment)
+
+    monkeypatch.setattr(normalize_mod, "pretty_print", counting)
+    runs = [
+        lambda: scan(corpus, sigs, CONSISTENT_30),
+        lambda: analyze_evolution(sort_by_version(corpus), sigs, [BLIND_0, CONSISTENT_30]),
+        lambda: derive_signatures(corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30),
+    ]
+    for run in runs:
+        printed.clear()
+        run()
+        assert printed.count(KILL_FUNCTION) == 1
+        assert len(printed) == len(set(printed)) == 6
 
 
 def test_detection_to_dict_shape():

@@ -6,14 +6,18 @@ import re
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import norm, single_fragment, wrap
+from conftest import make_contract, norm, single_fragment, wrap
 
 from volcano.errors import EmptyFragment, ModeError
-from volcano.extractor import FunctionFragment
+from volcano.extractor import FunctionFragment, extract_functions
 from volcano.normalize import (
+    NormalizationMemo,
     RenamingMode,
     in_mode,
+    normalize_contract,
     pretty_print,
     rename_blind,
     rename_consistent,
@@ -148,6 +152,14 @@ def test_declared_name_is_exempt_even_in_recursion():
     )
 
 
+def test_consistent_placeholders_skip_the_declared_name():
+    src = wrap("    function X1(uint a) public {\n        a = b + 1;\n    }")
+    nf = norm(src, RenamingMode.CONSISTENT)
+    assert nf.lines[0] == "function X1 ( uint X2 ) public"
+    assert nf.lines[2] == "X2 = X3 + 1 ;"
+    assert norm(wrap("\n".join(nf.lines)), RenamingMode.CONSISTENT).lines == nf.lines
+
+
 def test_modifier_declared_name_exempt():
     src = wrap("    modifier only(address who) { require(who == owner); _; }")
     cons = norm(src, RenamingMode.CONSISTENT)
@@ -245,3 +257,88 @@ def test_tokenize_operators_and_literals():
     assert tokenize('x = "two words";') == ["x", "=", '"two words"', ";"]
     assert tokenize("y = 0xDeadBeef ** 2;") == ["y", "=", "0xDeadBeef", "**", "2", ";"]
     assert tokenize("p => q") == ["p", "=>", "q"]
+
+
+_MODES = list(RenamingMode)
+_IDENTS = st.sampled_from(["a", "b", "owner", "amount", "i", "f", "g", "sum", "X1", "msg", "value", "uint"])
+# Separators that change a fragment's exact text but not its printed lines.
+_GAPS = st.sampled_from([" ", "\n        ", "\n\n    ", " /* gap; { } */ ", " // note; }\n"])
+
+
+@st.composite
+def _statements(draw, depth: int = 2):
+    a, b, c = draw(_IDENTS), draw(_IDENTS), draw(_IDENTS)
+    simple = [
+        f"{a} = {b} + {draw(st.integers(0, 99))};",
+        f"{a} += {b}.{c}({a});",
+        f"msg.sender.call.value({a})();",
+        f'require({a} >= {b}, "no; {{ way }}");',
+        f"if ({a} != {b}) {c} -= {a};",
+        f"emit Moved({a}, {b});",
+        "_;",
+    ]
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(simple))
+    inner = " ".join(draw(st.lists(_statements(depth - 1), max_size=3)))
+    return draw(
+        st.sampled_from(
+            [
+                f"if ({a}) {{ {inner} }} else {{ {b} = 0; }}",
+                f"for (uint {a} = 0; {a} < {b}; {a}++) {{ {inner} }}",
+                f"while ({a} > 0) {{ {inner} }}",
+                f"unchecked {{ {inner} }}",
+            ]
+        )
+    )
+
+
+@st.composite
+def _functions(draw) -> str:
+    name, param = draw(_IDENTS), draw(_IDENTS)
+    header = draw(
+        st.sampled_from(
+            [
+                f"function {name}(uint {param}) public",
+                f"function {name}(address {param}) external returns (bool)",
+                f"modifier {name}(uint {param})",
+                f"constructor(uint {param}) public",
+                "function() payable",
+            ]
+        )
+    )
+    body = draw(st.lists(_statements(), min_size=1, max_size=4))
+    gap = draw(_GAPS)
+    return f"    {header} {{{gap}{gap.join(body)}\n    }}"
+
+
+@st.composite
+def _contracts(draw) -> list[tuple[str, str]]:
+    """(id, source) pairs whose functions come from one small pool, so
+    texts repeat across contracts and ids repeat with other texts."""
+    pool = draw(st.lists(_functions(), min_size=1, max_size=4))
+    picks = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    return draw(
+        st.lists(
+            st.tuples(st.sampled_from(["a.sol", "b.sol", "c.sol"]), picks.map(lambda fs: wrap("\n".join(fs)))),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+
+@given(_contracts(), st.lists(st.permutations(_MODES), min_size=1, max_size=5))
+def test_memoized_normalization_equals_unmemoized(contracts, orders):
+    """One memo across contracts and modes, in every order, changes nothing."""
+    memo = NormalizationMemo()
+    for k, (cid, source) in enumerate(contracts):
+        contract = make_contract(cid, source)
+        for mode in orders[k % len(orders)]:
+            want = [in_mode(pretty_print(f), mode) for f in extract_functions(contract)]
+            assert normalize_contract(contract, mode, memo) == want
+
+
+@given(_functions(), st.sampled_from(_MODES))
+def test_normalization_is_idempotent_over_generated_functions(function, mode):
+    nf = norm(wrap(function), mode)
+    again = norm(wrap("\n".join(nf.lines)), mode)
+    assert again.lines == nf.lines
