@@ -137,11 +137,14 @@ def clone_lcs(a, b, cfg: CloneConfig) -> int | None:
     """LCS length of two line sequences when they are clones under cfg, else None.
 
     Pairs whose sizes alone force the difference past max_difference are
-    rejected before any LCS work; the threshold test is exact.
+    rejected before any LCS work; the threshold test is exact. At
+    max_difference 0 only identical sequences clone, so no LCS runs at all.
     """
+    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
+    if not num:
+        return len(a) if a == b else None
     na, nb = len(a), len(b)
     lo, hi = (na, nb) if na <= nb else (nb, na)
-    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
     if lo * den < (den - num) * hi:
         return None
     lcs = lcs_length(a, b)
@@ -161,8 +164,9 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known):
     of eligible[i], and pairs the clone pairs of sequences as
     (group_a, group_b, lcs, hi), each group the indices of the fragments
     holding one sequence. group_a is group_b for the fragments of one
-    sequence, clones of each other with no LCS work. Sequence pairs whose
-    fragments all sit in known contracts are left out.
+    sequence, clones of each other with no LCS work; at max_difference 0
+    these are the only pairs. Sequence pairs whose fragments all sit in
+    known contracts are left out.
     """
     for nf in fragments:
         _check_mode(nf, cfg)
@@ -184,6 +188,8 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known):
     for x, (la, ga, a_known) in enumerate(seqs):
         if len(ga) > 1 and not a_known:
             pairs.append((ga, ga, len(la), len(la)))
+        if not cfg.max_difference:
+            continue
         na = len(la)
         for lb, gb, b_known in seqs[x + 1:]:
             if a_known and b_known:

@@ -4,9 +4,9 @@ scan() matches every signature exemplar against every eligible fragment
 of a target corpus under one clone configuration. The report carries the
 raw detections, per-type instance counts (distinct target fragments),
 clone classes over the union of exemplars and detected fragments, and
-wall-clock timing per contract and for the cross-class phase. Timing
-excludes corpus loading and lives in its own section so the detection
-body stays deterministic.
+wall-clock timing per contract, for the cross-class phase and for the
+whole scan. Timing excludes corpus loading and lives in its own section
+so the detection body stays deterministic.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ class ScanReport:
     classes: list[dict]
     per_contract_ms: list[float]
     cross_classes_ms: float
+    wall_ms: float | None = None  # elapsed time of scan(), both phases together
 
     @property
     def per_type_instances(self) -> dict[str, int]:
@@ -90,6 +91,7 @@ class ScanReport:
             "total_ms": self.total_ms,
             "average_ms": self.average_ms,
             "cross_classes_ms": self.cross_classes_ms,
+            "wall_ms": self.wall_ms,
         }
         return out
 
@@ -234,8 +236,11 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
 
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
     """Match every signature against every fragment of the target corpus."""
+    started = time.perf_counter()
     payload = _payload_of(sigs, cfg, NormalizationMemo())
-    return _assemble(target, sigs, payload, cfg, _scan_contracts(target, payload, cfg, jobs))
+    report = _assemble(target, sigs, payload, cfg, _scan_contracts(target, payload, cfg, jobs))
+    report.wall_ms = (time.perf_counter() - started) * 1000.0
+    return report
 
 
 def count_instances(report: ScanReport) -> dict[str, int]:

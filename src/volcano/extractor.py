@@ -1,11 +1,16 @@
 """Tolerant lexical extraction of Solidity function-level fragments.
 
-The scanner never parses Solidity properly: it masks comments and string
-literals, then walks word/brace tokens to find `function`, `constructor`,
-`modifier` and 0.6+ `fallback()`/`receive()` definitions with bodies.
-That keeps it total over the 0.3-0.8 syntax range (and over the broken
-sources verified contracts occasionally contain): anything that cannot be
-matched to a body is skipped with a warning, never raised.
+The scanner never parses Solidity properly. It masks comments and string
+literals, matches every `{` to its `}` in one stack pass over the masked
+canvas, and finds the `function`, `constructor`, `modifier` and 0.6+
+`fallback()`/`receive()` keywords with one regex. From each keyword it
+reads only what decides a definition: the name, then the header's
+parentheses, braces, semicolons and nested declaration keywords, up to
+the body's `{`, whose `}` is a lookup. Its cost follows the declarations
+and braces, not the tokens. That keeps it total over the 0.3-0.8 syntax
+range (and over the broken sources verified contracts occasionally
+contain): anything that cannot be matched to a body is skipped with a
+warning, never raised.
 
 Masking is length-preserving so every offset on the masked canvas maps
 straight back into the original text.
@@ -13,9 +18,9 @@ straight back into the original text.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import re
+import string
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -28,26 +33,40 @@ log = logging.getLogger(__name__)
 # win over the unterminated fallbacks at the same start position. Solidity
 # strings cannot contain a raw newline, so an unterminated string masks to
 # the end of its line; an unterminated block comment masks to end of file.
+# Every region starts with / " or ', and the leading lookahead lets the
+# regex engine skip everything else without trying the alternatives.
 _REGION_RE = re.compile(
+    r"(?=[/\"'])(?:"
     r"(?P<line>//[^\n]*)"
     r"|(?P<block>/\*.*?\*/)"
     r"|(?P<blockopen>/\*.*)"
     r"|(?P<dq>\"(?:[^\"\\\n]|\\.)*\")"
     r"|(?P<dqopen>\"(?:[^\"\\\n]|\\.)*)"
     r"|(?P<sq>'(?:[^'\\\n]|\\.)*')"
-    r"|(?P<sqopen>'(?:[^'\\\n]|\\.)*)",
+    r"|(?P<sqopen>'(?:[^'\\\n]|\\.)*))",
     re.DOTALL,
 )
 
 _BLANK_RE = re.compile(r"[^\n]")
 
+# The masked canvas reads as word tokens and the punctuation (){};, as
+# _CANVAS_TOKEN_RE matches them left to right. A keyword counts only as a
+# whole token: no word character follows it, and no letter, _ or $ starts
+# a word before it (leading digits start no word, so "9function" holds a
+# `function` token while "xfunction" and "0xfunction" do not).
+_CANVAS_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[(){};]")
+_PUNCTUATION = frozenset("(){};")
+_DIGITS = frozenset(string.digits)
+_WORD_STARTS = frozenset(string.ascii_letters + "_$")
+_BRACE_RE = re.compile(r"[{}]")
+
 # Words that can open a fragment. fallback/receive cover the 0.6+ keyword
 # forms; plain calls named "fallback" are rejected later because a call is
 # followed by ';' before any '{'.
-_DECL_WORDS = ("function", "constructor", "modifier", "fallback", "receive")
-
-_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_CANVAS_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[(){};]")
+_DECL_RE = re.compile(r"(?:function|constructor|modifier|fallback|receive)(?![A-Za-z0-9_$])")
+# What a header walk reacts to: parentheses, braces, ';' and the keywords
+# that would open another declaration.
+_HEADER_RE = re.compile(r"[(){};]|(?:function|constructor|modifier)(?![A-Za-z0-9_$])")
 
 
 def _blank(piece: str) -> str:
@@ -120,36 +139,38 @@ class FunctionFragment:
         return FragmentRef(self.contract_id, self.start_line, self.end_line, self.name)
 
 
-def _try_extract(tokens, k, n):
-    """Try to read one definition starting at token k; return (name, body_open, close) indices."""
-    word, _ = tokens[k]
-    j = k + 1
-    if word == "function":
-        if j < n and _WORD_RE.fullmatch(tokens[j][0]):
-            name = tokens[j][0]
-            j += 1
-        else:
-            name = "<fallback>"
-    elif word == "constructor":
-        name = "<constructor>"
-    elif word == "modifier":
-        if not (j < n and _WORD_RE.fullmatch(tokens[j][0])):
-            return None
-        name = f"<modifier:{tokens[j][0]}>"
-        j += 1
-    else:  # fallback / receive keyword form: must open a parameter list
-        if not (j < n and tokens[j][0] == "("):
-            return None
-        name = "<fallback>" if word == "fallback" else "<receive>"
+def _starts_token(canvas: str, pos: int) -> bool:
+    """Whether a word token of the canvas starts at pos (a word character is there)."""
+    i = pos
+    while i and canvas[i - 1] in _DIGITS:
+        i -= 1
+    return not (i and canvas[i - 1] in _WORD_STARTS)
 
-    # Walk the header: parameter list, visibility words, modifier list,
-    # returns clause. A ';' at depth 0 is a bodiless declaration; a new
-    # declaration keyword or an unbalanced ')' means we misread a type
-    # position, so bail out without a fragment.
+
+def _brace_pairs(canvas: str) -> dict[int, int]:
+    """Offset of each '{' that closes -> offset of its '}'; a stray '}' is skipped."""
+    close_of = {}
+    open_at = []
+    for m in _BRACE_RE.finditer(canvas):
+        pos = m.start()
+        if canvas[pos] == "{":
+            open_at.append(pos)
+        elif open_at:
+            close_of[open_at.pop()] = pos
+    return close_of
+
+
+def _body_open(canvas: str, pos: int) -> int | None:
+    """Offset of the body's '{' of the header read from pos, or None.
+
+    The header holds a parameter list, visibility words, a modifier list
+    and a returns clause. A ';' at depth 0 is a bodiless declaration; a
+    new declaration keyword or an unbalanced ')' means we misread a type
+    position, so there is no fragment.
+    """
     depth = 0
-    body = None
-    while j < n:
-        t = tokens[j][0]
+    for m in _HEADER_RE.finditer(canvas, pos):
+        t = m.group()
         if t == "(":
             depth += 1
         elif t == ")":
@@ -157,29 +178,30 @@ def _try_extract(tokens, k, n):
             if depth < 0:
                 return None
         elif depth == 0:
+            if t == "{":
+                return m.start()
             if t == ";":
                 return None
-            if t == "{":
-                body = j
-                break
-            if t in ("function", "constructor", "modifier"):
+            if t != "}" and _starts_token(canvas, m.start()):
                 return None
-        j += 1
-    if body is None:
-        return None
+    return None
 
-    depth = 1
-    j = body + 1
-    while j < n and depth:
-        t = tokens[j][0]
-        if t == "{":
-            depth += 1
-        elif t == "}":
-            depth -= 1
-        j += 1
-    if depth:
-        return (name, body, None)
-    return (name, body, j - 1)
+
+def _declaration(canvas: str, decl: re.Match) -> tuple[str, int] | None:
+    """(name, offset its header starts at) of the definition keyword decl opens, or None."""
+    word = decl.group()
+    start = decl.end()
+    if word == "constructor":
+        return "<constructor>", start
+    nxt = _CANVAS_TOKEN_RE.search(canvas, start)
+    tok = nxt.group() if nxt else None
+    is_word = tok is not None and tok not in _PUNCTUATION
+    if word == "function":
+        return (tok, nxt.end()) if is_word else ("<fallback>", start)
+    if word == "modifier":
+        return (f"<modifier:{tok}>", nxt.end()) if is_word else None
+    # fallback / receive keyword form: must open a parameter list
+    return (f"<{word}>", start) if tok == "(" else None
 
 
 def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
@@ -193,35 +215,36 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
     """
     text = contract.source_text
     canvas = mask_comments_and_strings(text)
-    tokens = [(m.group(0), m.start()) for m in _CANVAS_TOKEN_RE.finditer(canvas)]
-    n = len(tokens)
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-
-    def line_of(pos: int) -> int:
-        return bisect.bisect_right(line_starts, pos)
-
-    fragments: dict[FragmentRef, FunctionFragment] = {}
-    for k in range(n):
-        word, pos = tokens[k]
-        if word not in _DECL_WORDS:
+    close_of = _brace_pairs(canvas)
+    # Keyed by (start_line, end_line, name): the ref within one contract.
+    fragments: dict[tuple[int, int, str], FunctionFragment] = {}
+    line, counted = 1, 0  # the line of offset counted; keywords come in order
+    for decl in _DECL_RE.finditer(canvas):
+        pos = decl.start()
+        if not _starts_token(canvas, pos):
             continue
-        got = _try_extract(tokens, k, n)
-        if got is None:
+        declared = _declaration(canvas, decl)
+        if declared is None:
             continue
-        name, _body, close = got
+        name, header = declared
+        body = _body_open(canvas, header)
+        if body is None:
+            continue
+        line += text.count("\n", counted, pos)
+        counted = pos
+        close = close_of.get(body)
         if close is None:
             log.warning(
                 "%s: gave up on %r at line %d, braces never close",
-                contract.id, name, line_of(pos),
+                contract.id, name, line,
             )
             continue
-        close_pos = tokens[close][1]
-        fragment = FunctionFragment(
+        end_line = line + text.count("\n", pos, close)
+        fragments[line, end_line, name] = FunctionFragment(
             contract_id=contract.id,
             name=name,
-            start_line=line_of(pos),
-            end_line=line_of(close_pos),
-            exact_text=text[pos:close_pos + 1],
+            start_line=line,
+            end_line=end_line,
+            exact_text=text[pos:close + 1],
         )
-        fragments[fragment.ref] = fragment
     return list(fragments.values())

@@ -1,8 +1,18 @@
-"""Shared helpers: corpus builders and the two reference LCS routines."""
+"""Shared helpers: corpus builders, the reference extractor and the two
+reference LCS routines."""
 from __future__ import annotations
 
+import bisect
+import logging
+import re
+
 from volcano.corpus import Corpus, SourceContract
-from volcano.extractor import FunctionFragment, extract_functions
+from volcano.extractor import (
+    FragmentRef,
+    FunctionFragment,
+    extract_functions,
+    mask_comments_and_strings,
+)
 from volcano.normalize import RenamingMode, in_mode, pretty_print
 
 
@@ -27,6 +37,113 @@ def norm(text: str, mode: RenamingMode = RenamingMode.NONE, cid: str = "c"):
 def wrap(body: str, pragma: str | None = "pragma solidity ^0.4.10;") -> str:
     head = f"{pragma}\n" if pragma else ""
     return f"{head}contract C {{\n{body}\n}}\n"
+
+
+_DECL_WORDS = ("function", "constructor", "modifier", "fallback", "receive")
+_WORD_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_CANVAS_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[(){};]")
+_extractor_log = logging.getLogger("volcano.extractor")
+
+
+def _try_extract_reference(tokens, k, n):
+    """Try to read one definition starting at token k; return (name, body_open, close) indices."""
+    word, _ = tokens[k]
+    j = k + 1
+    if word == "function":
+        if j < n and _WORD_RE.fullmatch(tokens[j][0]):
+            name = tokens[j][0]
+            j += 1
+        else:
+            name = "<fallback>"
+    elif word == "constructor":
+        name = "<constructor>"
+    elif word == "modifier":
+        if not (j < n and _WORD_RE.fullmatch(tokens[j][0])):
+            return None
+        name = f"<modifier:{tokens[j][0]}>"
+        j += 1
+    else:  # fallback / receive keyword form: must open a parameter list
+        if not (j < n and tokens[j][0] == "("):
+            return None
+        name = "<fallback>" if word == "fallback" else "<receive>"
+
+    depth = 0
+    body = None
+    while j < n:
+        t = tokens[j][0]
+        if t == "(":
+            depth += 1
+        elif t == ")":
+            depth -= 1
+            if depth < 0:
+                return None
+        elif depth == 0:
+            if t == ";":
+                return None
+            if t == "{":
+                body = j
+                break
+            if t in ("function", "constructor", "modifier"):
+                return None
+        j += 1
+    if body is None:
+        return None
+
+    depth = 1
+    j = body + 1
+    while j < n and depth:
+        t = tokens[j][0]
+        if t == "{":
+            depth += 1
+        elif t == "}":
+            depth -= 1
+        j += 1
+    if depth:
+        return (name, body, None)
+    return (name, body, j - 1)
+
+
+def extract_functions_reference(contract: SourceContract) -> list[FunctionFragment]:
+    """The extractor as a walk over every word/brace token of the masked text.
+
+    A second route beside the brace-matching extractor under test: it
+    tokenizes the whole canvas and reads each declaration token by token.
+    It logs to the extractor's logger, so both give-up warnings compare.
+    """
+    text = contract.source_text
+    canvas = mask_comments_and_strings(text)
+    tokens = [(m.group(0), m.start()) for m in _CANVAS_TOKEN_RE.finditer(canvas)]
+    n = len(tokens)
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+
+    def line_of(pos: int) -> int:
+        return bisect.bisect_right(line_starts, pos)
+
+    fragments: dict[FragmentRef, FunctionFragment] = {}
+    for k in range(n):
+        word, pos = tokens[k]
+        if word not in _DECL_WORDS:
+            continue
+        got = _try_extract_reference(tokens, k, n)
+        if got is None:
+            continue
+        name, _body, close = got
+        if close is None:
+            _extractor_log.warning(
+                "%s: gave up on %r at line %d, braces never close",
+                contract.id, name, line_of(pos),
+            )
+            continue
+        close_pos = tokens[close][1]
+        fragment = FunctionFragment(
+            contract_id=contract.id,
+            name=name,
+            start_line=line_of(pos),
+            end_line=line_of(close_pos),
+            exact_text=text[pos:close_pos + 1],
+        )
+        fragments[fragment.ref] = fragment
+    return list(fragments.values())
 
 
 def lcs_oracle(a, b) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_contract, wrap
 
+import volcano.clone_engine as clone_engine_mod
 import volcano.corpus as corpus_mod
 import volcano.signatures as signatures_mod
 from volcano.cli import build_parser, emit_timing, main
@@ -531,3 +532,35 @@ def test_parser_defaults_follow_subcommand():
         ["derive", "--in", "/x", "--labels", "l.csv", "--out", "o"]
     )
     assert (derive.mode, derive.threshold) == ("consistent", 30)
+
+
+# Three-line functions whose blind sequences all differ and match no
+# builtin exemplar line for line: the size filter passes every pair of
+# them, and each of them against the three-line exemplars.
+_SAME_LENGTH = {
+    f"{name}.sol": wrap(f"    function tally(uint a) public {{\n        sum {op}= a;\n    }}")
+    for name, op in [("add", "+"), ("sub", "-"), ("mul", "*")]
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clones", "--mode", "blind", "--threshold", "{pct}", "--no-cache"],
+        ["evolve", "--sigs", "builtin", "--configs", "blind:{pct}", "--out", "{tmp}/e.csv"],
+    ],
+    ids=["clones", "evolve"],
+)
+def test_threshold_zero_runs_no_lcs(tmp_path, monkeypatch, argv):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name, text in _SAME_LENGTH.items():
+        (root / name).write_text(text)
+    real = clone_engine_mod.lcs_length
+    calls = []
+    monkeypatch.setattr(clone_engine_mod, "lcs_length", lambda a, b: calls.append(1) or real(a, b))
+    for pct, want_calls in (("30", True), ("0", False)):
+        calls.clear()
+        run = [a.format(pct=pct, tmp=tmp_path) for a in argv] + ["--in", str(root)]
+        assert main(run) == 0
+        assert bool(calls) is want_calls, (pct, len(calls))

@@ -118,6 +118,10 @@ def test_scan_report_canonical_body_excludes_timing():
     assert first.body_dict() == second.body_dict()
     assert "per_contract_ms" not in json.dumps(first.body_dict())
     assert "per_contract_ms" in first.to_json()
+    assert "wall_ms" not in json.dumps(first.body_dict())
+    timing = first.to_dict()["timing"]
+    assert timing["wall_ms"] >= timing["cross_classes_ms"]
+    assert timing["wall_ms"] >= timing["total_ms"]
     assert first.config["corpus"] == "victims"
     assert first.config["signature_count"] == 12
     assert first.config["mode"] == "consistent"

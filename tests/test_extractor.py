@@ -1,13 +1,22 @@
 """Comment/string masking and function extraction."""
 from __future__ import annotations
 
+import contextlib
 import logging
 import random
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_contract, single_fragment, wrap
+from conftest import (
+    GOLDEN_SOURCES,
+    extract_functions_reference,
+    make_contract,
+    single_fragment,
+    wrap,
+)
+from test_acceptance import BENIGN_SOURCES
 
 from volcano.corpus import SourceContract
 from volcano.extractor import (
@@ -16,6 +25,7 @@ from volcano.extractor import (
     mask_comments_and_strings,
     strip_comments,
 )
+from volcano.signatures import _BUILTIN
 
 
 def test_masking_preserves_geometry():
@@ -205,12 +215,20 @@ def test_code_round_trip_is_exact_slice():
 
 
 # Arbitrary text, text glued from the pieces the scanner reacts to, and
-# nested definitions whose names and lines often clash.
+# nested definitions whose names and lines often clash. The pieces cover
+# keywords glued to digits and words ("9function" holds a `function`
+# token, the other glued forms none), headers that do and do not open a
+# definition, a '}' before any '{', and unterminated strings and comments.
 _PIECES = [
     "function", "modifier", "constructor", "fallback", "receive", "assembly",
     " f", " g", "(", ")", "{", "}", ";", " ", "\n", "//", "/*", "*/", '"', "'", "\\", "x",
+    "9function", "function9", "xfunction", "0xfunction", "$function",
+    "fallback (", "receive;", "modifier m", "} {", '"open', "/* open", "'open\n",
 ]
-_HEADERS = ["function f()", "function g()", "modifier f", "constructor()", "fallback()"]
+_HEADERS = [
+    "function f()", "function g()", "modifier f", "constructor()", "fallback()",
+    "9function f()", "x9function f()", "function9 f()", "$function f()", "fallback ()",
+]
 
 
 def _definition(parts):
@@ -241,3 +259,49 @@ def test_masking_keeps_length_and_newline_offsets(text):
     masked = mask_comments_and_strings(text)
     assert len(masked) == len(text)
     assert [i for i, ch in enumerate(masked) if ch == "\n"] == [i for i, ch in enumerate(text) if ch == "\n"]
+
+
+@contextlib.contextmanager
+def _extractor_warnings():
+    """Collect the messages the extractor's logger emits in the block."""
+    messages: list[str] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("volcano.extractor")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def _fragments_and_warnings(extract, contract):
+    with _extractor_warnings() as messages:
+        frags = extract(contract)
+    return [(f.name, f.start_line, f.end_line, f.exact_text) for f in frags], messages
+
+
+def _assert_matches_reference(contract):
+    got = _fragments_and_warnings(extract_functions, contract)
+    assert got == _fragments_and_warnings(extract_functions_reference, contract)
+
+
+@given(_sources)
+@example("9function f() { } x9function g() { } 0xfunction h() { }")
+@example("$function f() { } function9 g() { } } function k() { }")
+def test_extraction_equals_token_walk_reference(text):
+    _assert_matches_reference(SourceContract("c", text))
+
+
+# Every contract source the suite writes as a .sol file: the golden and
+# benign corpora and the shipped signatures' exemplars.
+_FIXTURE_SOURCES = {
+    **GOLDEN_SOURCES,
+    **{f"benign/{cid}": text for cid, text in BENIGN_SOURCES.items()},
+    **{f"builtin/{slug}.sol": text for slug, _, _, text in _BUILTIN},
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_FIXTURE_SOURCES))
+def test_extraction_equals_reference_on_fixture_sources(cid):
+    _assert_matches_reference(SourceContract(cid, _FIXTURE_SOURCES[cid]))
