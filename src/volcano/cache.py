@@ -3,11 +3,15 @@
 The cache is one JSON file in a `.volcano-cache/` directory: fragment
 records, with lines normalized in the configured mode only, keyed by
 content digest (so renamed or duplicated files reuse work), the
-id-to-digest binding of the last run, and the clone pairs found.
-incremental_scan re-extracts only contracts whose digest changed and
-re-runs LCS only for pairs touching them (and rebuilds any record that
-lacks the configured mode); the result is extensionally equal to a
-from-scratch analysis of the current corpus.
+id-to-digest binding of the last run, and the clone decisions found.
+A clone decision depends only on two distinct line sequences, so the
+cache keeps one entry [i, j, lcs] per clone pair of distinct sequences,
+i < j ranks in sequences(); fragment pairs are expanded from them on
+every run. incremental_scan re-extracts only contracts whose digest
+changed (and rebuilds any record that lacks the configured mode) and
+re-runs LCS only for pairs with a sequence the cache does not hold; the
+result is extensionally equal to a from-scratch analysis of the current
+corpus.
 
 A cache written under a different clone configuration is an error; an
 unreadable cache, or one written by different extraction, normalization,
@@ -23,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clone_engine import CloneConfig, ClonePair, cluster_classes, detect_pairs
+from .clone_engine import CloneConfig, _fragment_pairs, _sequence_classes, _sequence_pairs
 from .corpus import Corpus, SourceContract
 from .errors import CacheConfigMismatch
 from .extractor import FragmentRef
@@ -81,20 +85,12 @@ def _is_record(record) -> bool:
     )
 
 
-def _ref_record(ref: FragmentRef) -> list:
-    return [ref.contract_id, ref.start_line, ref.end_line, ref.name]
-
-
-def _ref_from(record) -> FragmentRef:
-    return FragmentRef(record[0], record[1], record[2], record[3])
-
-
 @dataclass
 class AnalysisCache:
     config_digest: str
     contracts: dict[str, str] = field(default_factory=dict)  # id -> content digest
     fragments: dict[str, list[dict]] = field(default_factory=dict)  # digest -> records
-    pairs: list[ClonePair] = field(default_factory=list)
+    clones: list[list[int]] = field(default_factory=list)  # [i, j, lcs], ranks in sequences()
 
     @classmethod
     def empty(cls, cfg: CloneConfig) -> "AnalysisCache":
@@ -110,17 +106,6 @@ class AnalysisCache:
             if blob["version"] != CACHE_VERSION:
                 log.warning("cache %s has version %s, ignoring it", path, blob["version"])
                 return None
-            pairs = [
-                ClonePair(
-                    left=_ref_from(p["left"]),
-                    right=_ref_from(p["right"]),
-                    lcs_len=p["lcs"],
-                    max_len=p["max"],
-                )
-                for p in blob["pairs"]
-            ]
-            if not all(0 <= p.lcs_len <= p.max_len and p.max_len for p in pairs):
-                raise ValueError("a clone pair has an impossible LCS length")
             contracts, fragments = blob["contracts"], blob["fragments"]
             if not (
                 isinstance(contracts, dict)
@@ -129,19 +114,23 @@ class AnalysisCache:
                 and all(isinstance(rs, list) and all(map(_is_record, rs)) for rs in fragments.values())
             ):
                 raise ValueError("a contract or fragment record has the wrong shape")
-            held = {
-                FragmentRef(cid, r["start_line"], r["end_line"], r["name"])
-                for cid, digest in contracts.items()
-                for r in fragments.get(digest, [])
-            }
-            if not all(p.left in held and p.right in held for p in pairs):
-                raise ValueError("a clone pair names a fragment the cache does not hold")
-            return cls(
+            cache = cls(
                 config_digest=blob["config_digest"],
                 contracts=contracts,
                 fragments=fragments,
-                pairs=pairs,
+                clones=blob["clones"],
             )
+            sizes = [len(seq) for seq in cache.sequences()]
+            if not isinstance(cache.clones, list) or not all(
+                isinstance(c, list)
+                and len(c) == 3
+                and all(type(v) is int for v in c)
+                and 0 <= c[0] < c[1] < len(sizes)
+                and 0 < c[2] <= min(sizes[c[0]], sizes[c[1]])
+                for c in cache.clones
+            ):
+                raise ValueError("a clone entry names no pair of held sequences or has an impossible LCS")
+            return cache
         except (OSError, ValueError, KeyError, TypeError) as exc:
             log.warning("cache %s is unreadable (%s); falling back to full analysis", path, exc)
             return None
@@ -154,20 +143,18 @@ class AnalysisCache:
             "config_digest": self.config_digest,
             "contracts": self.contracts,
             "fragments": self.fragments,
-            "pairs": [
-                {
-                    "left": _ref_record(p.left),
-                    "right": _ref_record(p.right),
-                    "lcs": p.lcs_len,
-                    "max": p.max_len,
-                }
-                for p in self.pairs
-            ],
+            "clones": self.clones,
         }
         path = cache_dir / CACHE_FILE
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
         tmp.replace(path)
+
+    def sequences(self) -> list[tuple[str, ...]]:
+        """The distinct line sequences of the fragment records, sorted."""
+        return sorted(
+            {tuple(seq) for records in self.fragments.values() for r in records for seq in r["lines"].values()}
+        )
 
     @staticmethod
     def clear(cache_dir) -> None:
@@ -197,20 +184,20 @@ def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: Clone
 
     changed_contracts is the full current corpus snapshot; the diff against
     the cache (additions, modifications, removals) is taken here by content
-    digest. Pairs between unchanged contracts are reused as they stand:
-    AnalysisCache.load rejects a cache whose pairs name fragments it does
-    not hold. The cache object is updated in place to describe the current
-    corpus; callers persist it with save().
+    digest. Every sequence the cache holds brings its clone decisions, so a
+    pair of two such sequences costs no LCS, whichever contracts carry it
+    now: a copied, renamed or partly edited contract recomputes only the
+    pairs of its new sequences. The cache object is updated in place to
+    describe the current corpus; callers persist it with save().
     """
     if cache.config_digest != cfg.digest():
         raise CacheConfigMismatch(
             "cache was built under a different configuration; run `volcano cache clear`"
         )
-    current = {c.id: c for c in changed_contracts}
-    unchanged = {
-        cid for cid, c in current.items() if cache.contracts.get(cid) == c.content_digest
-    }
-
+    seqs = cache.sequences()
+    known = {seq: {} for seq in seqs}
+    for i, j, lcs in cache.clones:
+        known[seqs[i]][seqs[j]] = known[seqs[j]][seqs[i]] = lcs
     records: dict[str, list[dict]] = {}
     for contract in changed_contracts:
         digest = contract.content_digest
@@ -220,15 +207,16 @@ def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: Clone
         if cached is None or not all(cfg.mode.value in r["lines"] for r in cached):
             cached = _fragment_records(contract, cfg.mode)
         records[digest] = cached
-    cache.contracts = {cid: c.content_digest for cid, c in current.items()}
+    cache.contracts = {c.id: c.content_digest for c in changed_contracts}
     cache.fragments = records
 
     fragments = fragment_index(cache, changed_contracts, cfg.mode).values()
-    reused = [
-        p
-        for p in cache.pairs
-        if p.left.contract_id in unchanged and p.right.contract_id in unchanged
-    ]
-    fresh = detect_pairs(fragments, cfg, unchanged)
-    cache.pairs = sorted(reused + fresh, key=lambda p: (p.left, p.right))
-    return cache.pairs, cluster_classes(cache.pairs)
+    found = _sequence_pairs(fragments, cfg, known)
+    eligible, _, seq_pairs = found
+    rank = {seq: i for i, seq in enumerate(cache.sequences())}
+    cache.clones = sorted(
+        sorted((rank[eligible[ga[0]].lines], rank[eligible[gb[0]].lines])) + [lcs]
+        for ga, gb, lcs, _ in seq_pairs
+        if ga is not gb
+    )
+    return _fragment_pairs(*found), _sequence_classes(*found)

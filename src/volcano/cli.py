@@ -283,7 +283,7 @@ def _cmd_scan(args) -> int:
             if count:
                 lines.append(f"  {name}: {count} fragments")
         _write_or_print("\n".join(lines), args.out)
-    print("analysis time:", emit_timing(report.per_contract_ms))
+    print("analysis time:", emit_timing(report.per_contract_ms), file=sys.stderr)
     return 0
 
 

@@ -165,8 +165,11 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known):
     (group_a, group_b, lcs, hi), each group the indices of the fragments
     holding one sequence. group_a is group_b for the fragments of one
     sequence, clones of each other with no LCS work; at max_difference 0
-    these are the only pairs. Sequence pairs whose fragments all sit in
-    known contracts are left out.
+    these are the only pairs.
+
+    known maps each sequence whose pairs with every other key are decided
+    under cfg to {other_lines: lcs} of its clones; those pairs are read
+    from it, not decided again.
     """
     for nf in fragments:
         _check_mode(nf, cfg)
@@ -180,45 +183,49 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known):
         # Equal origins sort next to each other.
         ref_of.append(ref_of[-1] if i and nf.origin == eligible[i - 1].origin else i)
         groups.setdefault(nf.lines, []).append(i)
-    seqs = [
-        (lines, group, all(eligible[i].origin.contract_id in known for i in group))
-        for lines, group in groups.items()
-    ]
+    # Known sequences first: each pairs with the later known ones by lookup
+    # and with the new ones, which follow them, by LCS.
+    old = [lines for lines in groups if lines in known]
+    seqs = old + [lines for lines in groups if lines not in known]
+    pos = {lines: x for x, lines in enumerate(seqs)}
     pairs = []
-    for x, (la, ga, a_known) in enumerate(seqs):
-        if len(ga) > 1 and not a_known:
-            pairs.append((ga, ga, len(la), len(la)))
+    for x, la in enumerate(seqs):
+        ga, na = groups[la], len(la)
+        if len(ga) > 1:
+            pairs.append((ga, ga, na, na))
         if not cfg.max_difference:
             continue
-        na = len(la)
-        for lb, gb, b_known in seqs[x + 1:]:
-            if a_known and b_known:
-                continue
+        for lb, lcs in known.get(la, {}).items():
+            if pos.get(lb, -1) > x:
+                pairs.append((ga, groups[lb], lcs, max(na, len(lb))))
+        for lb in seqs[max(x + 1, len(old)):]:
             lcs = clone_lcs(la, lb, cfg)
             if lcs is not None:
-                pairs.append((ga, gb, lcs, max(na, len(lb))))
+                pairs.append((ga, groups[lb], lcs, max(na, len(lb))))
     return eligible, ref_of, pairs
 
 
-def detect_pairs(fragments, cfg: CloneConfig, known=frozenset()) -> list[ClonePair]:
-    """All clone pairs among fragments, in canonical (left, right) order.
-
-    Fragments outside [min_lines, max_lines] never pair, nor do fragments
-    with the same origin. Pairs between two fragments whose contract ids
-    are both in known are left out: the caller already has them.
-    """
-    eligible, ref_of, seq_pairs = _sequence_pairs(fragments, cfg, known)
-    in_known = [nf.origin.contract_id in known for nf in eligible]
+def _fragment_pairs(eligible, ref_of, seq_pairs) -> list[ClonePair]:
+    """The clone pairs of fragments that sequence pairs stand for, in canonical order."""
     found = []
     for ga, gb, lcs, hi in seq_pairs:
         for i, j in itertools.combinations(ga, 2) if ga is gb else itertools.product(ga, gb):
-            if ref_of[i] != ref_of[j] and not (in_known[i] and in_known[j]):
+            if ref_of[i] != ref_of[j]:
                 found.append((i, j, lcs, hi) if i < j else (j, i, lcs, hi))
     found.sort()
     return [
         ClonePair(eligible[i].origin, eligible[j].origin, lcs_len=lcs, max_len=hi)
         for i, j, lcs, hi in found
     ]
+
+
+def detect_pairs(fragments, cfg: CloneConfig) -> list[ClonePair]:
+    """All clone pairs among fragments, in canonical (left, right) order.
+
+    Fragments outside [min_lines, max_lines] never pair, nor do fragments
+    with the same origin.
+    """
+    return _fragment_pairs(*_sequence_pairs(fragments, cfg, {}))
 
 
 def _components(edges) -> list[list]:
@@ -266,19 +273,23 @@ def cluster_classes(pairs) -> list[CloneClass]:
     return _classes(_components((p.left, p.right) for p in pairs))
 
 
-def clone_classes(fragments, cfg: CloneConfig) -> list[CloneClass]:
-    """cluster_classes(detect_pairs(fragments, cfg)), without building a pair.
+def _sequence_classes(eligible, ref_of, seq_pairs) -> list[CloneClass]:
+    """cluster_classes(_fragment_pairs(...)), without building a pair.
 
     A clone pair of sequences joins the origins of all its fragments when
     they hold two or more origins: the fragments of one sequence are joined
     through each other, two sequences through one fragment of each.
     """
-    eligible, ref_of, seq_pairs = _sequence_pairs(fragments, cfg, frozenset())
     edges = []
     for ga, gb, _, _ in seq_pairs:
         a = ref_of[ga[0]]
         edges.extend((a, ref_of[i]) for i in (ga if ga is gb else gb[:1]) if ref_of[i] != a)
     return _classes([[eligible[i].origin for i in comp] for comp in _components(edges)])
+
+
+def clone_classes(fragments, cfg: CloneConfig) -> list[CloneClass]:
+    """cluster_classes(detect_pairs(fragments, cfg)), without building a pair."""
+    return _sequence_classes(*_sequence_pairs(fragments, cfg, {}))
 
 
 def class_row(cls: CloneClass, by_ref, exemplar: NormalizedFragment) -> dict:

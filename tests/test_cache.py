@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volcano.clone_engine as clone_engine_mod
 import volcano.normalize as normalize_mod
-from conftest import make_corpus, pair_key_set, wrap
+from conftest import lcs_oracle, make_corpus, pair_key_set, wrap
 
 from volcano.cache import (
     CACHE_FILE,
@@ -30,6 +31,7 @@ from volcano.errors import CacheConfigMismatch
 from volcano.normalize import RenamingMode
 
 BLIND_10 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(10, 100))
+CONSISTENT_30 = CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(30, 100))
 
 
 def contract_text(tag: int, variant: int = 0) -> str:
@@ -68,17 +70,26 @@ def canonical(pairs, classes) -> str:
 
 def test_empty_cache_scan_finds_pairs_and_saves(tmp_path):
     corpus = clone_rich_corpus()
-    cache = AnalysisCache.empty(BLIND_10)
-    pairs, classes = incremental_scan(cache, corpus, BLIND_10)
+    cache = AnalysisCache.empty(CONSISTENT_30)
+    pairs, classes = incremental_scan(cache, corpus, CONSISTENT_30)
     assert pairs and classes
     assert cache.contracts == {c.id: c.content_digest for c in corpus}
     cache.save(tmp_path)
     loaded = AnalysisCache.load(tmp_path)
     assert loaded is not None
-    assert loaded.config_digest == BLIND_10.digest()
+    assert loaded.config_digest == CONSISTENT_30.digest()
     assert loaded.contracts == cache.contracts
-    assert pair_key_set(loaded.pairs) == pair_key_set(pairs)
-    assert all(p.similarity == p.lcs_len / p.max_len for p in loaded.pairs)
+    assert loaded.clones == cache.clones
+    # one entry per clone pair of distinct sequences, each with its LCS
+    seqs = loaded.sequences()
+    index = fragment_index(loaded, corpus, CONSISTENT_30.mode)
+    want = set()
+    for p in pairs:
+        i, j = sorted((seqs.index(index[p.left].lines), seqs.index(index[p.right].lines)))
+        if i != j:
+            want.add((i, j, p.lcs_len))
+    assert {tuple(c) for c in loaded.clones} == want
+    assert all(lcs_oracle(seqs[i], seqs[j]) == lcs for i, j, lcs in loaded.clones)
 
 
 def test_rescan_without_changes_is_byte_identical(tmp_path):
@@ -101,6 +112,54 @@ def test_rescan_reuses_fragment_records(monkeypatch):
     )
     incremental_scan(cache, corpus, BLIND_10)
     assert calls == []
+
+
+def _two_functions(tag: int, extra: int = 0) -> str:
+    return wrap(
+        "\n".join([
+            f"    function pay{tag}(address to, uint amount) public {{",
+            "        if (ledger >= amount)",
+            "            to.send(amount);",
+            "        ledger -= amount;",
+            *(["        ledger -= 1;"] * extra),
+            "    }",
+            f"    function audit{tag}(uint limit) public {{",
+            "        require(total <= limit);",
+            f"        total = total * {tag + 2};",
+            "        emit Audited(total);",
+            "    }",
+        ])
+    )
+
+
+def test_warm_scan_decides_no_pair_of_cached_sequences_again(tmp_path, monkeypatch):
+    sources = {f"c{i}": _two_functions(i) for i in range(4)}
+    cache = AnalysisCache.empty(CONSISTENT_30)
+    incremental_scan(cache, make_corpus("v0", sources), CONSISTENT_30)
+    cache.save(tmp_path)
+    warm = AnalysisCache.load(tmp_path)
+    cached = set(warm.sequences())
+
+    sources["copy"] = sources["c1"]  # a copy under a new id
+    sources["c2"] = _two_functions(2, extra=1)  # one function of c2 edited
+    corpus = make_corpus("v1", sources)
+    calls = []
+    original = clone_engine_mod.lcs_length
+    monkeypatch.setattr(clone_engine_mod, "lcs_length", lambda a, b: calls.append((a, b)) or original(a, b))
+    pairs, classes = incremental_scan(warm, corpus, CONSISTENT_30)
+    assert calls, "the edited function is new and must be decided"
+    assert not [c for c in calls if c[0] in cached and c[1] in cached]
+    assert canonical(pairs, classes) == canonical(*full_result(corpus, CONSISTENT_30))
+
+    # n identical copies: one sequence, so no clone entry, yet n(n-1)/2 pairs
+    n = 6
+    corpus = make_corpus("copies", {f"c{i}": contract_text(1) for i in range(n)})
+    cache = AnalysisCache.empty(CONSISTENT_30)
+    pairs, classes = incremental_scan(cache, corpus, CONSISTENT_30)
+    cache.save(tmp_path)
+    assert json.loads((tmp_path / CACHE_FILE).read_text())["clones"] == []
+    assert len(pairs) == n * (n - 1) // 2
+    assert [len(c.members) for c in classes] == [n]
 
 
 def test_incremental_add_modify_remove_match_full_scan():
@@ -192,13 +251,32 @@ def test_corrupt_cache_loads_as_none_with_warning(tmp_path, caplog):
     assert any("falling back to full analysis" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("lcs,longest", [(3, 0), (7, 6), ("6", 6), (None, 6)])
-def test_cache_with_an_impossible_pair_loads_as_none(lcs, longest, tmp_path, caplog):
-    cache = AnalysisCache.empty(BLIND_10)
-    incremental_scan(cache, clone_rich_corpus(), BLIND_10)
+@pytest.mark.parametrize(
+    "clones",
+    [
+        [[0, 6, 4]],  # index out of range: the corpus holds six sequences
+        [[1, 0, 4]],  # i >= j
+        [[1, 1, 4]],
+        [[0, 1, 0]],  # lcs of 0
+        [[0, 1, 6]],  # lcs longer than the shorter sequence (5 lines)
+        [[0, 1, 7]],  # lcs longer than the longer sequence (6 lines)
+        [[0, 1, "4"]],  # a non-int field
+        [[0, 1, None]],
+        [[0, True, 4]],
+        [[0, 1]],  # wrong arity
+        [[0, 1, 4, 5]],
+        {"0": [1, 4]},  # clones not a list
+    ],
+    ids=["range", "order", "self", "lcs0", "lcs-long", "lcs-longest", "str", "null", "bool", "arity2", "arity4", "dict"],
+)
+def test_cache_with_an_impossible_pair_loads_as_none(clones, tmp_path, caplog):
+    cache = AnalysisCache.empty(CONSISTENT_30)
+    incremental_scan(cache, clone_rich_corpus(), CONSISTENT_30)
     cache.save(tmp_path)
+    assert [len(seq) for seq in cache.sequences()] == [6, 5, 6, 5, 6, 5]
+    assert [0, 1, 5] in cache.clones
     blob = json.loads((tmp_path / CACHE_FILE).read_text())
-    blob["pairs"][0].update(lcs=lcs, max=longest)
+    blob["clones"] = clones
     (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
     with caplog.at_level(logging.WARNING, logger="volcano.cache"):
         assert AnalysisCache.load(tmp_path) is None

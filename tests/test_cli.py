@@ -38,7 +38,7 @@ def test_scan_json_exit_zero_and_deterministic(corpus_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = ["scan", "--in", str(corpus_dir), "--sigs", "builtin", "--out", str(out)]
     assert main(argv) == 0
-    assert "analysis time:" in capsys.readouterr().out
+    assert "analysis time:" in capsys.readouterr().err
     first = json.loads(out.read_text())
     assert main(argv) == 0
     second = json.loads(out.read_text())
@@ -48,6 +48,12 @@ def test_scan_json_exit_zero_and_deterministic(corpus_dir, tmp_path, capsys):
     assert {"dos-open-suicide", "dos-open-selfdestruct"} <= sig_ids
     assert first["config"]["run"]["command"] == "scan"
     assert first["config"]["run"]["threshold"] == 30
+
+
+def test_scan_json_on_stdout_parses(corpus_dir, capsys):
+    assert main(["scan", "--in", str(corpus_dir), "--sigs", "builtin", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["detections"]
 
 
 def test_scan_text_format(corpus_dir, capsys):
@@ -363,15 +369,14 @@ def test_clones_over_misshapen_cache_records_equals_a_fresh_run(edit, warns, cor
     assert cached_doc == fresh_doc
 
 
-@pytest.mark.parametrize("left", [["kill.sol", 99, 2, "f"], ["kill.sol", "2", 4, "kill"]])
-def test_clones_over_a_cached_pair_of_unknown_fragments_equals_a_fresh_run(left, corpus_dir, tmp_path, caplog):
+@pytest.mark.parametrize("entry", [[0, 99, 2], [0, "1", 2]], ids=["out-of-range", "not-int"])
+def test_clones_over_a_cached_pair_of_unknown_sequences_equals_a_fresh_run(entry, corpus_dir, tmp_path, caplog):
     argv = ["clones", "--in", str(corpus_dir), "--mode", "blind", "--threshold", "25"]
     fresh, cached = tmp_path / "fresh.json", tmp_path / "cached.json"
     assert main([*argv, "--out", str(fresh)]) == 0
     cache_file = corpus_dir / ".volcano-cache" / "analysis.json"
     blob = json.loads(cache_file.read_text())
-    assert blob["pairs"]
-    blob["pairs"][0]["left"] = left
+    blob["clones"].append(entry)
     cache_file.write_text(json.dumps(blob))
     with caplog.at_level("WARNING", logger="volcano.cache"):
         assert main([*argv, "--out", str(cached)]) == 0

@@ -15,6 +15,9 @@ from conftest import lcs_dp, lcs_oracle, make_contract, norm, pair_key_set, wrap
 
 from volcano.clone_engine import (
     CloneConfig,
+    _fragment_pairs,
+    _sequence_classes,
+    _sequence_pairs,
     clone_classes,
     clone_lcs,
     cluster_classes,
@@ -212,15 +215,6 @@ def test_detect_pairs_canonical_order_and_shuffle_stable():
         assert detect_pairs(frags, config) == baseline
 
 
-def test_detect_pairs_leaves_out_pairs_among_known_contracts():
-    frags = [frag(cid, ["x", "y", "z"]) for cid in "abcd"]
-    full = detect_pairs(frags, cfg())
-    assert len(full) == 6
-    got = detect_pairs(frags, cfg(), known={"a", "b"})
-    assert got == [p for p in full if {p.left.contract_id, p.right.contract_id} != {"a", "b"}]
-    assert detect_pairs(frags, cfg(), known=set("abcd")) == []
-
-
 _lines = st.lists(st.sampled_from("abc"), max_size=8)
 
 
@@ -258,7 +252,7 @@ _configs = st.builds(
 )
 
 
-def _brute_pairs(fragments, config, known):
+def _brute_pairs(fragments, config):
     """Every clone pair by a double loop over fragments sorted by origin."""
     def inside(nf):
         n = len(nf.lines)
@@ -270,8 +264,6 @@ def _brute_pairs(fragments, config, known):
         for b in eligible[i + 1:]:
             if a.origin == b.origin:
                 continue
-            if a.origin.contract_id in known and b.origin.contract_id in known:
-                continue
             hi = max(len(a.lines), len(b.lines))
             lcs = lcs_oracle(a.lines, b.lines)
             if Fraction(hi - lcs, hi) <= config.max_difference:
@@ -279,13 +271,32 @@ def _brute_pairs(fragments, config, known):
     return out
 
 
-@given(_fragments, _configs, st.sets(st.sampled_from("abcd")))
-def test_detect_pairs_equals_brute_force(fragments, config, known):
-    got = [(p.left, p.right, p.lcs_len, p.max_len) for p in detect_pairs(fragments, config, known)]
-    want = _brute_pairs(fragments, config, known)
+@given(_fragments, _configs)
+def test_detect_pairs_equals_brute_force(fragments, config):
+    got = [(p.left, p.right, p.lcs_len, p.max_len) for p in detect_pairs(fragments, config)]
+    want = _brute_pairs(fragments, config)
     assert Counter(got) == Counter(want)
     if len({nf.origin for nf in fragments}) == len(fragments):
         assert got == want
+
+
+def _decisions(fragments, config) -> dict:
+    """The clone decisions of a run over fragments, as _sequence_pairs takes them."""
+    eligible, _, seq_pairs = _sequence_pairs(fragments, config, {})
+    known = {nf.lines: {} for nf in eligible}
+    for ga, gb, lcs, _ in seq_pairs:
+        a, b = eligible[ga[0]].lines, eligible[gb[0]].lines
+        if a != b:
+            known[a][b] = known[b][a] = lcs
+    return known
+
+
+@given(_fragments, _configs, st.sets(st.sampled_from("abcd")))
+def test_sequence_pairs_seeded_with_earlier_decisions_equal_an_unseeded_run(fragments, config, seen):
+    known = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
+    seeded = _sequence_pairs(fragments, config, known)
+    assert _fragment_pairs(*seeded) == detect_pairs(fragments, config)
+    assert _sequence_classes(*seeded) == clone_classes(fragments, config)
 
 
 @given(_fragments, _configs)
