@@ -13,6 +13,20 @@ operations for w-bit machine words, and exact, not an approximation.
 Clone classes are the connected components of the pair graph. A decision
 depends only on the two line sequences and the config, so it is made once
 per distinct pair of sequences and holds for every fragment carrying them.
+
+Which pairs of sequences reach the kernel is decided by an exact prefix
+filter (Chaudhuri et al., ICDE 2006; SourcererCC, ICSE 2016). With
+max_difference num/den, a clone pair has (hi - lcs) * den <= num * hi and
+hi >= n for either side's n lines, so each side of n lines shares at least
+need = ceil(n * (den - num) / den) lines with the other, counted as a
+multiset. Each line becomes a token (line, k) for its k-th occurrence, so
+the multiset overlap is a set overlap, and every sequence's tokens are
+sorted by one global order: frequency over the distinct sequences, then
+the token. The first common token of a clone pair then sits within the
+first n - need + 1 = n * num // den + 1 tokens of each side, so an index of
+those prefixes yields every clone pair as a candidate. Every candidate
+still goes through the size filter and the exact threshold, so the index
+drops only pairs that cannot clone and changes no decision.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,6 +171,42 @@ def is_clone_pair(a: NormalizedFragment, b: NormalizedFragment, cfg: CloneConfig
     return bool(detect_pairs([a, b], cfg))
 
 
+def _tokens(lines) -> list[tuple]:
+    """The lines of a sequence as tokens (line, k), line's k-th occurrence."""
+    seen: dict = {}
+    tokens = []
+    for line in lines:
+        k = seen[line] = seen.get(line, -1) + 1
+        tokens.append((line, k))
+    return tokens
+
+
+def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
+    """Pairs (a, b) of distinct sequences that may clone under cfg, b in new.
+
+    a is in old or before b in new, so no pair of two old sequences is a
+    candidate. Every clone pair with a side in new is one: it shares a
+    token within each side's first n * num // den + 1 tokens in the global
+    order (see the module docstring). old sequences enter the index first;
+    each new one probes the prefixes indexed so far, then adds its own.
+    """
+    num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
+    seqs = old + new
+    tokens = [_tokens(lines) for lines in seqs]
+    freq = Counter(t for toks in tokens for t in toks)
+    rank = {t: r for r, t in enumerate(sorted(freq, key=lambda t: (freq[t], t)))}
+    index: dict[tuple, list[int]] = {}
+    out = []
+    for x, toks in enumerate(tokens):
+        prefix = sorted(toks, key=rank.__getitem__)[: len(toks) * num // den + 1]
+        if x >= len(old):
+            near = {y for t in prefix for y in index.get(t, ())}
+            out.extend((seqs[y], seqs[x]) for y in sorted(near))
+        for t in prefix:
+            index.setdefault(t, []).append(x)
+    return out
+
+
 def _sequence_pairs(fragments, cfg: CloneConfig, known):
     """Clone decisions among fragments, made once per pair of distinct sequences.
 
@@ -165,11 +216,17 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known):
     (group_a, group_b, lcs, hi), each group the indices of the fragments
     holding one sequence. group_a is group_b for the fragments of one
     sequence, clones of each other with no LCS work; at max_difference 0
-    these are the only pairs.
+    these are the only pairs, and no candidate index is built.
 
     known maps each sequence whose pairs with every other key are decided
     under cfg to {other_lines: lcs} of its clones; those pairs are read
-    from it, not decided again.
+    from it, not decided again. Every other pair of distinct sequences is
+    decided by clone_lcs if the prefix index (_candidates) makes it a
+    candidate, and is provably no clone if not: a clone of an n-line
+    sequence shares at least need = ceil(n * (den - num) / den) of its
+    lines, so the first n - need + 1 tokens of each side, in the global
+    order (frequency over the distinct sequences, then the token), share
+    a token.
     """
     for nf in fragments:
         _check_mode(nf, cfg)
@@ -183,25 +240,20 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known):
         # Equal origins sort next to each other.
         ref_of.append(ref_of[-1] if i and nf.origin == eligible[i - 1].origin else i)
         groups.setdefault(nf.lines, []).append(i)
-    # Known sequences first: each pairs with the later known ones by lookup
-    # and with the new ones, which follow them, by LCS.
+    pairs = [(g, g, len(lines), len(lines)) for lines, g in groups.items() if len(g) > 1]
+    if not cfg.max_difference:
+        return eligible, ref_of, pairs
     old = [lines for lines in groups if lines in known]
-    seqs = old + [lines for lines in groups if lines not in known]
-    pos = {lines: x for x, lines in enumerate(seqs)}
-    pairs = []
-    for x, la in enumerate(seqs):
-        ga, na = groups[la], len(la)
-        if len(ga) > 1:
-            pairs.append((ga, ga, na, na))
-        if not cfg.max_difference:
-            continue
-        for lb, lcs in known.get(la, {}).items():
+    pos = {lines: x for x, lines in enumerate(old)}
+    for x, la in enumerate(old):
+        for lb, lcs in known[la].items():
             if pos.get(lb, -1) > x:
-                pairs.append((ga, groups[lb], lcs, max(na, len(lb))))
-        for lb in seqs[max(x + 1, len(old)):]:
-            lcs = clone_lcs(la, lb, cfg)
-            if lcs is not None:
-                pairs.append((ga, groups[lb], lcs, max(na, len(lb))))
+                pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
+    new = [lines for lines in groups if lines not in known]
+    for la, lb in _candidates(old, new, cfg):
+        lcs = clone_lcs(la, lb, cfg)
+        if lcs is not None:
+            pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
     return eligible, ref_of, pairs
 
 

@@ -114,14 +114,15 @@ def test_rescan_reuses_fragment_records(monkeypatch):
     assert calls == []
 
 
-def _two_functions(tag: int, extra: int = 0) -> str:
+def _two_functions(tag: int, edited: bool = False) -> str:
     return wrap(
         "\n".join([
             f"    function pay{tag}(address to, uint amount) public {{",
             "        if (ledger >= amount)",
             "            to.send(amount);",
             "        ledger -= amount;",
-            *(["        ledger -= 1;"] * extra),
+            "        paid -= amount;" if edited else "        paid += amount;",
+            "        emit Paid(to, amount);",
             "    }",
             f"    function audit{tag}(uint limit) public {{",
             "        require(total <= limit);",
@@ -141,7 +142,9 @@ def test_warm_scan_decides_no_pair_of_cached_sequences_again(tmp_path, monkeypat
     cached = set(warm.sequences())
 
     sources["copy"] = sources["c1"]  # a copy under a new id
-    sources["c2"] = _two_functions(2, extra=1)  # one function of c2 edited
+    # One token of c2's pay edited: 7 lines, 5 shared with each cached pay
+    # sequence (the name differs too), a clone at 30% that needs the kernel.
+    sources["c2"] = _two_functions(2, edited=True)
     corpus = make_corpus("v1", sources)
     calls = []
     original = clone_engine_mod.lcs_length

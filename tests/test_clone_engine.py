@@ -6,15 +6,18 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import volcano.clone_engine as clone_engine_mod
 from conftest import lcs_dp, lcs_oracle, make_contract, norm, pair_key_set, wrap
 
 from volcano.clone_engine import (
     CloneConfig,
+    _candidates,
     _fragment_pairs,
     _sequence_classes,
     _sequence_pairs,
@@ -25,6 +28,7 @@ from volcano.clone_engine import (
     is_clone_pair,
     lcs_length,
     similarity,
+    within_window,
 )
 from volcano.errors import EmptyFragment, ModeMismatch
 from volcano.extractor import FragmentRef
@@ -244,6 +248,36 @@ _fragments = st.lists(
     ),
     max_size=12,
 )
+
+
+@st.composite
+def _near_misses(draw):
+    """Fragments edited from a few base sequences over a wide alphabet.
+
+    Copies of one base clone or nearly clone; the bases share few lines, so
+    most pairs share no prefix token and the candidate index prunes them.
+    """
+    line = st.sampled_from([f"s{i};" for i in range(draw(st.integers(2, 24)))])
+    bases = draw(st.lists(st.lists(line, min_size=1, max_size=8), min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 10))):
+        lines = list(draw(st.sampled_from(bases)))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+            op = draw(st.sampled_from(["insert", "delete", "replace"])) if lines else "insert"
+            if op == "insert":
+                lines.insert(i, draw(line))
+            elif op == "delete":
+                del lines[i]
+            else:
+                lines[i] = draw(line)
+        cid, start = draw(st.sampled_from("abcd")), draw(st.integers(1, 3))
+        out.append(NormalizedFragment(
+            origin=FragmentRef(cid, start, start, "f"), mode=RenamingMode.BLIND, lines=tuple(lines)
+        ))
+    return out
+
+
 _configs = st.builds(
     lambda k, lo, extra: cfg(Fraction(k, 100), min_lines=lo, max_lines=None if extra is None else lo + extra),
     st.integers(min_value=0, max_value=30),
@@ -271,7 +305,7 @@ def _brute_pairs(fragments, config):
     return out
 
 
-@given(_fragments, _configs)
+@given(st.one_of(_fragments, _near_misses()), _configs)
 def test_detect_pairs_equals_brute_force(fragments, config):
     got = [(p.left, p.right, p.lcs_len, p.max_len) for p in detect_pairs(fragments, config)]
     want = _brute_pairs(fragments, config)
@@ -291,12 +325,62 @@ def _decisions(fragments, config) -> dict:
     return known
 
 
-@given(_fragments, _configs, st.sets(st.sampled_from("abcd")))
+@given(st.one_of(_fragments, _near_misses()), _configs, st.sets(st.sampled_from("abcd")))
 def test_sequence_pairs_seeded_with_earlier_decisions_equal_an_unseeded_run(fragments, config, seen):
     known = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
     seeded = _sequence_pairs(fragments, config, known)
     assert _fragment_pairs(*seeded) == detect_pairs(fragments, config)
     assert _sequence_classes(*seeded) == clone_classes(fragments, config)
+
+
+@given(_near_misses(), _configs, st.sets(st.sampled_from("abcd")))
+def test_candidates_hold_every_clone_pair_with_a_new_side(fragments, config, seen):
+    """The pairs _sequence_pairs decides hold every brute-force clone pair of
+    distinct in-window sequences but those of two known sequences, and none
+    of those."""
+    known = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
+    with mock.patch.object(clone_engine_mod, "clone_lcs", wraps=clone_lcs) as decide:
+        _sequence_pairs(fragments, config, known)
+    decided = [c.args[:2] for c in decide.call_args_list]
+    assert len({frozenset(p) for p in decided}) == len(decided)
+    assert not [p for p in decided if p[0] in known and p[1] in known]
+    seqs = {nf.lines for nf in fragments if within_window(len(nf.lines), config)}
+    assert {s for p in decided for s in p} <= seqs
+    num, den = config.max_difference.numerator, config.max_difference.denominator
+    for a, b in itertools.combinations(sorted(seqs), 2):
+        hi = max(len(a), len(b))
+        if (a not in known or b not in known) and (hi - lcs_dp(a, b)) * den <= num * hi:
+            assert (a, b) in decided or (b, a) in decided
+
+
+def test_candidates_keep_a_boundary_clone_whose_only_shared_prefix_tokens_sit_last():
+    """10 lines at 30%: need 7 shared lines, so the prefix is 4 tokens. The
+    three lines of each side's own (frequency 1) come first, then the first
+    of the seven shared lines (frequency 2): one shared token, last in each."""
+    shared = [f"s{i};" for i in range(7)]
+    a = tuple(shared + ["a0;", "a1;", "a2;"])
+    b = tuple(shared + ["b0;", "b1;", "b2;"])
+    assert _candidates([], [a, b], cfg(Fraction(30, 100))) == [(a, b)]
+    (pair,) = detect_pairs([frag("a", a), frag("b", b)], cfg(Fraction(30, 100)))
+    assert (pair.lcs_len, pair.max_len) == (7, 10)
+    # One token fewer in each prefix, and the pair is pruned, rightly.
+    assert _candidates([], [a, b], cfg(Fraction(29, 100))) == []
+    assert detect_pairs([frag("a", a), frag("b", b)], cfg(Fraction(29, 100))) == []
+
+
+def test_candidate_index_runs_no_kernel_on_dissimilar_functions(monkeypatch):
+    """40 functions of 8 lines sharing only their braces, plus a near-miss
+    copy of one: the size filter keeps all 820 pairs, the index one."""
+    frags = [frag(f"c{i:02d}", ["{", *(f"v{i}_{k} = {k};" for k in range(6)), "}"]) for i in range(40)]
+    twin = list(frags[0].lines)
+    twin[3] = "w = 2;"
+    frags.append(frag("twin", twin))
+    calls = []
+    real = clone_engine_mod.lcs_length
+    monkeypatch.setattr(clone_engine_mod, "lcs_length", lambda a, b: calls.append(1) or real(a, b))
+    (pair,) = detect_pairs(frags, cfg(Fraction(30, 100)))
+    assert (pair.left.contract_id, pair.right.contract_id, pair.lcs_len) == ("c00", "twin", 7)
+    assert len(calls) == 1
 
 
 @given(_fragments, _configs)
