@@ -131,7 +131,7 @@ class AnalysisCache:
             ):
                 raise ValueError("a clone entry names no pair of held sequences or has an impossible LCS")
             return cache
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             log.warning("cache %s is unreadable (%s); falling back to full analysis", path, exc)
             return None
 

@@ -13,6 +13,8 @@ operations for w-bit machine words, and exact, not an approximation.
 Clone classes are the connected components of the pair graph. A decision
 depends only on the two line sequences and the config, so it is made once
 per distinct pair of sequences and holds for every fragment carrying them.
+match_exemplars is the same decision for one sequence against a fixed list
+of exemplars, the query a signature scan asks once per distinct sequence.
 
 Which pairs of sequences reach the kernel is decided by an exact prefix
 filter (Chaudhuri et al., ICDE 2006; SourcererCC, ICSE 2016). With
@@ -164,6 +166,22 @@ def clone_lcs(a, b, cfg: CloneConfig) -> int | None:
         return None
     lcs = lcs_length(a, b)
     return lcs if (hi - lcs) * den <= num * hi else None
+
+
+def match_exemplars(lines, exemplars, cfg: CloneConfig) -> tuple:
+    """(k, similarity) for each exemplars[k] that the sequence lines clones under cfg.
+
+    A sequence outside [min_lines, max_lines] matches nothing and runs no
+    decision; every other one is decided against each exemplar by clone_lcs.
+    """
+    if not within_window(len(lines), cfg):
+        return ()
+    found = []
+    for k, exemplar in enumerate(exemplars):
+        lcs = clone_lcs(lines, exemplar, cfg)
+        if lcs is not None:
+            found.append((k, lcs / max(len(lines), len(exemplar))))
+    return tuple(found)
 
 
 def is_clone_pair(a: NormalizedFragment, b: NormalizedFragment, cfg: CloneConfig) -> bool:

@@ -1,7 +1,10 @@
 """Cross-corpus scanning of signatures and version-evolution analysis.
 
 scan() matches every signature exemplar against every eligible fragment
-of a target corpus under one clone configuration. The report carries the
+of a target corpus under one clone configuration. Each distinct normalized
+sequence is looked up once per fragment in one match table and, on a miss,
+decided against every exemplar at once by clone_engine.match_exemplars; the
+line window and the threshold apply only in clone_engine. The report carries the
 raw detections, per-type instance counts (distinct target fragments),
 clone classes over the union of exemplars and detected fragments, and
 wall-clock timing per contract, for the cross-class phase and for the
@@ -15,13 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .clone_engine import (
-    CloneConfig,
-    class_row,
-    clone_classes,
-    clone_lcs,
-    within_window,
-)
+from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
 from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
 from .extractor import FragmentRef
@@ -103,52 +100,48 @@ _WORKER = {}
 
 
 class _Payload(list):
-    """One (sig_id, vuln_type, exemplar, decisions) entry per signature, and
-    the run's NormalizationMemo as .memo.
+    """One (sig_id, vuln_type, exemplar) entry per signature, the run's
+    NormalizationMemo as .memo, and one match table as .matches.
 
-    decisions maps a candidate's normalized lines to clone_lcs(lines,
-    exemplar lines, cfg), filled as the scan meets each sequence, so a
-    sequence repeated across the corpus is decided once per signature; the
-    memo likewise normalizes each distinct fragment text once. A payload
-    serves one config; every worker process holds its own copy.
+    matches maps each normalized sequence the scan meets to
+    match_exemplars(lines, exemplar lines, cfg), the (entry index,
+    similarity) of every signature it clones; a sequence outside the line
+    window maps to (). A sequence repeated across the corpus is thus decided
+    once against all signatures, as the memo normalizes each distinct
+    fragment text once. A payload serves one config; every worker process
+    holds its own copy.
     """
 
     def __init__(self, entries, memo: NormalizationMemo):
         super().__init__(entries)
         self.memo = memo
+        self.exemplars = [exemplar.lines for _, _, exemplar in entries]
+        self.matches: dict[tuple, tuple] = {}
 
 
 def _payload_of(sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo) -> _Payload:
     if not len(sigs):
         raise EmptySignatureSet("scan needs at least one signature")
-    return _Payload([(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode), {}) for s in sigs], memo)
+    return _Payload([(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs], memo)
 
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     """Scan one contract; returns (detections, detected fragments, elapsed ms)."""
     started = time.perf_counter()
     contract = SourceContract(contract_id, source_text)
+    matches = payload.matches
     detections = []
     hits: dict[FragmentRef, NormalizedFragment] = {}
     for nf in normalize_contract(contract, cfg.mode, payload.memo):
         lines = nf.lines
-        if not within_window(len(lines), cfg):
-            continue
-        for sig_id, vuln_type, exemplar, decisions in payload:
-            try:
-                lcs = decisions[lines]
-            except KeyError:
-                lcs = decisions[lines] = clone_lcs(lines, exemplar.lines, cfg)
-            if lcs is not None:
-                detections.append(
-                    Detection(
-                        sig_id=sig_id,
-                        vuln_type=vuln_type,
-                        target=nf.origin,
-                        similarity=lcs / max(len(lines), len(exemplar.lines)),
-                    )
-                )
-                hits[nf.origin] = nf
+        try:
+            found = matches[lines]
+        except KeyError:
+            found = matches[lines] = match_exemplars(lines, payload.exemplars, cfg)
+        for k, sim in found:
+            sig_id, vuln_type, _ = payload[k]
+            detections.append(Detection(sig_id=sig_id, vuln_type=vuln_type, target=nf.origin, similarity=sim))
+            hits[nf.origin] = nf
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return detections, hits, elapsed_ms
 
@@ -173,7 +166,7 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     """
     by_ref: dict[FragmentRef, NormalizedFragment] = {}
     sig_types: dict[FragmentRef, list] = {}
-    for sig_id, vuln_type, exemplar, _ in payload:
+    for sig_id, vuln_type, exemplar in payload:
         by_ref[exemplar.origin] = exemplar
         sig_types.setdefault(exemplar.origin, []).append(vuln_type.name)
     for ref, nf in hits.items():

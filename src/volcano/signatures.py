@@ -241,6 +241,16 @@ def _generated_id(vuln_type: VulnerabilityType, exemplar: NormalizedFragment, ta
     return sig_id
 
 
+# The type of each manifest field load_signatures reads.
+_MANIFEST_FIELDS = {"sig_id": str, "source_file": str, "function": str, "provenance": str, "placeholder": bool}
+
+
+def _check_fields(record: dict) -> None:
+    for name, kind in _MANIFEST_FIELDS.items():
+        if name in record and not isinstance(record[name], kind):
+            raise TypeError(f"{name} must be a {kind.__name__}, not {type(record[name]).__name__}")
+
+
 def load_signatures(path) -> SignatureSet:
     """Load a signature set from an annotated .sol file or a directory of them."""
     path = Path(path)
@@ -257,9 +267,11 @@ def load_signatures(path) -> SignatureSet:
         try:
             manifest = json.loads(text)
             provenance = manifest.get("provenance", provenance)
+            _check_fields(manifest)
             for entry in manifest.get("signatures", []):
+                _check_fields(entry)
                 meta_by_file[(entry["source_file"], entry.get("function", ""))] = entry
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise MalformedManifest(
                 f"{manifest_path}: not a signature manifest ({type(exc).__name__}: {exc})"
             ) from None
@@ -277,6 +289,10 @@ def load_signatures(path) -> SignatureSet:
                 or {}
             )
             sig_id = entry.get("sig_id") or _generated_id(vuln_type, exemplar, taken)
+            if sig_id in taken:
+                raise MalformedManifest(
+                    f"{manifest_path}: not a signature manifest (sig_id {sig_id!r} names two exemplars)"
+                )
             taken.add(sig_id)
             sigs.append(
                 VulnSignature(
@@ -322,7 +338,8 @@ def read_labels_csv(path) -> dict[str, VulnerabilityType]:
     import csv
 
     labels: dict[str, VulnerabilityType] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: spreadsheet exports often start with a byte-order mark.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or not row[0].strip():

@@ -126,6 +126,33 @@ def test_malformed_signature_manifest_exits_one(corpus_dir, tmp_path, capsys):
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        '{"signatures": [{"sig_id": ["kill"], "source_file": "kill.sol"}]}',
+        # pay.sol has no entry, so its id is generated beside the int one.
+        '{"signatures": [{"sig_id": 7, "source_file": "kill.sol"}]}',
+        "[" * 200_000 + "]" * 200_000,
+        '{"signatures": [{"sig_id": "x", "source_file": "kill.sol"}, {"sig_id": "x", "source_file": "pay.sol"}]}',
+    ],
+    ids=["list-sig-id", "int-sig-id", "deeply-nested", "duplicate-sig-id"],
+)
+def test_hostile_signature_manifest_exits_one(manifest, corpus_dir, tmp_path, capsys):
+    sig_dir = tmp_path / "sigs"
+    sig_dir.mkdir()
+    (sig_dir / "kill.sol").write_text(
+        "// @volcano:vuln=DOS\nfunction kill(address a) external {\n    suicide(a);\n}\n"
+    )
+    (sig_dir / "pay.sol").write_text(
+        "// @volcano:vuln=REENTRANCY\nfunction pay(address a) external {\n    a.call.value(1)();\n    paid = 1;\n}\n"
+    )
+    (sig_dir / "manifest.json").write_text(manifest)
+    assert main(["scan", "--in", str(corpus_dir), "--sigs", str(sig_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {sig_dir / 'manifest.json'}: not a signature manifest" in err
+    assert "Traceback" not in err
+
+
 def test_missing_corpus_root_exits_one(tmp_path, capsys):
     assert main(["scan", "--in", str(tmp_path / "nope"), "--sigs", "builtin"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -378,6 +405,21 @@ def test_clones_over_a_cached_pair_of_unknown_sequences_equals_a_fresh_run(entry
     blob = json.loads(cache_file.read_text())
     blob["clones"].append(entry)
     cache_file.write_text(json.dumps(blob))
+    with caplog.at_level("WARNING", logger="volcano.cache"):
+        assert main([*argv, "--out", str(cached)]) == 0
+    assert any("falling back to full analysis" in r.message for r in caplog.records)
+    fresh_doc, cached_doc = json.loads(fresh.read_text()), json.loads(cached.read_text())
+    del fresh_doc["run"], cached_doc["run"]
+    assert cached_doc == fresh_doc
+
+
+def test_clones_over_a_deeply_nested_cache_equals_a_no_cache_run(corpus_dir, tmp_path, caplog):
+    argv = ["clones", "--in", str(corpus_dir), "--mode", "blind", "--threshold", "25"]
+    fresh, cached = tmp_path / "fresh.json", tmp_path / "cached.json"
+    assert main([*argv, "--no-cache", "--out", str(fresh)]) == 0
+    cache_file = corpus_dir / ".volcano-cache" / "analysis.json"
+    cache_file.parent.mkdir()
+    cache_file.write_text("[" * 200_000 + "]" * 200_000)
     with caplog.at_level("WARNING", logger="volcano.cache"):
         assert main([*argv, "--out", str(cached)]) == 0
     assert any("falling back to full analysis" in r.message for r in caplog.records)

@@ -10,9 +10,10 @@ import pytest
 
 from conftest import make_corpus, wrap
 
+import volcano.clone_engine as clone_engine_mod
 import volcano.detector as detector_mod
 import volcano.normalize as normalize_mod
-from volcano.clone_engine import CloneConfig, clone_lcs
+from volcano.clone_engine import CloneConfig, clone_lcs, match_exemplars
 from volcano.corpus import Corpus, sort_by_version
 from volcano.detector import (
     EvolutionReport,
@@ -140,7 +141,7 @@ def test_scan_parallel_matches_serial():
     serial = scan(corpus, builtin_signatures(), CONSISTENT_30, jobs=1)
     parallel = scan(corpus, builtin_signatures(), CONSISTENT_30, jobs=2)
     assert serial.body_dict() == parallel.body_dict()
-    # every kill is one sequence, decided once per signature in each worker
+    # every kill is one sequence, decided once against all signatures in each worker
     assert len(parallel.detections) == 8
 
 
@@ -156,17 +157,40 @@ REPEATING_SOURCES = {
 
 
 def test_scan_decides_each_sequence_once_per_signature(monkeypatch):
-    corpus = make_corpus("rep", REPEATING_SOURCES)
+    # Every extracted function has at least three lines; under min_lines 4
+    # the one-line ping, repeated in every contract, is outside the window.
+    cfg = CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(30, 100), min_lines=4)
+    ping = "    function ping() public { }\n"
+    sources = {cid: src.replace("{\n", "{\n" + ping, 1) for cid, src in REPEATING_SOURCES.items()}
+    corpus = make_corpus("rep", sources)
     sigs = builtin_signatures()
-    calls = []
+    asked, calls = [], []
+    querying = False
+
+    def query(lines, exemplars, cfg):
+        nonlocal querying
+        asked.append(lines)
+        querying = True
+        try:
+            return match_exemplars(lines, exemplars, cfg)
+        finally:
+            querying = False
 
     def counting(lines, exemplar_lines, cfg):
-        # Two signatures may share an exemplar sequence; each holds its own tuple.
-        calls.append((lines, id(exemplar_lines)))
+        # Only the exemplar query counts, not the cross-class phase's
+        # decisions. Two signatures may share an exemplar sequence; each
+        # holds its own tuple.
+        if querying:
+            calls.append((lines, id(exemplar_lines)))
         return clone_lcs(lines, exemplar_lines, cfg)
 
-    monkeypatch.setattr(detector_mod, "clone_lcs", counting)
-    report = scan(corpus, sigs, CONSISTENT_30)
+    monkeypatch.setattr(detector_mod, "match_exemplars", query)
+    monkeypatch.setattr(clone_engine_mod, "clone_lcs", counting)
+    report = scan(corpus, sigs, cfg)
+    assert len(asked) == len(set(asked)) == 3
+    (short,) = [lines for lines in asked if len(lines) < cfg.min_lines]
+    assert short[0] == "function ping ( ) public"
+    assert all(lines != short for lines, _ in calls)
     assert len(calls) == len(set(calls)) == 2 * len(sigs)
     assert report.per_type_instances["DOS"] == 6
     assert len(report.detections) == 12  # six kills x two DOS signatures

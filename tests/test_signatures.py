@@ -177,6 +177,15 @@ def test_save_load_round_trip_extensional(tmp_path):
         ("{ not json", "JSONDecodeError"),
         ('{"signatures": [{"sig_id": "x"}]}', "'source_file'"),
         ('["not", "an", "object"]', "AttributeError"),
+        pytest.param('{"signatures": [{"sig_id": ["x"], "source_file": "x.sol"}]}', "sig_id must be a str",
+                     id="sig_id"),
+        pytest.param('{"signatures": [{"source_file": 1}]}', "source_file must be a str", id="source_file"),
+        pytest.param('{"signatures": [{"source_file": "x.sol", "function": null}]}', "function must be a str",
+                     id="function"),
+        pytest.param('{"signatures": [{"source_file": "x.sol", "placeholder": "no"}]}',
+                     "placeholder must be a bool", id="placeholder"),
+        pytest.param('{"provenance": {"url": "x"}}', "provenance must be a str", id="provenance"),
+        pytest.param("[" * 200_000 + "]" * 200_000, "RecursionError", id="deeply-nested"),
     ],
 )
 def test_load_malformed_manifest_names_the_file(tmp_path, manifest, detail):
@@ -201,6 +210,12 @@ def test_read_labels_csv(tmp_path):
         "a.sol": VulnerabilityType.REENTRANCY,
         "b.sol": VulnerabilityType.DOS,
     }
+
+
+def test_read_labels_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("\ufeffcontract_id,vuln_type\r\na.sol,DOS\r\n", encoding="utf-8")
+    assert read_labels_csv(path) == {"a.sol": VulnerabilityType.DOS}
 
 
 def test_read_labels_csv_rejects_one_column_row(tmp_path):
