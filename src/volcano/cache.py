@@ -31,7 +31,7 @@ from .clone_engine import CloneConfig, _fragment_pairs, _sequence_classes, _sequ
 from .corpus import Corpus, SourceContract
 from .errors import CacheConfigMismatch
 from .extractor import FragmentRef
-from .normalize import NormalizedFragment, RenamingMode, normalize_contract
+from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, normalize_contract
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
 
 
-def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict]:
+def _fragment_records(contract: SourceContract, mode: RenamingMode, memo: NormalizationMemo) -> list[dict]:
     return [
         {
             "name": nf.origin.name,
@@ -63,7 +63,7 @@ def _fragment_records(contract: SourceContract, mode: RenamingMode) -> list[dict
             "end_line": nf.origin.end_line,
             "lines": {mode.value: list(nf.lines)},
         }
-        for nf in normalize_contract(contract, mode)
+        for nf in normalize_contract(contract, mode, memo)
     ]
 
 
@@ -108,12 +108,13 @@ class AnalysisCache:
                 return None
             contracts, fragments = blob["contracts"], blob["fragments"]
             if not (
-                isinstance(contracts, dict)
+                isinstance(blob["config_digest"], str)
+                and isinstance(contracts, dict)
                 and all(isinstance(d, str) for d in contracts.values())
                 and isinstance(fragments, dict)
                 and all(isinstance(rs, list) and all(map(_is_record, rs)) for rs in fragments.values())
             ):
-                raise ValueError("a contract or fragment record has the wrong shape")
+                raise ValueError("the config digest, a contract or a fragment record has the wrong shape")
             cache = cls(
                 config_digest=blob["config_digest"],
                 contracts=contracts,
@@ -179,40 +180,39 @@ def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
     return index
 
 
-def incremental_scan(cache: AnalysisCache, changed_contracts: Corpus, cfg: CloneConfig):
+def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
     """Clone pairs and classes for the current corpus, reusing cached work.
 
-    changed_contracts is the full current corpus snapshot; the diff against
-    the cache (additions, modifications, removals) is taken here by content
-    digest. Every sequence the cache holds brings its clone decisions, so a
-    pair of two such sequences costs no LCS, whichever contracts carry it
-    now: a copied, renamed or partly edited contract recomputes only the
-    pairs of its new sequences. The cache object is updated in place to
-    describe the current corpus; callers persist it with save().
+    corpus is the full current snapshot, diffed against the cache by content
+    digest; contracts to re-extract share one normalization memo. Every
+    sequence the cache holds brings its clone decisions, so a pair of two
+    such sequences costs no LCS, whichever contracts carry it now: a copied,
+    renamed or partly edited contract recomputes only the pairs of its new
+    sequences. The cache object is updated in place to describe the current
+    corpus; callers persist it with save().
     """
     if cache.config_digest != cfg.digest():
         raise CacheConfigMismatch(
             "cache was built under a different configuration; run `volcano cache clear`"
         )
     seqs = cache.sequences()
-    known = {seq: {} for seq in seqs}
-    for i, j, lcs in cache.clones:
-        known[seqs[i]][seqs[j]] = known[seqs[j]][seqs[i]] = lcs
+    decided = [(seqs[i], seqs[j], lcs) for i, j, lcs in cache.clones]
+    memo = NormalizationMemo()
     records: dict[str, list[dict]] = {}
-    for contract in changed_contracts:
+    for contract in corpus:
         digest = contract.content_digest
         if digest in records:
             continue
         cached = cache.fragments.get(digest)
         if cached is None or not all(cfg.mode.value in r["lines"] for r in cached):
-            cached = _fragment_records(contract, cfg.mode)
+            cached = _fragment_records(contract, cfg.mode, memo)
         records[digest] = cached
-    cache.contracts = {c.id: c.content_digest for c in changed_contracts}
+    cache.contracts = {c.id: c.content_digest for c in corpus}
     cache.fragments = records
 
-    fragments = fragment_index(cache, changed_contracts, cfg.mode).values()
-    found = _sequence_pairs(fragments, cfg, known)
-    eligible, _, seq_pairs = found
+    fragments = fragment_index(cache, corpus, cfg.mode).values()
+    found = _sequence_pairs(fragments, cfg, set(seqs), decided)
+    eligible, seq_pairs = found
     rank = {seq: i for i, seq in enumerate(cache.sequences())}
     cache.clones = sorted(
         sorted((rank[eligible[ga[0]].lines], rank[eligible[gb[0]].lines])) + [lcs]

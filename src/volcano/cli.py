@@ -265,6 +265,9 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.format == "csv" and not args.out:
+        print("error: --format csv needs --out", file=sys.stderr)
+        return 2
     cfg = _clone_config(args)
     corpus = _load_corpus(args)
     sigs = _load_sigs(args.sigs)
@@ -273,9 +276,6 @@ def _cmd_scan(args) -> int:
     if args.format == "json":
         _write_or_print(report.to_json(), args.out)
     elif args.format == "csv":
-        if not args.out:
-            print("error: --format csv needs --out", file=sys.stderr)
-            return 2
         write_catalog_csv(report, corpus, args.out)
     else:
         lines = [f"{len(report.detections)} detections in {report.contract_count} contracts"]

@@ -10,9 +10,11 @@ would push them over it.
 lcs_length is bit-parallel over Python ints: O(|a| * ceil(|b|/w)) word
 operations for w-bit machine words, and exact, not an approximation.
 
-Clone classes are the connected components of the pair graph. A decision
-depends only on the two line sequences and the config, so it is made once
-per distinct pair of sequences and holds for every fragment carrying them.
+A fragment is identified by its origin; as in extract_functions, the last
+fragment given for an origin stands for it. Clone classes are the
+connected components of the pair graph. A decision depends only on the
+two line sequences and the config, so it is made once per distinct pair
+of sequences and holds for every fragment carrying them.
 match_exemplars is the same decision for one sequence against a fixed list
 of exemplars, the query a signature scan asks once per distinct sequence.
 
@@ -225,63 +227,55 @@ def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
     return out
 
 
-def _sequence_pairs(fragments, cfg: CloneConfig, known):
+def _sequence_pairs(fragments, cfg: CloneConfig, known=frozenset(), decided=()):
     """Clone decisions among fragments, made once per pair of distinct sequences.
 
-    Returns (eligible, ref_of, pairs): eligible is the in-window fragments
-    sorted by origin, ref_of[i] the first index in eligible with the origin
-    of eligible[i], and pairs the clone pairs of sequences as
-    (group_a, group_b, lcs, hi), each group the indices of the fragments
-    holding one sequence. group_a is group_b for the fragments of one
-    sequence, clones of each other with no LCS work; at max_difference 0
-    these are the only pairs, and no candidate index is built.
+    Returns (eligible, pairs): eligible is the last fragment given for each
+    origin, if inside the line window, sorted by origin; pairs the clone
+    pairs of sequences as (group_a, group_b, lcs, hi), each group the
+    indices of the fragments holding one sequence. group_a is group_b for
+    the fragments of one sequence, clones of each other with no LCS work;
+    at max_difference 0 these are the only pairs, and no index is built.
 
-    known maps each sequence whose pairs with every other key are decided
-    under cfg to {other_lines: lcs} of its clones; those pairs are read
-    from it, not decided again. Every other pair of distinct sequences is
-    decided by clone_lcs if the prefix index (_candidates) makes it a
-    candidate, and is provably no clone if not: a clone of an n-line
-    sequence shares at least need = ceil(n * (den - num) / den) of its
-    lines, so the first n - need + 1 tokens of each side, in the global
-    order (frequency over the distinct sequences, then the token), share
-    a token.
+    known is a set of sequences whose pairs with each other are decided
+    under cfg, and decided their clone pairs as (lines_a, lines_b, lcs);
+    those pairs are read, not decided again. Every other pair of distinct
+    sequences is decided by clone_lcs if the prefix index (_candidates)
+    makes it a candidate, and is provably no clone if not (see the module
+    docstring).
     """
+    last = {}
     for nf in fragments:
         _check_mode(nf, cfg)
+        last[nf.origin] = nf
     eligible = sorted(
-        (nf for nf in fragments if within_window(len(nf.lines), cfg)),
+        (nf for nf in last.values() if within_window(len(nf.lines), cfg)),
         key=lambda nf: nf.origin,
     )
-    ref_of = []
     groups: dict[tuple, list[int]] = {}
     for i, nf in enumerate(eligible):
-        # Equal origins sort next to each other.
-        ref_of.append(ref_of[-1] if i and nf.origin == eligible[i - 1].origin else i)
         groups.setdefault(nf.lines, []).append(i)
     pairs = [(g, g, len(lines), len(lines)) for lines, g in groups.items() if len(g) > 1]
     if not cfg.max_difference:
-        return eligible, ref_of, pairs
+        return eligible, pairs
+    for la, lb, lcs in decided:
+        if la in groups and lb in groups:
+            pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
     old = [lines for lines in groups if lines in known]
-    pos = {lines: x for x, lines in enumerate(old)}
-    for x, la in enumerate(old):
-        for lb, lcs in known[la].items():
-            if pos.get(lb, -1) > x:
-                pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
     new = [lines for lines in groups if lines not in known]
     for la, lb in _candidates(old, new, cfg):
         lcs = clone_lcs(la, lb, cfg)
         if lcs is not None:
             pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
-    return eligible, ref_of, pairs
+    return eligible, pairs
 
 
-def _fragment_pairs(eligible, ref_of, seq_pairs) -> list[ClonePair]:
+def _fragment_pairs(eligible, seq_pairs) -> list[ClonePair]:
     """The clone pairs of fragments that sequence pairs stand for, in canonical order."""
     found = []
     for ga, gb, lcs, hi in seq_pairs:
         for i, j in itertools.combinations(ga, 2) if ga is gb else itertools.product(ga, gb):
-            if ref_of[i] != ref_of[j]:
-                found.append((i, j, lcs, hi) if i < j else (j, i, lcs, hi))
+            found.append((i, j, lcs, hi) if i < j else (j, i, lcs, hi))
     found.sort()
     return [
         ClonePair(eligible[i].origin, eligible[j].origin, lcs_len=lcs, max_len=hi)
@@ -292,10 +286,11 @@ def _fragment_pairs(eligible, ref_of, seq_pairs) -> list[ClonePair]:
 def detect_pairs(fragments, cfg: CloneConfig) -> list[ClonePair]:
     """All clone pairs among fragments, in canonical (left, right) order.
 
-    Fragments outside [min_lines, max_lines] never pair, nor do fragments
-    with the same origin.
+    The last fragment given for an origin stands for it, so an origin
+    never pairs with itself; fragments outside [min_lines, max_lines]
+    never pair.
     """
-    return _fragment_pairs(*_sequence_pairs(fragments, cfg, {}))
+    return _fragment_pairs(*_sequence_pairs(fragments, cfg))
 
 
 def _components(edges) -> list[list]:
@@ -343,23 +338,21 @@ def cluster_classes(pairs) -> list[CloneClass]:
     return _classes(_components((p.left, p.right) for p in pairs))
 
 
-def _sequence_classes(eligible, ref_of, seq_pairs) -> list[CloneClass]:
+def _sequence_classes(eligible, seq_pairs) -> list[CloneClass]:
     """cluster_classes(_fragment_pairs(...)), without building a pair.
 
-    A clone pair of sequences joins the origins of all its fragments when
-    they hold two or more origins: the fragments of one sequence are joined
-    through each other, two sequences through one fragment of each.
+    The fragments of one sequence are joined through the first of them,
+    two clone sequences through the first fragment of each.
     """
     edges = []
     for ga, gb, _, _ in seq_pairs:
-        a = ref_of[ga[0]]
-        edges.extend((a, ref_of[i]) for i in (ga if ga is gb else gb[:1]) if ref_of[i] != a)
+        edges.extend((ga[0], i) for i in (ga[1:] if ga is gb else gb[:1]))
     return _classes([[eligible[i].origin for i in comp] for comp in _components(edges)])
 
 
 def clone_classes(fragments, cfg: CloneConfig) -> list[CloneClass]:
     """cluster_classes(detect_pairs(fragments, cfg)), without building a pair."""
-    return _sequence_classes(*_sequence_pairs(fragments, cfg, {}))
+    return _sequence_classes(*_sequence_pairs(fragments, cfg))
 
 
 def class_row(cls: CloneClass, by_ref, exemplar: NormalizedFragment) -> dict:

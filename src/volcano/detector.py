@@ -15,6 +15,7 @@ so the detection body stays deterministic.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -185,16 +186,17 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
 
 
 def _scan_contracts(target: Corpus, payload, cfg: CloneConfig, jobs: int) -> list:
-    """_scan_source over every contract of target, in corpus order."""
-    if jobs > 1 and len(target) > 1:
+    """_scan_source over every contract of target, in corpus order; jobs caps the workers."""
+    workers = min(jobs, len(target), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: it loads multiprocessing, which only --jobs needs.
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = [(c.id, c.source_text) for c in target]
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(payload, cfg)
+            max_workers=workers, initializer=_init_worker, initargs=(payload, cfg)
         ) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
+            chunk = max(1, len(tasks) // (workers * 4))
             return list(pool.map(_scan_task, tasks, chunksize=chunk))
     return [_scan_source(c.id, c.source_text, payload, cfg) for c in target]
 

@@ -114,6 +114,20 @@ def test_rescan_reuses_fragment_records(monkeypatch):
     assert calls == []
 
 
+def test_a_function_text_two_contracts_share_is_pretty_printed_once(monkeypatch):
+    shared = "function kill(address evil) external {\n        suicide(evil);\n    }"
+    corpus = make_corpus(
+        "shared", {f"k{i}": wrap(f"    {shared}\n    function own{i}() public {{ owner = {i}; }}") for i in range(2)}
+    )
+    assert len({c.content_digest for c in corpus}) == 2
+    printed = []
+    real = normalize_mod.pretty_print
+    monkeypatch.setattr(normalize_mod, "pretty_print", lambda f: printed.append(f.exact_text) or real(f))
+    incremental_scan(AnalysisCache.empty(CONSISTENT_30), corpus, CONSISTENT_30)
+    assert printed.count(shared) == 1
+    assert len(printed) == len(set(printed)) == 3
+
+
 def _two_functions(tag: int, edited: bool = False) -> str:
     return wrap(
         "\n".join([
@@ -320,6 +334,7 @@ def _set_table(key, value):
         _set_table("fragments", []),
         _set_table("fragments", {"d": {}}),
         _set_table("fragments", {"d": ["r"]}),
+        _set_table("config_digest", [1]),
     ],
 )
 def test_cache_of_the_wrong_shape_loads_as_none(edit, tmp_path, caplog):

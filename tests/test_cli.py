@@ -68,6 +68,23 @@ def test_scan_csv_needs_out(corpus_dir, capsys):
     assert "--format csv needs --out" in capsys.readouterr().err
 
 
+def test_scan_csv_without_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
+    import volcano.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "scan", lambda *a, **k: pytest.fail("scan ran"))
+    argv = ["scan", "--in", str(tmp_path / "missing"), "--sigs", "builtin", "--format", "csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --format csv needs --out\n"
+
+
+def test_scan_out_in_a_missing_directory_exits_one(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["scan", "--in", str(corpus_dir), "--sigs", "builtin", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_scan_csv_writes_catalog(corpus_dir, tmp_path):
     out = tmp_path / "catalog.csv"
     assert main(
@@ -267,6 +284,20 @@ def test_clones_cache_lifecycle(corpus_dir, tmp_path, capsys):
     assert main(["cache", "clear", "--in", str(corpus_dir)]) == 0
     assert not cache_file.exists()
     assert main(["clones", "--in", str(corpus_dir), "--threshold", "20", "--out", str(out)]) == 0
+
+
+def test_clones_dedupe_lists_no_pair_of_a_byte_identical_copy(corpus_dir, tmp_path):
+    (corpus_dir / "kill_copy.sol").write_text(KILL)
+    out = tmp_path / "clones.json"
+    argv = ["clones", "--in", str(corpus_dir), "--threshold", "25", "--no-cache", "--out", str(out)]
+
+    def pairs():
+        return [(p["left"], p["right"]) for p in json.loads(out.read_text())["pairs"]]
+
+    assert main(argv) == 0
+    assert ("kill.sol:kill:3-5", "kill_copy.sol:kill:3-5") in pairs()
+    assert main(argv + ["--dedupe"]) == 0
+    assert pairs() == [("kill.sol:kill:3-5", "kill06.sol:kill:3-5")]
 
 
 def test_clones_never_pairs_a_fragment_with_itself(tmp_path):

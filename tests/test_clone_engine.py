@@ -4,7 +4,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -286,18 +285,20 @@ _configs = st.builds(
 )
 
 
+def _last_per_origin(fragments):
+    return list({nf.origin: nf for nf in fragments}.values())
+
+
 def _brute_pairs(fragments, config):
-    """Every clone pair by a double loop over fragments sorted by origin."""
+    """Every clone pair by a double loop over the last fragment of each origin, sorted by origin."""
     def inside(nf):
         n = len(nf.lines)
         return config.min_lines <= n and (config.max_lines is None or n <= config.max_lines)
 
-    eligible = sorted((nf for nf in fragments if inside(nf)), key=lambda nf: nf.origin)
+    eligible = sorted((nf for nf in _last_per_origin(fragments) if inside(nf)), key=lambda nf: nf.origin)
     out = []
     for i, a in enumerate(eligible):
         for b in eligible[i + 1:]:
-            if a.origin == b.origin:
-                continue
             hi = max(len(a.lines), len(b.lines))
             lcs = lcs_oracle(a.lines, b.lines)
             if Fraction(hi - lcs, hi) <= config.max_difference:
@@ -308,27 +309,31 @@ def _brute_pairs(fragments, config):
 @given(st.one_of(_fragments, _near_misses()), _configs)
 def test_detect_pairs_equals_brute_force(fragments, config):
     got = [(p.left, p.right, p.lcs_len, p.max_len) for p in detect_pairs(fragments, config)]
-    want = _brute_pairs(fragments, config)
-    assert Counter(got) == Counter(want)
-    if len({nf.origin for nf in fragments}) == len(fragments):
-        assert got == want
+    assert got == _brute_pairs(fragments, config)
 
 
-def _decisions(fragments, config) -> dict:
+def test_an_origin_given_twice_pairs_as_its_last_fragment_once():
+    a_old, a_new, b = frag("a.sol", "abcd"), frag("a.sol", "abce"), frag("b.sol", "abcd")
+    config = cfg(Fraction(30, 100))
+    got = [(p.left.uid, p.right.uid, p.lcs_len) for p in detect_pairs([a_old, a_new, b], config)]
+    assert got == [("a.sol:f:1-4", "b.sol:f:1-4", 3)]
+    (cls,) = clone_classes([a_old, a_new, b], config)
+    assert cls.members == (a_new.origin, b.origin)
+
+
+def _decisions(fragments, config):
     """The clone decisions of a run over fragments, as _sequence_pairs takes them."""
-    eligible, _, seq_pairs = _sequence_pairs(fragments, config, {})
-    known = {nf.lines: {} for nf in eligible}
-    for ga, gb, lcs, _ in seq_pairs:
-        a, b = eligible[ga[0]].lines, eligible[gb[0]].lines
-        if a != b:
-            known[a][b] = known[b][a] = lcs
-    return known
+    eligible, seq_pairs = _sequence_pairs(fragments, config)
+    decided = [
+        (eligible[ga[0]].lines, eligible[gb[0]].lines, lcs) for ga, gb, lcs, _ in seq_pairs if ga is not gb
+    ]
+    return {nf.lines for nf in eligible}, decided
 
 
 @given(st.one_of(_fragments, _near_misses()), _configs, st.sets(st.sampled_from("abcd")))
 def test_sequence_pairs_seeded_with_earlier_decisions_equal_an_unseeded_run(fragments, config, seen):
-    known = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
-    seeded = _sequence_pairs(fragments, config, known)
+    known, decided = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
+    seeded = _sequence_pairs(fragments, config, known, decided)
     assert _fragment_pairs(*seeded) == detect_pairs(fragments, config)
     assert _sequence_classes(*seeded) == clone_classes(fragments, config)
 
@@ -338,13 +343,13 @@ def test_candidates_hold_every_clone_pair_with_a_new_side(fragments, config, see
     """The pairs _sequence_pairs decides hold every brute-force clone pair of
     distinct in-window sequences but those of two known sequences, and none
     of those."""
-    known = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
+    known, decided = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
     with mock.patch.object(clone_engine_mod, "clone_lcs", wraps=clone_lcs) as decide:
-        _sequence_pairs(fragments, config, known)
+        _sequence_pairs(fragments, config, known, decided)
     decided = [c.args[:2] for c in decide.call_args_list]
     assert len({frozenset(p) for p in decided}) == len(decided)
     assert not [p for p in decided if p[0] in known and p[1] in known]
-    seqs = {nf.lines for nf in fragments if within_window(len(nf.lines), config)}
+    seqs = {nf.lines for nf in _last_per_origin(fragments) if within_window(len(nf.lines), config)}
     assert {s for p in decided for s in p} <= seqs
     num, den = config.max_difference.numerator, config.max_difference.denominator
     for a, b in itertools.combinations(sorted(seqs), 2):

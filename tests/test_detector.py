@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -143,6 +144,41 @@ def test_scan_parallel_matches_serial():
     assert serial.body_dict() == parallel.body_dict()
     # every kill is one sequence, decided once against all signatures in each worker
     assert len(parallel.detections) == 8
+
+
+@pytest.mark.parametrize(
+    "contracts,cpus,pools",
+    [(2, 8, [(2, 1)]), (40, 2, [(2, 5)]), (3, 1, []), (3, None, [])],
+)
+def test_scan_jobs_starts_no_more_workers_than_contracts_or_cpus(contracts, cpus, pools, monkeypatch):
+    """--jobs 6 is a cap: the pool gets min(jobs, contracts, CPUs) workers,
+    chunks sized for them, and none when that is one."""
+    import concurrent.futures
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            self.spied = [max_workers]
+            started.append(self.spied)
+            # Never more than 2 real workers, whatever the code under test asks.
+            super().__init__(min(max_workers, 2), **kwargs)
+
+        def map(self, fn, *iterables, chunksize=1):
+            self.spied.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sources = {
+        f"c{i:02d}": wrap(f"    function kill(address bad{i}) external {{ suicide(bad{i}); }}")
+        for i in range(contracts)
+    }
+    corpus = make_corpus("cap", sources)
+    serial = scan(corpus, builtin_signatures(), CONSISTENT_30, jobs=1)
+    parallel = scan(corpus, builtin_signatures(), CONSISTENT_30, jobs=6)
+    assert [tuple(s) for s in started] == pools
+    assert parallel.body_dict() == serial.body_dict()
 
 
 # Six contracts over two sequences: every kill and every tally is the same
