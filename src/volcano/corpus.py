@@ -162,7 +162,7 @@ def load_corpus(root, label: str | None = None) -> Corpus:
         contracts.append(SourceContract(path.relative_to(root).as_posix(), text))
     if not contracts:
         log.warning("empty corpus under %s", root)
-    return Corpus(label=label or root.name, contracts=contracts, skipped=skipped)
+    return Corpus(label=label or root.absolute().name, contracts=contracts, skipped=skipped)
 
 
 def sort_by_version(corpus: Corpus) -> dict[str, Corpus]:

@@ -73,7 +73,6 @@ class NormalizedFragment:
     origin: FragmentRef
     mode: RenamingMode
     lines: tuple[str, ...]  # interned, so equal lines are usually one object
-    rename_map: tuple[tuple[str, str], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -189,12 +188,7 @@ def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
             else:
                 out.append(t)
         new_lines.append(sys.intern(_render(out)))
-    return NormalizedFragment(
-        origin=nf.origin,
-        mode=mode,
-        lines=tuple(new_lines),
-        rename_map=tuple(sorted(mapping.items())) if consistent else None,
-    )
+    return NormalizedFragment(origin=nf.origin, mode=mode, lines=tuple(new_lines))
 
 
 def rename_blind(nf: NormalizedFragment) -> NormalizedFragment:
@@ -209,7 +203,7 @@ def rename_consistent(nf: NormalizedFragment) -> NormalizedFragment:
 
 def in_mode(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
     """Return nf converted from mode NONE into the requested mode."""
-    if mode is RenamingMode.NONE:
+    if mode is RenamingMode.NONE and nf.mode is RenamingMode.NONE:
         return nf
     return _rename(nf, mode)
 
@@ -221,12 +215,12 @@ class NormalizationMemo:
     the printed lines, the declared name and the mode, so fragments that
     agree on those normalize alike up to their origin. printed maps an
     exact text to its mode-NONE lines; renamed maps (mode-NONE lines,
-    declared name, mode) to (lines, rename_map).
+    declared name, mode) to the renamed lines.
     """
 
     def __init__(self):
         self.printed: dict[str, tuple[str, ...]] = {}
-        self.renamed: dict[tuple, tuple] = {}
+        self.renamed: dict[tuple, tuple[str, ...]] = {}
 
     def normalize(self, fragment: FunctionFragment, mode: RenamingMode) -> NormalizedFragment:
         """in_mode(pretty_print(fragment), mode), computed once per distinct content."""
@@ -242,9 +236,9 @@ class NormalizationMemo:
             if nf is None:
                 nf = NormalizedFragment(origin=ref, mode=RenamingMode.NONE, lines=lines)
             nf = in_mode(nf, mode)
-            self.renamed[key] = (nf.lines, nf.rename_map)
+            self.renamed[key] = nf.lines
             return nf
-        return NormalizedFragment(origin=ref, mode=mode, lines=done[0], rename_map=done[1])
+        return NormalizedFragment(origin=ref, mode=mode, lines=done)
 
 
 def normalize_contract(

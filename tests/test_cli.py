@@ -56,6 +56,18 @@ def test_scan_json_on_stdout_parses(corpus_dir, capsys):
     assert doc["detections"]
 
 
+def test_a_corpus_given_as_dot_is_labeled_by_its_directory(corpus_dir, tmp_path, monkeypatch, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("contract_id,vuln_type\nkill.sol,DOS\nkill06.sol,DOS\nsafe.sol,DOS\n")
+    monkeypatch.chdir(corpus_dir)
+    assert main(["scan", "--in", ".", "--sigs", "builtin", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["corpus"] == "corpus"
+    sig_dir = tmp_path / "sigs"
+    assert main(["derive", "--in", ".", "--labels", str(labels), "--out", str(sig_dir)]) == 0
+    manifest = json.loads((sig_dir / "manifest.json").read_text())
+    assert manifest["provenance"].startswith("derived:corpus:mode=")
+
+
 def test_scan_text_format(corpus_dir, capsys):
     assert main(["scan", "--in", str(corpus_dir), "--sigs", "builtin", "--format", "text"]) == 0
     out = capsys.readouterr().out
