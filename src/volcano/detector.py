@@ -1,10 +1,11 @@
 """Cross-corpus scanning of signatures and version-evolution analysis.
 
 scan() matches every signature exemplar against every eligible fragment
-of a target corpus under one clone configuration. Each distinct normalized
-sequence is looked up once per fragment in one match table and, on a miss,
-decided against every exemplar at once by clone_engine.match_exemplars; the
-line window and the threshold apply only in clone_engine. The report carries the
+of a target corpus under one clone configuration. Each fragment is one
+lookup in a decision table keyed by its exact text and name; on a miss the
+text is normalized, and a normalized sequence not met before is decided
+against every exemplar at once by clone_engine.match_exemplars; the line
+window and the threshold apply only in clone_engine. The report carries the
 raw detections, per-type instance counts (distinct target fragments),
 clone classes over the union of exemplars and detected fragments, and
 wall-clock timing per contract, for the cross-class phase and for the
@@ -18,12 +19,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
 from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
-from .extractor import FragmentRef
-from .normalize import NormalizationMemo, NormalizedFragment, normalize_contract
+from . import normalize
+from .extractor import FragmentRef, FunctionFragment
+from .normalize import NormalizationMemo, NormalizedFragment
 from .signatures import SignatureSet, VulnerabilityType
 
 _ALL_TYPES = [t.name for t in VulnerabilityType]
@@ -98,19 +101,26 @@ class ScanReport:
 
 
 _WORKER = {}
+# The decision of every fragment text that matches no signature: no lines
+# are kept for it, since only a detected fragment's lines are read.
+_UNMATCHED = ((), ())
 
 
 class _Payload(list):
     """One (sig_id, vuln_type, exemplar) entry per signature, the run's
-    NormalizationMemo as .memo, and one match table as .matches.
+    NormalizationMemo as .memo, a match table as .matches and a decision
+    table as .decisions.
 
     matches maps each normalized sequence the scan meets to
     match_exemplars(lines, exemplar lines, cfg), the (entry index,
     similarity) of every signature it clones; a sequence outside the line
-    window maps to (). A sequence repeated across the corpus is thus decided
-    once against all signatures, as the memo normalizes each distinct
-    fragment text once. A payload serves one config; every worker process
-    holds its own copy.
+    window maps to (). decisions maps a fragment's (exact text, name), all
+    that its normalization and so its matches read, to (lines, matches),
+    or to the shared _UNMATCHED when it matches nothing. A fragment text
+    repeated across the corpus thus costs one lookup after its first
+    occurrence, and a sequence that several texts normalize to is decided
+    once against all signatures. A payload serves one config; every worker
+    process holds its own copy.
     """
 
     def __init__(self, entries, memo: NormalizationMemo):
@@ -118,6 +128,19 @@ class _Payload(list):
         self.memo = memo
         self.exemplars = [exemplar.lines for _, _, exemplar in entries]
         self.matches: dict[tuple, tuple] = {}
+        self.decisions: dict[tuple[str, str], tuple[tuple, tuple]] = {}
+
+    def decide(self, fragment: FunctionFragment, cfg: CloneConfig) -> tuple[tuple, tuple]:
+        """(normalized lines, matches) of a fragment, normalized and matched on a miss."""
+        key = (fragment.exact_text, fragment.name)
+        decided = self.decisions.get(key)
+        if decided is None:
+            lines = self.memo.normalize(fragment, cfg.mode).lines
+            found = self.matches.get(lines)
+            if found is None:
+                found = self.matches[lines] = match_exemplars(lines, self.exemplars, cfg)
+            decided = self.decisions[key] = (lines, found) if found else _UNMATCHED
+        return decided
 
 
 def _payload_of(sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo) -> _Payload:
@@ -127,22 +150,21 @@ def _payload_of(sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo) -
 
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
-    """Scan one contract; returns (detections, detected fragments, elapsed ms)."""
+    """Scan one contract; returns (detections, {detected ref: its lines}, elapsed ms)."""
     started = time.perf_counter()
-    contract = SourceContract(contract_id, source_text)
-    matches = payload.matches
+    decide = payload.decide
     detections = []
-    hits: dict[FragmentRef, NormalizedFragment] = {}
-    for nf in normalize_contract(contract, cfg.mode, payload.memo):
-        lines = nf.lines
-        try:
-            found = matches[lines]
-        except KeyError:
-            found = matches[lines] = match_exemplars(lines, payload.exemplars, cfg)
+    hits: dict[FragmentRef, tuple] = {}
+    # normalize.extract_functions: the one extraction seam of every command.
+    for fragment in normalize.extract_functions(SourceContract(contract_id, source_text)):
+        lines, found = decide(fragment, cfg)
+        if not found:
+            continue
+        ref = fragment.ref
         for k, sim in found:
             sig_id, vuln_type, _ = payload[k]
-            detections.append(Detection(sig_id=sig_id, vuln_type=vuln_type, target=nf.origin, similarity=sim))
-            hits[nf.origin] = nf
+            detections.append(Detection(sig_id=sig_id, vuln_type=vuln_type, target=ref, similarity=sim))
+        hits[ref] = lines
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return detections, hits, elapsed_ms
 
@@ -157,6 +179,22 @@ def _scan_task(args):
     return _scan_source(contract_id, source_text, _WORKER["payload"], _WORKER["cfg"])
 
 
+class _Node(NamedTuple):
+    """A member of a cross class: a signature exemplar or a target fragment.
+
+    An exemplar and a target that share a ref (a signature file scanned as
+    a corpus) stay two members. Nodes sort as their refs, signature first
+    on a tie, and read as their ref otherwise (uid, contract_id, ...), so
+    class ids and rows are those of the refs.
+    """
+
+    ref: FragmentRef
+    role: str  # "signature" or "target"
+
+    def __getattr__(self, attr):
+        return getattr(self.ref, attr)
+
+
 def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     """Clone classes over exemplars plus detected fragments, serialized.
 
@@ -165,21 +203,22 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     signature members and every member's similarity to the canonically
     first signature exemplar.
     """
-    by_ref: dict[FragmentRef, NormalizedFragment] = {}
-    sig_types: dict[FragmentRef, list] = {}
+    by_node: dict[_Node, NormalizedFragment] = {}
+    sig_types: dict[_Node, list] = {}
     for sig_id, vuln_type, exemplar in payload:
-        by_ref[exemplar.origin] = exemplar
-        sig_types.setdefault(exemplar.origin, []).append(vuln_type.name)
-    for ref, nf in hits.items():
-        by_ref.setdefault(ref, nf)
+        node = _Node(exemplar.origin, "signature")
+        by_node[node] = NormalizedFragment(node, exemplar.mode, exemplar.lines)
+        sig_types.setdefault(node, []).append(vuln_type.name)
+    for ref, lines in hits.items():
+        node = _Node(ref, "target")
+        by_node[node] = NormalizedFragment(node, cfg.mode, lines)
 
     out = []
-    for cls in clone_classes(list(by_ref.values()), cfg):
-        sig_members = [m for m in cls.members if m in sig_types]
-        target_members = [m for m in cls.members if m not in sig_types]
-        if not sig_members or not target_members:
+    for cls in clone_classes(list(by_node.values()), cfg):
+        sig_members = [m for m in cls.members if m.role == "signature"]
+        if not sig_members or len(sig_members) == len(cls.members):
             continue
-        row = class_row(cls, by_ref, by_ref[sig_members[0]])
+        row = class_row(cls, by_node, by_node[sig_members[0]])
         row["vuln_types"] = sorted({t for m in sig_members for t in sig_types[m]})
         out.append(row)
     return out
@@ -204,7 +243,7 @@ def _scan_contracts(target: Corpus, payload, cfg: CloneConfig, jobs: int) -> lis
 def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, results) -> ScanReport:
     """The scan report of target from the _scan_source results of its contracts."""
     detections: list[Detection] = []
-    hits: dict[FragmentRef, NormalizedFragment] = {}
+    hits: dict[FragmentRef, tuple] = {}
     per_contract_ms = []
     for dets, frag_hits, elapsed in results:
         detections.extend(dets)
@@ -366,12 +405,16 @@ def analyze_evolution(
                     }
                 )
 
-        for cls in _assemble(union, sigs, payload, cfg, results).classes:
+        whole = _assemble(union, sigs, payload, cfg, results)
+        # A member counts for its bucket if it is a detected fragment; an
+        # exemplar is none, even where its contract id is a corpus one.
+        detected = {d.target for d in whole.detections}
+        for cls in whole.classes:
             spanned = sorted(
                 {
                     bucket_of[m["contract_id"]]
                     for m in cls["members"]
-                    if m["contract_id"] in bucket_of
+                    if FragmentRef(m["contract_id"], m["start_line"], m["end_line"], m["name"]) in detected
                 }
             )
             if len(spanned) > 1:

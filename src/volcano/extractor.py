@@ -1,16 +1,18 @@
 """Tolerant lexical extraction of Solidity function-level fragments.
 
 The scanner never parses Solidity properly. It masks comments and string
-literals, matches every `{` to its `}` in one stack pass over the masked
-canvas, and finds the `function`, `constructor`, `modifier` and 0.6+
-`fallback()`/`receive()` keywords with one regex. From each keyword it
+literals, jumping with str.find from one `/`, `"` or `'` to the next, so
+masking costs per comment or string region, not per character. It
+matches every `{` to its `}` in one stack pass over the masked canvas,
+and finds the `function`, `constructor`, `modifier` and 0.6+
+`fallback()`/`receive()` keywords with str.find. From each keyword it
 reads only what decides a definition: the name, then the header's
 parentheses, braces, semicolons and nested declaration keywords, up to
-the body's `{`, whose `}` is a lookup. Its cost follows the declarations
-and braces, not the tokens. That keeps it total over the 0.3-0.8 syntax
-range (and over the broken sources verified contracts occasionally
-contain): anything that cannot be matched to a body is skipped with a
-warning, never raised.
+the body's `{` (in one step where the parentheses never nest), whose `}`
+is a lookup. Its cost follows the declarations and braces, not the
+tokens. That keeps it total over the 0.3-0.8 syntax range (and over the
+broken sources verified contracts occasionally contain): anything that
+cannot be matched to a body is skipped with a warning, never raised.
 
 Masking is length-preserving so every offset on the masked canvas maps
 straight back into the original text.
@@ -33,17 +35,16 @@ log = logging.getLogger(__name__)
 # win over the unterminated fallbacks at the same start position. Solidity
 # strings cannot contain a raw newline, so an unterminated string masks to
 # the end of its line; an unterminated block comment masks to end of file.
-# Every region starts with / " or ', and the leading lookahead lets the
-# regex engine skip everything else without trying the alternatives.
+# Every region starts with / " or '; _mask finds those characters with
+# str.find and tries the regex only where one stands.
 _REGION_RE = re.compile(
-    r"(?=[/\"'])(?:"
     r"(?P<line>//[^\n]*)"
     r"|(?P<block>/\*.*?\*/)"
     r"|(?P<blockopen>/\*.*)"
     r"|(?P<dq>\"(?:[^\"\\\n]|\\.)*\")"
     r"|(?P<dqopen>\"(?:[^\"\\\n]|\\.)*)"
     r"|(?P<sq>'(?:[^'\\\n]|\\.)*')"
-    r"|(?P<sqopen>'(?:[^'\\\n]|\\.)*))",
+    r"|(?P<sqopen>'(?:[^'\\\n]|\\.)*)",
     re.DOTALL,
 )
 
@@ -58,15 +59,22 @@ _CANVAS_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[(){};]")
 _PUNCTUATION = frozenset("(){};")
 _DIGITS = frozenset(string.digits)
 _WORD_STARTS = frozenset(string.ascii_letters + "_$")
-_BRACE_RE = re.compile(r"[{}]")
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
 # Words that can open a fragment. fallback/receive cover the 0.6+ keyword
 # forms; plain calls named "fallback" are rejected later because a call is
-# followed by ';' before any '{'.
-_DECL_RE = re.compile(r"(?:function|constructor|modifier|fallback|receive)(?![A-Za-z0-9_$])")
+# followed by ';' before any '{'. None of them holds another, so their
+# occurrences never overlap.
+_DECL_WORDS = ("function", "constructor", "modifier", "fallback", "receive")
 # What a header walk reacts to: parentheses, braces, ';' and the keywords
 # that would open another declaration.
 _HEADER_RE = re.compile(r"[(){};]|(?:function|constructor|modifier)(?![A-Za-z0-9_$])")
+# A header the walk reads straight to its '{': no ';', no nested declaration
+# keyword, and parentheses that never nest and all close. _body_open tries
+# it only on a '{' within _SHORT_HEADER characters, so a bodiless
+# declaration far from any brace costs no more than the walk.
+_FLAT_HEADER_RE = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
+_SHORT_HEADER = 400
 
 
 def _blank(piece: str) -> str:
@@ -74,10 +82,27 @@ def _blank(piece: str) -> str:
 
 
 def _mask(text: str, mask_strings: bool, warn_to: list[str] | None) -> str:
+    n = len(text)
+
+    def after(ch: str, pos: int) -> int:
+        i = text.find(ch, pos)
+        return n if i < 0 else i
+
     parts = []
     last = 0
-    for m in _REGION_RE.finditer(text):
-        parts.append(text[last:m.start()])
+    # The next / " and ' at or after the scan position; each is found again
+    # only once the scan has passed it, so the text is read a bounded number
+    # of times however many regions it holds.
+    slash, dq, sq = after("/", 0), after('"', 0), after("'", 0)
+    while True:
+        pos = min(slash, dq, sq)
+        if pos == n:
+            break
+        m = _REGION_RE.match(text, pos)
+        if m is None:  # a '/' that opens no comment
+            slash = after("/", pos + 1)
+            continue
+        parts.append(text[last:pos])
         piece = m.group(0)
         kind = m.lastgroup
         if kind in ("line", "block", "blockopen"):
@@ -94,6 +119,12 @@ def _mask(text: str, mask_strings: bool, warn_to: list[str] | None) -> str:
         else:
             parts.append(piece)
         last = m.end()
+        if slash < last:
+            slash = after("/", last)
+        if dq < last:
+            dq = after('"', last)
+        if sq < last:
+            sq = after("'", last)
     parts.append(text[last:])
     return "".join(parts)
 
@@ -149,15 +180,35 @@ def _starts_token(canvas: str, pos: int) -> bool:
 
 def _brace_pairs(canvas: str) -> dict[int, int]:
     """Offset of each '{' that closes -> offset of its '}'; a stray '}' is skipped."""
+    find = canvas.find
     close_of = {}
     open_at = []
-    for m in _BRACE_RE.finditer(canvas):
-        pos = m.start()
-        if canvas[pos] == "{":
-            open_at.append(pos)
-        elif open_at:
-            close_of[open_at.pop()] = pos
+    opening = find("{")
+    closing = find("}")
+    while closing >= 0:
+        if 0 <= opening < closing:
+            open_at.append(opening)
+            opening = find("{", opening + 1)
+        else:
+            if open_at:
+                close_of[open_at.pop()] = closing
+            closing = find("}", closing + 1)
     return close_of
+
+
+def _keywords(canvas: str) -> list[tuple[int, str]]:
+    """(offset, word) of every declaration keyword on the canvas that no
+    word character follows, in offset order."""
+    found = []
+    for word in _DECL_WORDS:
+        size = len(word)
+        pos = canvas.find(word)
+        while pos >= 0:
+            if canvas[pos + size:pos + size + 1] not in _WORD_CHARS:
+                found.append((pos, word))
+            pos = canvas.find(word, pos + size)
+    found.sort()
+    return found
 
 
 def _body_open(canvas: str, pos: int) -> int | None:
@@ -168,6 +219,12 @@ def _body_open(canvas: str, pos: int) -> int | None:
     new declaration keyword or an unbalanced ')' means we misread a type
     position, so there is no fragment.
     """
+    brace = canvas.find("{", pos, pos + _SHORT_HEADER)
+    if brace >= 0:
+        head = canvas[pos:brace]
+        if (";" not in head and "function" not in head and "constructor" not in head
+                and "modifier" not in head and _FLAT_HEADER_RE.fullmatch(head)):
+            return brace
     depth = 0
     for m in _HEADER_RE.finditer(canvas, pos):
         t = m.group()
@@ -187,10 +244,9 @@ def _body_open(canvas: str, pos: int) -> int | None:
     return None
 
 
-def _declaration(canvas: str, decl: re.Match) -> tuple[str, int] | None:
-    """(name, offset its header starts at) of the definition keyword decl opens, or None."""
-    word = decl.group()
-    start = decl.end()
+def _declaration(canvas: str, word: str, start: int) -> tuple[str, int] | None:
+    """(name, offset its header starts at) of the definition keyword word,
+    which ends at start, or None."""
     if word == "constructor":
         return "<constructor>", start
     nxt = _CANVAS_TOKEN_RE.search(canvas, start)
@@ -219,11 +275,10 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
     # Keyed by (start_line, end_line, name): the ref within one contract.
     fragments: dict[tuple[int, int, str], FunctionFragment] = {}
     line, counted = 1, 0  # the line of offset counted; keywords come in order
-    for decl in _DECL_RE.finditer(canvas):
-        pos = decl.start()
+    for pos, word in _keywords(canvas):
         if not _starts_token(canvas, pos):
             continue
-        declared = _declaration(canvas, decl)
+        declared = _declaration(canvas, word, pos + len(word))
         if declared is None:
             continue
         name, header = declared

@@ -7,12 +7,7 @@ import logging
 import re
 
 from volcano.corpus import Corpus, SourceContract
-from volcano.extractor import (
-    FragmentRef,
-    FunctionFragment,
-    extract_functions,
-    mask_comments_and_strings,
-)
+from volcano.extractor import FragmentRef, FunctionFragment, extract_functions
 from volcano.normalize import RenamingMode, in_mode, pretty_print
 
 
@@ -37,6 +32,50 @@ def norm(text: str, mode: RenamingMode = RenamingMode.NONE, cid: str = "c"):
 def wrap(body: str, pragma: str | None = "pragma solidity ^0.4.10;") -> str:
     head = f"{pragma}\n" if pragma else ""
     return f"{head}contract C {{\n{body}\n}}\n"
+
+
+# The masker as one regex scan: finditer tries the region pattern at every
+# offset, where the masker under test jumps between / " and ' with str.find.
+_REGION_REFERENCE_RE = re.compile(
+    r"(?P<line>//[^\n]*)"
+    r"|(?P<block>/\*.*?\*/)"
+    r"|(?P<blockopen>/\*.*)"
+    r"|(?P<dq>\"(?:[^\"\\\n]|\\.)*\")"
+    r"|(?P<dqopen>\"(?:[^\"\\\n]|\\.)*)"
+    r"|(?P<sq>'(?:[^'\\\n]|\\.)*')"
+    r"|(?P<sqopen>'(?:[^'\\\n]|\\.)*)",
+    re.DOTALL,
+)
+
+
+def mask_reference(text: str, mask_strings: bool) -> tuple[str, list[str]]:
+    """(masked text, warnings): comments blanked, and string interiors if mask_strings."""
+
+    def blank(piece: str) -> str:
+        return re.sub(r"[^\n]", " ", piece)
+
+    parts = []
+    warnings: list[str] = []
+    last = 0
+    for m in _REGION_REFERENCE_RE.finditer(text):
+        parts.append(text[last:m.start()])
+        piece = m.group(0)
+        kind = m.lastgroup
+        if kind in ("line", "block", "blockopen"):
+            parts.append(blank(piece))
+            if kind == "blockopen":
+                warnings.append(f"unterminated block comment at offset {m.start()}")
+        elif mask_strings:
+            if kind in ("dq", "sq"):
+                parts.append(piece[0] + blank(piece[1:-1]) + piece[-1])
+            else:
+                parts.append(piece[0] + blank(piece[1:]))
+                warnings.append(f"unterminated string literal at offset {m.start()}")
+        else:
+            parts.append(piece)
+        last = m.end()
+    parts.append(text[last:])
+    return "".join(parts), warnings
 
 
 _DECL_WORDS = ("function", "constructor", "modifier", "fallback", "receive")
@@ -108,10 +147,13 @@ def extract_functions_reference(contract: SourceContract) -> list[FunctionFragme
 
     A second route beside the brace-matching extractor under test: it
     tokenizes the whole canvas and reads each declaration token by token.
-    It logs to the extractor's logger, so both give-up warnings compare.
+    It masks with mask_reference and logs to the extractor's logger, so
+    both masking and give-up warnings compare.
     """
     text = contract.source_text
-    canvas = mask_comments_and_strings(text)
+    canvas, warnings = mask_reference(text, mask_strings=True)
+    for w in warnings:
+        _extractor_log.warning(w)
     tokens = [(m.group(0), m.start()) for m in _CANVAS_TOKEN_RE.finditer(canvas)]
     n = len(tokens)
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]

@@ -5,18 +5,22 @@ import csv
 import json
 import os
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import make_corpus, wrap
+from conftest import make_corpus, norm, wrap
 
 import volcano.clone_engine as clone_engine_mod
 import volcano.detector as detector_mod
 import volcano.normalize as normalize_mod
+from volcano.cli import main
 from volcano.clone_engine import CloneConfig, clone_lcs, match_exemplars
 from volcano.corpus import Corpus, sort_by_version
 from volcano.detector import (
+    Detection,
     EvolutionReport,
     ScanReport,
     analyze_evolution,
@@ -26,8 +30,14 @@ from volcano.detector import (
 )
 from volcano.errors import EmptySignatureSet
 from volcano.extractor import extract_functions
-from volcano.normalize import RenamingMode, pretty_print
-from volcano.signatures import SignatureSet, VulnerabilityType, builtin_signatures, derive_signatures
+from volcano.normalize import RenamingMode, in_mode, pretty_print
+from volcano.signatures import (
+    SignatureSet,
+    VulnerabilityType,
+    VulnSignature,
+    builtin_signatures,
+    derive_signatures,
+)
 
 BLIND_0 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(0))
 BLIND_30 = CloneConfig(mode=RenamingMode.BLIND, max_difference=Fraction(30, 100))
@@ -421,3 +431,116 @@ def test_detection_to_dict_shape():
         "similarity": 1.0,
     }
     assert re.fullmatch(r"\d+", str(d["start_line"]))
+
+
+# One text in several contracts, one body under two names (one of them X1,
+# the name consistent renaming's placeholders step around), one name over
+# two bodies, and one body as a modifier and as a function. A min_lines of
+# 5 puts every kill (4 lines) and ping (3) outside the window, and keeps
+# the guards (5) inside.
+GUARD_BODY = "{\n        require(msg.sender == owner);\n        _;\n    }"
+DECIDING_SOURCES = {
+    **{
+        f"same{i}": wrap(f"    {KILL_FUNCTION}\n    function ping() public {{ }}", pragma=pragma)
+        for i, pragma in enumerate(["pragma solidity ^0.4.10;", "pragma solidity ^0.4.21;", None])
+    },
+    "names": wrap(
+        "    function X1(address evil) external {\n        suicide(evil);\n    }\n"
+        "    function X2(address evil) external {\n        suicide(evil);\n    }\n"
+        "    function kill(uint a) public {\n        sum += a;\n    }",
+        pragma="pragma solidity ^0.5.0;",
+    ),
+    "roles": wrap(
+        f"    modifier onlyOwner {GUARD_BODY}\n"
+        f"    function onlyOwner() public {GUARD_BODY}\n"
+        "    function kill(address worse) external { suicide(worse); }",
+        pragma="pragma solidity ^0.5.0;",
+    ),
+}
+
+
+def _deciding_by_fragment(corpus, sigs, cfg):
+    """Detections of a scan that normalizes every fragment and matches it alone."""
+    exemplars = [s.exemplar_in(cfg.mode).lines for s in sigs]
+    found = []
+    for contract in corpus:
+        for fragment in extract_functions(contract):
+            lines = in_mode(pretty_print(fragment), cfg.mode).lines
+            for k, sim in match_exemplars(lines, exemplars, cfg):
+                found.append((fragment.ref, sigs.signatures[k], sim))
+    found.sort(key=lambda f: (f[0], f[1].sig_id))
+    return [
+        Detection(sig_id=sig.sig_id, vuln_type=sig.vuln_type, target=ref, similarity=sim)
+        for ref, sig, sim in found
+    ]
+
+
+@pytest.mark.parametrize("min_lines", [1, 5])
+@pytest.mark.parametrize("cfg", [BLIND_0, BLIND_30, CONSISTENT_0, CONSISTENT_30])
+def test_decision_table_equals_deciding_each_fragment(cfg, min_lines):
+    cfg = CloneConfig(mode=cfg.mode, max_difference=cfg.max_difference, min_lines=min_lines)
+    corpus = make_corpus("deciding", DECIDING_SOURCES)
+    guard = norm(f"modifier onlyOwner {GUARD_BODY}", cid="guard.sol")
+    sigs = SignatureSet(
+        signatures=[
+            *builtin_signatures(),
+            VulnSignature("guard", VulnerabilityType.WEAK_MODIFIERS, guard),
+            VulnSignature("x1-kill", VulnerabilityType.DOS, norm(f"    {KILL_FUNCTION}".replace("kill", "X1"))),
+        ]
+    )
+    want = _deciding_by_fragment(corpus, sigs, cfg)
+    assert {d.target.name for d in want} >= {"<modifier:onlyOwner>"} | ({"kill"} if min_lines == 1 else set())
+    for jobs in (1, 2):
+        assert scan(corpus, sigs, cfg, jobs=jobs).detections == want
+
+    buckets = sort_by_version(corpus)
+    cells = analyze_evolution(buckets, sigs, [cfg]).cells
+    for bucket, part in buckets.items():
+        dets = _deciding_by_fragment(part, sigs, cfg)
+        for name in (t.name for t in VulnerabilityType):
+            sims = [d.similarity for d in dets if d.vuln_type.name == name]
+            (cell,) = [c for c in cells if c["bucket"] == bucket and c["vuln_type"] == name]
+            assert (cell["detections"], cell["min_similarity"]) == (len(sims), min(sims, default=None))
+
+
+def test_a_signature_scanned_as_a_target_forms_a_class(tmp_path):
+    """Derived signatures scanned as a corpus: every exemplar detects its
+    own file, and exemplar and target are two members of one class even
+    though they share a ref (the case that gave 4 detections and 0 classes
+    on the benchmark's seed-1 labeled corpus)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    lab = gen.labeled_corpus(1, pure=4, mixed=2, family_size=8)
+    labeled = tmp_path / "labeled"
+    labeled.mkdir()
+    for name, text in lab.corpus.files.items():
+        (labeled / name).write_text(text)
+    (tmp_path / "labels.csv").write_text(gen.labels_csv(lab.labels))
+    sigs, out = tmp_path / "sigs", tmp_path / "scan.json"
+    assert main(["derive", "--in", str(labeled), "--labels", str(tmp_path / "labels.csv"),
+                 "--mode", "consistent", "--threshold", "30", "--out", str(sigs)]) == 0
+    assert main(["scan", "--in", str(sigs), "--sigs", str(sigs), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["detections"]) == 4
+    assert len(doc["classes"]) == 4
+    for cls in doc["classes"]:
+        exemplar, target = cls["members"]
+        assert exemplar == target and exemplar["similarity_to_exemplar"] == 1.0
+
+
+def test_evolution_does_not_bucket_an_exemplar_by_its_contract_id():
+    """An exemplar whose contract id is also a corpus contract's (signatures
+    derived from an earlier snapshot) is no member of that contract's bucket."""
+    sources = {
+        "a": wrap("    function greet() public { hello = 1; }", pragma="pragma solidity ^0.5.0;"),
+        "z": wrap("    function kill(address bad) external { suicide(bad); }"),
+    }
+    exemplar = norm("function kill(address evil) external { suicide(evil); }", cid="a")
+    sigs = SignatureSet(signatures=[VulnSignature("dos-a", VulnerabilityType.DOS, exemplar)])
+    buckets = sort_by_version(make_corpus("evo", sources))
+    report = analyze_evolution(buckets, sigs, [CONSISTENT_30])
+    assert report.cell("consistent", "^0.4", "DOS")["class_count"] == 1
+    assert report.cross_bucket_classes == []

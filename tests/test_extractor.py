@@ -6,13 +6,14 @@ import logging
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN_SOURCES,
     extract_functions_reference,
     make_contract,
+    mask_reference,
     single_fragment,
     wrap,
 )
@@ -21,6 +22,7 @@ from test_acceptance import BENIGN_SOURCES
 from volcano.corpus import SourceContract
 from volcano.extractor import (
     FragmentRef,
+    _mask,
     extract_functions,
     mask_comments_and_strings,
     strip_comments,
@@ -224,6 +226,7 @@ _PIECES = [
     " f", " g", "(", ")", "{", "}", ";", " ", "\n", "//", "/*", "*/", '"', "'", "\\", "x",
     "9function", "function9", "xfunction", "0xfunction", "$function",
     "fallback (", "receive;", "modifier m", "} {", '"open', "/* open", "'open\n",
+    ") returns (", "((", "))", "; {",
 ]
 _HEADERS = [
     "function f()", "function g()", "modifier f", "constructor()", "fallback()",
@@ -261,6 +264,31 @@ def test_masking_keeps_length_and_newline_offsets(text):
     assert [i for i, ch in enumerate(masked) if ch == "\n"] == [i for i, ch in enumerate(text) if ch == "\n"]
 
 
+# Text made of what the masker reacts to: slashes that do and do not open
+# comments, both quotes, escapes (a backslash before a quote, a newline or
+# the end of the text), newlines and unterminated regions of every kind.
+_HOSTILE = st.one_of(
+    st.text(alphabet="/*\"'\\\n x;"),
+    st.lists(
+        st.sampled_from(["/", "*", "//", "/*", "*/", '"', "'", "\\", "\\\"", "\\'", "\\\n", "\n", "x", " /"]),
+        max_size=40,
+    ).map("".join),
+    _sources,
+)
+
+
+@settings(max_examples=1000)
+@given(_HOSTILE, st.booleans())
+@example('a / b "c\\"d" \'e\n/* f', True)
+@example("x // y\n'open", False)
+@example('"""', True)  # a region's end is the next region's start
+@example("'\"'\"x\"//'", True)
+def test_masking_equals_regex_scan_reference(text, mask_strings):
+    warnings: list[str] = []
+    masked = _mask(text, mask_strings, warnings)
+    assert (masked, warnings) == mask_reference(text, mask_strings)
+
+
 @contextlib.contextmanager
 def _extractor_warnings():
     """Collect the messages the extractor's logger emits in the block."""
@@ -289,6 +317,11 @@ def _assert_matches_reference(contract):
 @given(_sources)
 @example("9function f() { } x9function g() { } 0xfunction h() { }")
 @example("$function f() { } function9 g() { } } function k() { }")
+# Headers around the flat-parentheses shortcut: a ';' at and below depth
+# 0, an unbalanced ')', nested and repeated parameter lists.
+@example("function f(); { } function g(x; y) { }")
+@example("function f()) { } fallback (} { } modifier m(a, (b)) { }")
+@example("function f(uint a) returns (uint) { } function g((x) { }")
 def test_extraction_equals_token_walk_reference(text):
     _assert_matches_reference(SourceContract("c", text))
 
