@@ -8,7 +8,6 @@ from .clone_engine import (
     clone_classes,
     cluster_classes,
     detect_pairs,
-    is_clone_pair,
     similarity,
 )
 from .corpus import (

@@ -5,13 +5,14 @@ records, with lines normalized in the configured mode only, keyed by
 content digest (so renamed or duplicated files reuse work), the
 id-to-digest binding of the last run, and the clone decisions found.
 A clone decision depends only on two distinct line sequences, so the
-cache keeps one entry [i, j, lcs] per clone pair of distinct sequences,
-i < j ranks in sequences(); fragment pairs are expanded from them on
-every run. incremental_scan re-extracts only contracts whose digest
-changed (and rebuilds any record that lacks the configured mode) and
-re-runs LCS only for pairs with a sequence the cache does not hold; the
-result is extensionally equal to a from-scratch analysis of the current
-corpus.
+cache keeps one entry (lines_a, lines_b, lcs) per clone pair of distinct
+sequences; on disk the entry is [i, j, lcs], i < j ranks of the two in
+the sorted distinct sequences of the records, and only load and save
+convert. Fragment pairs are expanded from the entries on every run.
+incremental_scan re-extracts only contracts whose digest changed (and
+rebuilds any record that lacks the configured mode) and re-runs LCS only
+for pairs with a sequence the cache does not hold; the result is
+extensionally equal to a from-scratch analysis of the current corpus.
 
 A cache written under a different clone configuration is an error; an
 unreadable cache, or one written by different extraction, normalization,
@@ -85,12 +86,17 @@ def _is_record(record) -> bool:
     )
 
 
+def _held(fragments: dict[str, list[dict]]) -> set[tuple[str, ...]]:
+    """The distinct line sequences of fragment records; a saved clone names two by rank in sorted order."""
+    return {tuple(seq) for records in fragments.values() for r in records for seq in r["lines"].values()}
+
+
 @dataclass
 class AnalysisCache:
     config_digest: str
     contracts: dict[str, str] = field(default_factory=dict)  # id -> content digest
     fragments: dict[str, list[dict]] = field(default_factory=dict)  # digest -> records
-    clones: list[list[int]] = field(default_factory=list)  # [i, j, lcs], ranks in sequences()
+    clones: list[tuple] = field(default_factory=list)  # (lines_a, lines_b, lcs)
 
     @classmethod
     def empty(cls, cfg: CloneConfig) -> "AnalysisCache":
@@ -106,7 +112,7 @@ class AnalysisCache:
             if blob["version"] != CACHE_VERSION:
                 log.warning("cache %s has version %s, ignoring it", path, blob["version"])
                 return None
-            contracts, fragments = blob["contracts"], blob["fragments"]
+            contracts, fragments, clones = blob["contracts"], blob["fragments"], blob["clones"]
             if not (
                 isinstance(blob["config_digest"], str)
                 and isinstance(contracts, dict)
@@ -115,47 +121,42 @@ class AnalysisCache:
                 and all(isinstance(rs, list) and all(map(_is_record, rs)) for rs in fragments.values())
             ):
                 raise ValueError("the config digest, a contract or a fragment record has the wrong shape")
-            cache = cls(
-                config_digest=blob["config_digest"],
-                contracts=contracts,
-                fragments=fragments,
-                clones=blob["clones"],
-            )
-            sizes = [len(seq) for seq in cache.sequences()]
-            if not isinstance(cache.clones, list) or not all(
+            seqs = sorted(_held(fragments))
+            if not isinstance(clones, list) or not all(
                 isinstance(c, list)
                 and len(c) == 3
                 and all(type(v) is int for v in c)
-                and 0 <= c[0] < c[1] < len(sizes)
-                and 0 < c[2] <= min(sizes[c[0]], sizes[c[1]])
-                for c in cache.clones
+                and 0 <= c[0] < c[1] < len(seqs)
+                and 0 < c[2] <= min(len(seqs[c[0]]), len(seqs[c[1]]))
+                for c in clones
             ):
                 raise ValueError("a clone entry names no pair of held sequences or has an impossible LCS")
-            return cache
+            return cls(
+                config_digest=blob["config_digest"],
+                contracts=contracts,
+                fragments=fragments,
+                clones=[(seqs[i], seqs[j], lcs) for i, j, lcs in clones],
+            )
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             log.warning("cache %s is unreadable (%s); falling back to full analysis", path, exc)
             return None
 
     def save(self, cache_dir) -> None:
+        """Write the cache; each clone is saved as [i, j, lcs], i < j ranks of its sequences."""
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
+        rank = {seq: i for i, seq in enumerate(sorted(_held(self.fragments)))}
         blob = {
             "version": CACHE_VERSION,
             "config_digest": self.config_digest,
             "contracts": self.contracts,
             "fragments": self.fragments,
-            "clones": self.clones,
+            "clones": sorted(sorted((rank[a], rank[b])) + [lcs] for a, b, lcs in self.clones),
         }
         path = cache_dir / CACHE_FILE
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
         tmp.replace(path)
-
-    def sequences(self) -> list[tuple[str, ...]]:
-        """The distinct line sequences of the fragment records, sorted."""
-        return sorted(
-            {tuple(seq) for records in self.fragments.values() for r in records for seq in r["lines"].values()}
-        )
 
     @staticmethod
     def clear(cache_dir) -> None:
@@ -181,22 +182,22 @@ def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
 
 
 def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
-    """Clone pairs and classes for the current corpus, reusing cached work.
+    """Clone pairs, classes and fragment index of the current corpus, reusing cached work.
 
     corpus is the full current snapshot, diffed against the cache by content
     digest; contracts to re-extract share one normalization memo. Every
     sequence the cache holds brings its clone decisions, so a pair of two
     such sequences costs no LCS, whichever contracts carry it now: a copied,
     renamed or partly edited contract recomputes only the pairs of its new
-    sequences. The cache object is updated in place to describe the current
-    corpus; callers persist it with save().
+    sequences. The index is fragment_index of the updated cache. The cache
+    object is updated in place to describe the current corpus; callers
+    persist it with save().
     """
     if cache.config_digest != cfg.digest():
         raise CacheConfigMismatch(
             "cache was built under a different configuration; run `volcano cache clear`"
         )
-    seqs = cache.sequences()
-    decided = [(seqs[i], seqs[j], lcs) for i, j, lcs in cache.clones]
+    known = _held(cache.fragments)
     memo = NormalizationMemo()
     records: dict[str, list[dict]] = {}
     for contract in corpus:
@@ -210,13 +211,10 @@ def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
     cache.contracts = {c.id: c.content_digest for c in corpus}
     cache.fragments = records
 
-    fragments = fragment_index(cache, corpus, cfg.mode).values()
-    found = _sequence_pairs(fragments, cfg, set(seqs), decided)
+    index = fragment_index(cache, corpus, cfg.mode)
+    found = _sequence_pairs(index.values(), cfg, known, cache.clones)
     eligible, seq_pairs = found
-    rank = {seq: i for i, seq in enumerate(cache.sequences())}
-    cache.clones = sorted(
-        sorted((rank[eligible[ga[0]].lines], rank[eligible[gb[0]].lines])) + [lcs]
-        for ga, gb, lcs, _ in seq_pairs
-        if ga is not gb
-    )
-    return _fragment_pairs(*found), _sequence_classes(*found)
+    cache.clones = [
+        (eligible[ga[0]].lines, eligible[gb[0]].lines, lcs) for ga, gb, lcs, _ in seq_pairs if ga is not gb
+    ]
+    return _fragment_pairs(*found), _sequence_classes(*found), index

@@ -213,9 +213,8 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def clone_report_dict(cache, corpus, cfg: CloneConfig, pairs, classes) -> dict:
-    """Deterministic JSON document for a within-corpus clone analysis."""
-    index = cache_mod.fragment_index(cache, corpus, cfg.mode)
+def clone_report_dict(cfg: CloneConfig, pairs, classes, index) -> dict:
+    """Deterministic JSON document for a within-corpus clone analysis; index maps refs to fragments."""
     return {
         "config": cfg.to_dict(),
         "pairs": [
@@ -242,10 +241,10 @@ def _cmd_clones(args) -> int:
         cache = cache_mod.AnalysisCache.load(cache_dir)
     if cache is None:
         cache = cache_mod.AnalysisCache.empty(cfg)
-    pairs, classes = cache_mod.incremental_scan(cache, corpus, cfg)
+    pairs, classes, index = cache_mod.incremental_scan(cache, corpus, cfg)
     if not args.no_cache:
         cache.save(cache_dir)
-    doc = clone_report_dict(cache, corpus, cfg, pairs, classes)
+    doc = clone_report_dict(cfg, pairs, classes, index)
     doc["run"] = _run_echo(args)
     _write_or_print(json.dumps(doc, indent=2, sort_keys=True), args.out)
     return 0

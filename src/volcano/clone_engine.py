@@ -186,11 +186,6 @@ def match_exemplars(lines, exemplars, cfg: CloneConfig) -> tuple:
     return tuple(found)
 
 
-def is_clone_pair(a: NormalizedFragment, b: NormalizedFragment, cfg: CloneConfig) -> bool:
-    """Decide the clone relation for one pair; a fragment never pairs with itself."""
-    return bool(detect_pairs([a, b], cfg))
-
-
 def _tokens(lines) -> list[tuple]:
     """The lines of a sequence as tokens (line, k), line's k-th occurrence."""
     seen: dict = {}
@@ -205,11 +200,14 @@ def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
     """Pairs (a, b) of distinct sequences that may clone under cfg, b in new.
 
     a is in old or before b in new, so no pair of two old sequences is a
-    candidate. Every clone pair with a side in new is one: it shares a
-    token within each side's first n * num // den + 1 tokens in the global
-    order (see the module docstring). old sequences enter the index first;
-    each new one probes the prefixes indexed so far, then adds its own.
+    candidate, and with new empty no index is built. Every clone pair with
+    a side in new is one: it shares a token within each side's first
+    n * num // den + 1 tokens in the global order (see the module
+    docstring). old sequences enter the index first; each new one probes
+    the prefixes indexed so far, then adds its own.
     """
+    if not new:
+        return []
     num, den = cfg.max_difference.numerator, cfg.max_difference.denominator
     seqs = old + new
     tokens = [_tokens(lines) for lines in seqs]

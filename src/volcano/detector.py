@@ -1,13 +1,13 @@
 """Cross-corpus scanning of signatures and version-evolution analysis.
 
 scan() matches every signature exemplar against every eligible fragment
-of a target corpus under one clone configuration. Each fragment is one
-lookup in a decision table keyed by its exact text and name; on a miss the
-text is normalized, and a normalized sequence not met before is decided
-against every exemplar at once by clone_engine.match_exemplars; the line
-window and the threshold apply only in clone_engine. The report carries the
-raw detections, per-type instance counts (distinct target fragments),
-clone classes over the union of exemplars and detected fragments, and
+of a target corpus under one clone configuration. Each fragment's lines
+come from the run's NormalizationMemo, keyed by its exact text and name,
+and a normalized sequence not met before is decided against every
+exemplar at once by clone_engine.match_exemplars; the line window and the
+threshold apply only in clone_engine. The report carries the raw
+detections, per-type instance counts (distinct target fragments), clone
+classes over the union of exemplars and detected fragments, and
 wall-clock timing per contract, for the cross-class phase and for the
 whole scan. Timing excludes corpus loading and lives in its own section
 so the detection body stays deterministic.
@@ -101,26 +101,20 @@ class ScanReport:
 
 
 _WORKER = {}
-# The decision of every fragment text that matches no signature: no lines
-# are kept for it, since only a detected fragment's lines are read.
-_UNMATCHED = ((), ())
 
 
 class _Payload(list):
     """One (sig_id, vuln_type, exemplar) entry per signature, the run's
-    NormalizationMemo as .memo, a match table as .matches and a decision
-    table as .decisions.
+    NormalizationMemo as .memo and a match table as .matches.
 
     matches maps each normalized sequence the scan meets to
     match_exemplars(lines, exemplar lines, cfg), the (entry index,
     similarity) of every signature it clones; a sequence outside the line
-    window maps to (). decisions maps a fragment's (exact text, name), all
-    that its normalization and so its matches read, to (lines, matches),
-    or to the shared _UNMATCHED when it matches nothing. A fragment text
-    repeated across the corpus thus costs one lookup after its first
-    occurrence, and a sequence that several texts normalize to is decided
-    once against all signatures. A payload serves one config; every worker
-    process holds its own copy.
+    window maps to (). A fragment text repeated across the corpus thus
+    costs a memo and a match-table lookup after its first occurrence, and
+    a sequence that several texts normalize to is decided once against
+    all signatures. A payload serves one config; every worker process
+    holds its own copy.
     """
 
     def __init__(self, entries, memo: NormalizationMemo):
@@ -128,19 +122,14 @@ class _Payload(list):
         self.memo = memo
         self.exemplars = [exemplar.lines for _, _, exemplar in entries]
         self.matches: dict[tuple, tuple] = {}
-        self.decisions: dict[tuple[str, str], tuple[tuple, tuple]] = {}
 
     def decide(self, fragment: FunctionFragment, cfg: CloneConfig) -> tuple[tuple, tuple]:
         """(normalized lines, matches) of a fragment, normalized and matched on a miss."""
-        key = (fragment.exact_text, fragment.name)
-        decided = self.decisions.get(key)
-        if decided is None:
-            lines = self.memo.normalize(fragment, cfg.mode).lines
-            found = self.matches.get(lines)
-            if found is None:
-                found = self.matches[lines] = match_exemplars(lines, self.exemplars, cfg)
-            decided = self.decisions[key] = (lines, found) if found else _UNMATCHED
-        return decided
+        lines = self.memo.lines(fragment, cfg.mode)
+        found = self.matches.get(lines)
+        if found is None:
+            found = self.matches[lines] = match_exemplars(lines, self.exemplars, cfg)
+        return lines, found
 
 
 def _payload_of(sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo) -> _Payload:

@@ -209,36 +209,36 @@ def in_mode(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
 
 
 class NormalizationMemo:
-    """Normalization results by content, for the length of one run.
+    """Normalized lines by content, for the length of one run.
 
     Pretty-printing reads only a fragment's exact text, and renaming only
-    the printed lines, the declared name and the mode, so fragments that
-    agree on those normalize alike up to their origin. printed maps an
-    exact text to its mode-NONE lines; renamed maps (mode-NONE lines,
-    declared name, mode) to the renamed lines.
+    the printed lines, the name and the mode, so fragments that agree on
+    those normalize alike up to their origin. table maps (exact text,
+    name, mode) to the lines. A renamed entry is built from the mode-NONE
+    entry of its text and name, and extraction reads a fragment's name
+    from its text, so a text is pretty-printed once whatever modes it is
+    asked in.
     """
 
     def __init__(self):
-        self.printed: dict[str, tuple[str, ...]] = {}
-        self.renamed: dict[tuple, tuple[str, ...]] = {}
+        self.table: dict[tuple, tuple[str, ...]] = {}
+
+    def lines(self, fragment: FunctionFragment, mode: RenamingMode) -> tuple[str, ...]:
+        """in_mode(pretty_print(fragment), mode).lines, computed once per distinct content."""
+        key = (fragment.exact_text, fragment.name, mode)
+        lines = self.table.get(key)
+        if lines is None:
+            if mode is RenamingMode.NONE:
+                lines = pretty_print(fragment).lines
+            else:
+                printed = self.lines(fragment, RenamingMode.NONE)
+                lines = in_mode(NormalizedFragment(fragment.ref, RenamingMode.NONE, printed), mode).lines
+            self.table[key] = lines
+        return lines
 
     def normalize(self, fragment: FunctionFragment, mode: RenamingMode) -> NormalizedFragment:
         """in_mode(pretty_print(fragment), mode), computed once per distinct content."""
-        ref = fragment.ref
-        nf = None
-        lines = self.printed.get(fragment.exact_text)
-        if lines is None:
-            nf = pretty_print(fragment)
-            lines = self.printed[fragment.exact_text] = nf.lines
-        key = (lines, _declared_name(ref), mode)
-        done = self.renamed.get(key)
-        if done is None:
-            if nf is None:
-                nf = NormalizedFragment(origin=ref, mode=RenamingMode.NONE, lines=lines)
-            nf = in_mode(nf, mode)
-            self.renamed[key] = nf.lines
-            return nf
-        return NormalizedFragment(origin=ref, mode=mode, lines=done)
+        return NormalizedFragment(origin=fragment.ref, mode=mode, lines=self.lines(fragment, mode))
 
 
 def normalize_contract(

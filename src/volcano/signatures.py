@@ -29,6 +29,7 @@ from .errors import (
     UnknownType,
     UnlabeledContract,
 )
+from . import normalize
 from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, in_mode, normalize_contract
 
 log = logging.getLogger(__name__)
@@ -376,9 +377,9 @@ def derive_signatures(
     mode_frags = []
     memo = NormalizationMemo()
     for contract in vuln_corpus:
-        for none_nf in normalize_contract(contract, RenamingMode.NONE, memo):
-            none_by_ref[none_nf.origin] = none_nf
-            mode_frags.append(in_mode(none_nf, cfg.mode))
+        for fragment in normalize.extract_functions(contract):
+            none_by_ref[fragment.ref] = memo.normalize(fragment, RenamingMode.NONE)
+            mode_frags.append(memo.normalize(fragment, cfg.mode))
 
     classes = clone_classes(mode_frags, cfg)
     if not classes:

@@ -497,7 +497,7 @@ def test_acceptance_5_monotonicity_and_hierarchy(capsys):
 # ---------------------------------------------------------------- criterion 6
 
 
-def _canonical_clone_report(pairs, classes) -> bytes:
+def _canonical_clone_report(pairs, classes, *_) -> bytes:
     doc = {
         "pairs": [
             {"left": p.left.uid, "right": p.right.uid, "lcs": p.lcs_len, "max": p.max_len}

@@ -55,7 +55,17 @@ def full_result(corpus: Corpus, cfg: CloneConfig = BLIND_10):
     return incremental_scan(AnalysisCache.empty(cfg), corpus, cfg)
 
 
-def canonical(pairs, classes) -> str:
+def record_sequences(cache: AnalysisCache) -> list[tuple[str, ...]]:
+    """The sorted distinct line sequences of a cache's records, whose ranks a saved clone names."""
+    return sorted({tuple(seq) for records in cache.fragments.values() for r in records for seq in r["lines"].values()})
+
+
+def unordered(clones) -> set[tuple]:
+    """Clone entries (lines_a, lines_b, lcs) with each pair's sides in sorted order."""
+    return {(*sorted((a, b)), lcs) for a, b, lcs in clones}
+
+
+def canonical(pairs, classes, *_) -> str:
     doc = {
         "pairs": [
             {"left": p.left.uid, "right": p.right.uid, "lcs": p.lcs_len, "max": p.max_len}
@@ -71,25 +81,27 @@ def canonical(pairs, classes) -> str:
 def test_empty_cache_scan_finds_pairs_and_saves(tmp_path):
     corpus = clone_rich_corpus()
     cache = AnalysisCache.empty(CONSISTENT_30)
-    pairs, classes = incremental_scan(cache, corpus, CONSISTENT_30)
+    pairs, classes, index = incremental_scan(cache, corpus, CONSISTENT_30)
     assert pairs and classes
+    assert index == fragment_index(cache, corpus, CONSISTENT_30.mode)
     assert cache.contracts == {c.id: c.content_digest for c in corpus}
     cache.save(tmp_path)
     loaded = AnalysisCache.load(tmp_path)
     assert loaded is not None
     assert loaded.config_digest == CONSISTENT_30.digest()
     assert loaded.contracts == cache.contracts
-    assert loaded.clones == cache.clones
-    # one entry per clone pair of distinct sequences, each with its LCS
-    seqs = loaded.sequences()
-    index = fragment_index(loaded, corpus, CONSISTENT_30.mode)
+    assert unordered(loaded.clones) == unordered(cache.clones)
+    # one entry per clone pair of distinct sequences, each with its LCS,
+    # saved as [i, j, lcs]: i < j ranks in the sorted distinct sequences
+    seqs = record_sequences(loaded)
     want = set()
     for p in pairs:
         i, j = sorted((seqs.index(index[p.left].lines), seqs.index(index[p.right].lines)))
         if i != j:
             want.add((i, j, p.lcs_len))
-    assert {tuple(c) for c in loaded.clones} == want
-    assert all(lcs_oracle(seqs[i], seqs[j]) == lcs for i, j, lcs in loaded.clones)
+    assert json.loads((tmp_path / CACHE_FILE).read_text())["clones"] == sorted(map(list, want))
+    assert unordered(loaded.clones) == {(seqs[i], seqs[j], lcs) for i, j, lcs in want}
+    assert all(lcs_oracle(a, b) == lcs for a, b, lcs in loaded.clones)
 
 
 def test_rescan_without_changes_is_byte_identical(tmp_path):
@@ -153,7 +165,7 @@ def test_warm_scan_decides_no_pair_of_cached_sequences_again(tmp_path, monkeypat
     incremental_scan(cache, make_corpus("v0", sources), CONSISTENT_30)
     cache.save(tmp_path)
     warm = AnalysisCache.load(tmp_path)
-    cached = set(warm.sequences())
+    cached = set(record_sequences(warm))
 
     sources["copy"] = sources["c1"]  # a copy under a new id
     # One token of c2's pay edited: 7 lines, 5 shared with each cached pay
@@ -163,7 +175,7 @@ def test_warm_scan_decides_no_pair_of_cached_sequences_again(tmp_path, monkeypat
     calls = []
     original = clone_engine_mod.lcs_length
     monkeypatch.setattr(clone_engine_mod, "lcs_length", lambda a, b: calls.append((a, b)) or original(a, b))
-    pairs, classes = incremental_scan(warm, corpus, CONSISTENT_30)
+    pairs, classes, _ = incremental_scan(warm, corpus, CONSISTENT_30)
     assert calls, "the edited function is new and must be decided"
     assert not [c for c in calls if c[0] in cached and c[1] in cached]
     assert canonical(pairs, classes) == canonical(*full_result(corpus, CONSISTENT_30))
@@ -172,7 +184,7 @@ def test_warm_scan_decides_no_pair_of_cached_sequences_again(tmp_path, monkeypat
     n = 6
     corpus = make_corpus("copies", {f"c{i}": contract_text(1) for i in range(n)})
     cache = AnalysisCache.empty(CONSISTENT_30)
-    pairs, classes = incremental_scan(cache, corpus, CONSISTENT_30)
+    pairs, classes, _ = incremental_scan(cache, corpus, CONSISTENT_30)
     cache.save(tmp_path)
     assert json.loads((tmp_path / CACHE_FILE).read_text())["clones"] == []
     assert len(pairs) == n * (n - 1) // 2
@@ -233,7 +245,7 @@ def _apply(sources: dict[str, str], op, pick, name, tag, variant) -> None:
     generations=st.lists(st.lists(EDIT, min_size=1, max_size=4), min_size=1, max_size=4),
 )
 def test_incremental_equals_scratch_across_saved_generations(cfg, generations):
-    def key(pairs, classes):
+    def key(pairs, classes, *_):
         return (
             [(p.left, p.right, p.lcs_len, p.max_len, p.similarity) for p in pairs],
             [(c.class_id, c.members) for c in classes],
@@ -290,9 +302,9 @@ def test_cache_with_an_impossible_pair_loads_as_none(clones, tmp_path, caplog):
     cache = AnalysisCache.empty(CONSISTENT_30)
     incremental_scan(cache, clone_rich_corpus(), CONSISTENT_30)
     cache.save(tmp_path)
-    assert [len(seq) for seq in cache.sequences()] == [6, 5, 6, 5, 6, 5]
-    assert [0, 1, 5] in cache.clones
+    assert [len(seq) for seq in record_sequences(cache)] == [6, 5, 6, 5, 6, 5]
     blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    assert [0, 1, 5] in blob["clones"]
     blob["clones"] = clones
     (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
     with caplog.at_level(logging.WARNING, logger="volcano.cache"):
@@ -415,6 +427,6 @@ def test_duplicate_content_shares_fragment_records():
     text = contract_text(1)
     corpus = make_corpus("dup", {"a": text, "b": text})
     cache = AnalysisCache.empty(BLIND_10)
-    pairs, _ = incremental_scan(cache, corpus, BLIND_10)
+    pairs, _, _ = incremental_scan(cache, corpus, BLIND_10)
     assert len(cache.fragments) == 1  # keyed by content digest
     assert pair_key_set(pairs)  # the two copies still pair up

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_contract, wrap
 
+import volcano.cache as cache_mod
 import volcano.clone_engine as clone_engine_mod
 import volcano.corpus as corpus_mod
 import volcano.signatures as signatures_mod
@@ -296,6 +297,33 @@ def test_clones_cache_lifecycle(corpus_dir, tmp_path, capsys):
     assert main(["cache", "clear", "--in", str(corpus_dir)]) == 0
     assert not cache_file.exists()
     assert main(["clones", "--in", str(corpus_dir), "--threshold", "20", "--out", str(out)]) == 0
+
+
+def test_clones_builds_the_fragment_index_once_cold_and_warm(corpus_dir, tmp_path, monkeypatch):
+    real = cache_mod.fragment_index
+    calls = []
+    monkeypatch.setattr(cache_mod, "fragment_index", lambda *a: calls.append(1) or real(*a))
+    argv = ["clones", "--in", str(corpus_dir), "--mode", "blind", "--threshold", "25", "--out", str(tmp_path / "c.json")]
+    for run in ("cold", "warm"):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, run
+
+
+def test_a_warm_clones_over_an_unchanged_corpus_builds_no_candidate_index(corpus_dir, tmp_path, monkeypatch):
+    real = clone_engine_mod._tokens
+    calls = []
+    monkeypatch.setattr(clone_engine_mod, "_tokens", lambda lines: calls.append(1) or real(lines))
+    out = tmp_path / "c.json"
+    argv = ["clones", "--in", str(corpus_dir), "--mode", "blind", "--threshold", "25", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls, "a cold run indexes its sequences"
+    cold = json.loads(out.read_text())
+    calls.clear()
+    assert main(argv) == 0
+    assert calls == []
+    warm = json.loads(out.read_text())
+    assert warm["pairs"] and warm == cold
 
 
 def test_clones_dedupe_lists_no_pair_of_a_byte_identical_copy(corpus_dir, tmp_path):

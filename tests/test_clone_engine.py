@@ -24,7 +24,6 @@ from volcano.clone_engine import (
     clone_lcs,
     cluster_classes,
     detect_pairs,
-    is_clone_pair,
     lcs_length,
     similarity,
     within_window,
@@ -45,6 +44,11 @@ def frag(uid: str, lines, mode=RenamingMode.BLIND, start=1) -> NormalizedFragmen
 
 def cfg(threshold=Fraction(0), mode=RenamingMode.BLIND, min_lines=1, max_lines=None):
     return CloneConfig(mode=mode, max_difference=threshold, min_lines=min_lines, max_lines=max_lines)
+
+
+def is_clone_pair(a: NormalizedFragment, b: NormalizedFragment, config: CloneConfig) -> bool:
+    """The clone relation for one pair; a fragment never pairs with itself."""
+    return bool(detect_pairs([a, b], config))
 
 
 def test_lcs_known_values():

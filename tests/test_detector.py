@@ -417,6 +417,23 @@ def test_each_distinct_fragment_text_is_pretty_printed_once_per_run(monkeypatch)
         assert len(printed) == len(set(printed)) == 6
 
 
+def test_derive_renames_each_distinct_fragment_text_once(monkeypatch):
+    corpus = make_corpus(
+        "copies",
+        {f"k{i}": wrap(f"    {KILL_FUNCTION}\n    function own{i}() public {{ owner = {i}; }}") for i in range(5)},
+    )
+    renamed = []
+
+    def counting(nf, mode):
+        renamed.append((nf.lines, mode))
+        return in_mode(nf, mode)
+
+    monkeypatch.setattr(normalize_mod, "in_mode", counting)
+    derive_signatures(corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30)
+    assert len(renamed) == len(set(renamed)) == 6
+    assert {mode for _, mode in renamed} == {RenamingMode.CONSISTENT}
+
+
 def test_detection_to_dict_shape():
     corpus = make_corpus("victims", {"v": KILL_CONTRACT})
     report = scan(corpus, builtin_signatures(), CONSISTENT_0)

@@ -345,10 +345,11 @@ def test_a_normalized_fragment_is_its_origin_mode_and_lines():
     got = []
     for cid, source in (("a.sol", OPEN_INITIALIZER), ("b.sol", LATE_UPDATE_SEND)):
         got += normalize_contract(make_contract(cid, source), RenamingMode.CONSISTENT, memo)
-    assert memo.renamed
-    for lines in memo.renamed.values():
+    renamed = [lines for (_, _, mode), lines in memo.table.items() if mode is RenamingMode.CONSISTENT]
+    assert renamed
+    for lines in renamed:
         assert isinstance(lines, tuple) and all(isinstance(line, str) for line in lines)
-    assert sorted(memo.renamed.values()) == sorted(nf.lines for nf in got)
+    assert sorted(renamed) == sorted(nf.lines for nf in got)
 
 
 @given(_functions(), st.sampled_from(_MODES))
