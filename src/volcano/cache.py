@@ -8,11 +8,11 @@ A clone decision depends only on two distinct line sequences, so the
 cache keeps one entry (lines_a, lines_b, lcs) per clone pair of distinct
 sequences; on disk the entry is [i, j, lcs], i < j ranks of the two in
 the sorted distinct sequences of the records, and only load and save
-convert. Fragment pairs are expanded from the entries on every run.
-incremental_scan re-extracts only contracts whose digest changed (and
-rebuilds any record that lacks the configured mode) and re-runs LCS only
-for pairs with a sequence the cache does not hold; the result is
-extensionally equal to a from-scratch analysis of the current corpus.
+convert. incremental_sequences re-extracts only contracts whose digest
+changed (and rebuilds any record that lacks the configured mode) and
+re-runs LCS only for pairs with a sequence the cache does not hold; the
+result is extensionally equal to a from-scratch analysis of the current
+corpus. incremental_scan expands its decisions into fragment pairs.
 
 A cache written under a different clone configuration is an error; an
 unreadable cache, or one written by different extraction, normalization,
@@ -181,8 +181,9 @@ def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
     return index
 
 
-def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
-    """Clone pairs, classes and fragment index of the current corpus, reusing cached work.
+def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
+    """(eligible, seq_pairs, index): the clone decisions of _sequence_pairs
+    over the current corpus and its fragment index, reusing cached work.
 
     corpus is the full current snapshot, diffed against the cache by content
     digest; contracts to re-extract share one normalization memo. Every
@@ -212,9 +213,15 @@ def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
     cache.fragments = records
 
     index = fragment_index(cache, corpus, cfg.mode)
-    found = _sequence_pairs(index.values(), cfg, known, cache.clones)
-    eligible, seq_pairs = found
+    eligible, seq_pairs = _sequence_pairs(index.values(), cfg, known, cache.clones)
     cache.clones = [
         (eligible[ga[0]].lines, eligible[gb[0]].lines, lcs) for ga, gb, lcs, _ in seq_pairs if ga is not gb
     ]
-    return _fragment_pairs(*found), _sequence_classes(*found), index
+    return eligible, seq_pairs, index
+
+
+def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
+    """Clone pairs, classes and fragment index of the current corpus:
+    incremental_sequences with its decisions expanded into fragment pairs."""
+    eligible, seq_pairs, index = incremental_sequences(cache, corpus, cfg)
+    return _fragment_pairs(eligible, seq_pairs), _sequence_classes(eligible, seq_pairs), index

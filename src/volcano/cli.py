@@ -17,27 +17,23 @@ outside 0-30).
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401 -- perfbench/layers.py swaps cli.json for a timed copy
 import logging
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import cache as cache_mod
 from . import corpus as corpus_mod
-from .clone_engine import CloneConfig, class_row
-from .detector import analyze_evolution, scan, write_catalog_csv
+from . import jsonout
+from .clone_engine import CloneConfig, _pair_tuples, _sequence_classes, class_row
 from .errors import VolcanoError
 from .extractor import extract_functions
 from .normalize import RenamingMode, normalize_contract
-from .signatures import (
-    builtin_signatures,
-    derive_signatures,
-    load_signatures,
-    read_labels_csv,
-    save_signatures,
-)
+
+# detector, signatures and cache are imported by the commands that run them,
+# so a command loads only the modules it needs.
 
 log = logging.getLogger(__name__)
 
@@ -131,6 +127,8 @@ def _load_corpus(args) -> corpus_mod.Corpus:
 
 
 def _load_sigs(source: str):
+    from .signatures import builtin_signatures, load_signatures
+
     if source == "builtin":
         return builtin_signatures()
     return load_signatures(source)
@@ -190,7 +188,7 @@ def _cmd_extract(args) -> int:
                 }
             )
     if args.dump:
-        _write_or_print(json.dumps(rows, indent=2, sort_keys=True), args.out)
+        _write_or_print(jsonout.dumps(rows), args.out)
     else:
         print(f"{len(rows)} fragments in {len(corpus)} contracts")
     return 0
@@ -214,7 +212,11 @@ def _cmd_normalize(args) -> int:
 
 
 def clone_report_dict(cfg: CloneConfig, pairs, classes, index) -> dict:
-    """Deterministic JSON document for a within-corpus clone analysis; index maps refs to fragments."""
+    """Deterministic JSON document for a within-corpus clone analysis; index maps refs to fragments.
+
+    The reference for clone_report_text, which writes the same document
+    as text without building a dict per pair.
+    """
     return {
         "config": cfg.to_dict(),
         "pairs": [
@@ -225,14 +227,41 @@ def clone_report_dict(cfg: CloneConfig, pairs, classes, index) -> dict:
     }
 
 
+def clone_report_text(cfg: CloneConfig, eligible, seq_pairs, index, run: dict) -> str:
+    """json.dumps(clone_report_dict(...) plus run, indent=2, sort_keys=True),
+    written from the sequence pairs of _sequence_pairs without a ClonePair
+    or a dict per pair: every pair row fills one template, with each
+    fragment's uid encoded once and each similarity formatted once.
+    """
+    classes = _sequence_classes(eligible, seq_pairs)
+    doc = clone_report_dict(cfg, [], classes, index)
+    doc["run"] = run
+    text = jsonout.dumps(doc)
+    pairs = _pair_tuples(eligible, seq_pairs)
+    if not pairs:
+        return text
+    # The one top-level "pairs" key: encoded strings hold no raw newline.
+    head, _, tail = text.partition('\n  "pairs": []')
+    uids = [encode_basestring_ascii(nf.origin.uid) for nf in eligible]
+    left = [f'    {{\n      "left": {uid},\n      "right": ' for uid in uids]
+    right = [f'{uid},\n      "similarity": ' for uid in uids]
+    sim = {(lcs, hi): f"{lcs / hi!r}\n    }}" for _, _, lcs, hi in seq_pairs}
+    rows = ",\n".join([left[i] + right[j] + sim[lcs, hi] for i, j, lcs, hi in pairs])
+    return "".join((head, '\n  "pairs": [\n', rows, "\n  ]", tail))
+
+
 def _cache_dir(args) -> Path:
     """--cache-dir, else the cache directory under --in, else one in the working directory."""
+    from .cache import DEFAULT_CACHE_DIR
+
     if args.cache_dir:
         return Path(args.cache_dir)
-    return Path(args.in_path or ".") / cache_mod.DEFAULT_CACHE_DIR
+    return Path(args.in_path or ".") / DEFAULT_CACHE_DIR
 
 
 def _cmd_clones(args) -> int:
+    from . import cache as cache_mod
+
     cfg = _clone_config(args)
     corpus = _load_corpus(args)
     cache_dir = _cache_dir(args)
@@ -241,16 +270,16 @@ def _cmd_clones(args) -> int:
         cache = cache_mod.AnalysisCache.load(cache_dir)
     if cache is None:
         cache = cache_mod.AnalysisCache.empty(cfg)
-    pairs, classes, index = cache_mod.incremental_scan(cache, corpus, cfg)
+    eligible, seq_pairs, index = cache_mod.incremental_sequences(cache, corpus, cfg)
     if not args.no_cache:
         cache.save(cache_dir)
-    doc = clone_report_dict(cfg, pairs, classes, index)
-    doc["run"] = _run_echo(args)
-    _write_or_print(json.dumps(doc, indent=2, sort_keys=True), args.out)
+    _write_or_print(clone_report_text(cfg, eligible, seq_pairs, index, _run_echo(args)), args.out)
     return 0
 
 
 def _cmd_derive(args) -> int:
+    from .signatures import derive_signatures, read_labels_csv, save_signatures
+
     cfg = _clone_config(args)
     corpus = _load_corpus(args)
     labels = read_labels_csv(args.labels)
@@ -264,6 +293,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .detector import scan, write_catalog_csv
+
     if args.format == "csv" and not args.out:
         print("error: --format csv needs --out", file=sys.stderr)
         return 2
@@ -304,15 +335,15 @@ def _parse_configs(text: str) -> list[CloneConfig]:
 
 
 def _cmd_evolve(args) -> int:
+    from .detector import analyze_evolution
+
     corpus = _load_corpus(args)
     sigs = _load_sigs(args.sigs)
     buckets = corpus_mod.sort_by_version(corpus)
     report = analyze_evolution(buckets, sigs, _parse_configs(args.configs), jobs=args.jobs)
     report.to_csv(args.out)
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        Path(args.json_out).write_text(jsonout.dumps(report.to_dict()) + "\n")
     flagged = len(report.cross_bucket_classes)
     print(f"evolution table over {len(buckets)} buckets -> {args.out}"
           + (f" ({flagged} cross-bucket classes flagged)" if flagged else ""))
@@ -320,8 +351,10 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .cache import AnalysisCache
+
     cache_dir = _cache_dir(args)
-    cache_mod.AnalysisCache.clear(cache_dir)
+    AnalysisCache.clear(cache_dir)
     print(f"cache cleared under {cache_dir}")
     return 0
 

@@ -268,16 +268,31 @@ def _sequence_pairs(fragments, cfg: CloneConfig, known=frozenset(), decided=()):
     return eligible, pairs
 
 
-def _fragment_pairs(eligible, seq_pairs) -> list[ClonePair]:
-    """The clone pairs of fragments that sequence pairs stand for, in canonical order."""
+def _pair_tuples(eligible, seq_pairs) -> list[tuple[int, int, int, int]]:
+    """(i, j, lcs, max_len) for each clone pair of fragments that sequence
+    pairs stand for, i < j indices into eligible, in canonical order.
+
+    Each (i, j) occurs once, so the sort key can be the one int i * n + j;
+    sorting on it takes about half the time of sorting the tuples.
+    """
     found = []
     for ga, gb, lcs, hi in seq_pairs:
-        for i, j in itertools.combinations(ga, 2) if ga is gb else itertools.product(ga, gb):
-            found.append((i, j, lcs, hi) if i < j else (j, i, lcs, hi))
-    found.sort()
+        if ga is gb:
+            # A group lists its fragments in ascending order.
+            found += [(i, j, lcs, hi) for i, j in itertools.combinations(ga, 2)]
+        else:
+            found += [(i, j, lcs, hi) if i < j else (j, i, lcs, hi) for i, j in itertools.product(ga, gb)]
+    n = len(eligible)
+    found.sort(key=lambda p: p[0] * n + p[1])
+    return found
+
+
+def _fragment_pairs(eligible, seq_pairs) -> list[ClonePair]:
+    """The clone pairs of fragments that sequence pairs stand for, in canonical order."""
+    origins = [nf.origin for nf in eligible]
     return [
-        ClonePair(eligible[i].origin, eligible[j].origin, lcs_len=lcs, max_len=hi)
-        for i, j, lcs, hi in found
+        ClonePair(origins[i], origins[j], lcs_len=lcs, max_len=hi)
+        for i, j, lcs, hi in _pair_tuples(eligible, seq_pairs)
     ]
 
 

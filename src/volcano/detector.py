@@ -15,7 +15,6 @@ so the detection body stays deterministic.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import NamedTuple
 from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
 from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
-from . import normalize
+from . import jsonout, normalize
 from .extractor import FragmentRef, FunctionFragment
 from .normalize import NormalizationMemo, NormalizedFragment
 from .signatures import SignatureSet, VulnerabilityType
@@ -97,7 +96,7 @@ class ScanReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return jsonout.dumps(self.to_dict())
 
 
 _WORKER = {}

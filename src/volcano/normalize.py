@@ -214,10 +214,12 @@ class NormalizationMemo:
     Pretty-printing reads only a fragment's exact text, and renaming only
     the printed lines, the name and the mode, so fragments that agree on
     those normalize alike up to their origin. table maps (exact text,
-    name, mode) to the lines. A renamed entry is built from the mode-NONE
-    entry of its text and name, and extraction reads a fragment's name
-    from its text, so a text is pretty-printed once whatever modes it is
-    asked in.
+    name, mode value) to the lines. A renamed entry is built from the
+    mode-NONE entry of its text and name, and extraction reads a
+    fragment's name from its text, so a text is pretty-printed once
+    whatever modes it is asked in. The key holds the mode's value, a str,
+    because hashing the member runs the Python-level Enum.__hash__ on
+    every lookup (and .value is a Python-level property too).
     """
 
     def __init__(self):
@@ -225,7 +227,7 @@ class NormalizationMemo:
 
     def lines(self, fragment: FunctionFragment, mode: RenamingMode) -> tuple[str, ...]:
         """in_mode(pretty_print(fragment), mode).lines, computed once per distinct content."""
-        key = (fragment.exact_text, fragment.name, mode)
+        key = (fragment.exact_text, fragment.name, mode._value_)
         lines = self.table.get(key)
         if lines is None:
             if mode is RenamingMode.NONE:

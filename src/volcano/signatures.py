@@ -29,7 +29,7 @@ from .errors import (
     UnknownType,
     UnlabeledContract,
 )
-from . import normalize
+from . import jsonout, normalize
 from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, in_mode, normalize_contract
 
 log = logging.getLogger(__name__)
@@ -331,7 +331,7 @@ def save_signatures(sig_set: SignatureSet, out_dir) -> None:
             }
         )
     payload = {"provenance": sig_set.provenance, "signatures": manifest}
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(jsonout.dumps(payload) + "\n")
 
 
 def read_labels_csv(path) -> dict[str, VulnerabilityType]:
@@ -421,9 +421,7 @@ def derive_signatures(
             )
         )
     if review_path is not None:
-        Path(review_path).write_text(
-            json.dumps({"mixed_classes": mixed}, indent=2, sort_keys=True) + "\n"
-        )
+        Path(review_path).write_text(jsonout.dumps({"mixed_classes": mixed}) + "\n")
     if mixed:
         log.warning("%d mixed-label classes routed to review", len(mixed))
     return SignatureSet(

@@ -2,16 +2,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_contract, wrap
 
 import volcano.cache as cache_mod
+import volcano.cli as cli_mod
 import volcano.clone_engine as clone_engine_mod
 import volcano.corpus as corpus_mod
 import volcano.signatures as signatures_mod
-from volcano.cli import build_parser, emit_timing, main
+from volcano.cli import build_parser, clone_report_dict, emit_timing, main
 from volcano.errors import NotVerified
 
 ADDR_A = "0x" + "aa" * 20
@@ -82,9 +90,9 @@ def test_scan_csv_needs_out(corpus_dir, capsys):
 
 
 def test_scan_csv_without_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys):
-    import volcano.cli as cli_mod
+    import volcano.detector as detector_mod
 
-    monkeypatch.setattr(cli_mod, "scan", lambda *a, **k: pytest.fail("scan ran"))
+    monkeypatch.setattr(detector_mod, "scan", lambda *a, **k: pytest.fail("scan ran"))
     argv = ["scan", "--in", str(tmp_path / "missing"), "--sigs", "builtin", "--format", "csv"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --format csv needs --out\n"
@@ -503,6 +511,78 @@ def test_clones_no_cache_leaves_no_state(corpus_dir, tmp_path):
     out = tmp_path / "clones.json"
     assert main(["clones", "--in", str(corpus_dir), "--no-cache", "--out", str(out)]) == 0
     assert not (corpus_dir / ".volcano-cache").exists()
+
+
+_BODIES = [
+    ["if (ledger >= amount)", "    to.send(amount);", "ledger -= amount;"],
+    ["if (ledger >= amount)", "    to.send(amount);", "ledger -= amount;", "ledger -= 1;"],
+    ["uint total = amount * 2;", "ledger += total;", "emit Paid(to, total);"],
+    ["require(msg.sender == owner);", "selfdestruct(to);", "owner = address(0);", "ledger = 0;"],
+]
+# File names that hold what a JSON string or a report row is made of.
+_FILE_NAMES = st.text(alphabet=st.sampled_from(['"', "\\", "}", "{", ",", " ", "a", "é"]), min_size=1, max_size=6)
+
+
+def _source(functions) -> str:
+    return wrap("\n".join(
+        f"    function f{body // 2}(address to, uint amount) public {{\n"
+        + "".join(f"        {line}\n" for line in _BODIES[body])
+        + "    }"
+        for body in functions
+    ))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    files=st.dictionaries(_FILE_NAMES, st.lists(st.integers(0, len(_BODIES) - 1), min_size=1, max_size=3),
+                          max_size=5),
+    flags=st.sampled_from([["--mode", "blind", "--threshold", "0"], ["--mode", "blind", "--threshold", "10"],
+                           ["--mode", "consistent", "--threshold", "30"]]),
+)
+@example(files={}, flags=["--mode", "blind", "--threshold", "0"])
+@example(files={'"}, {\\': [2]}, flags=["--mode", "consistent", "--threshold", "30"])
+@example(files={'"}, {\\': [0, 0], "}, {": [1]}, flags=["--mode", "consistent", "--threshold", "30"])
+def test_streamed_clones_report_equals_the_indented_dump_of_clone_report_dict(files, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "corpus")
+        root.mkdir()
+        for name, functions in files.items():
+            (root / f"{name}.sol").write_text(_source(functions), encoding="utf-8")
+        out = Path(tmp, "clones.json")
+        assert main(["clones", "--in", str(root), *flags, "--no-cache", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        args = build_parser().parse_args(["clones", "--in", str(root), *flags])
+        cfg = cli_mod._clone_config(args)
+        pairs, classes, index = cache_mod.incremental_scan(
+            cache_mod.AnalysisCache.empty(cfg), corpus_mod.load_corpus(root), cfg)
+        doc = clone_report_dict(cfg, pairs, classes, index)
+        doc["run"] = json.loads(text)["run"]
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_clones_imports_neither_detector_nor_signatures(corpus_dir, tmp_path):
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from volcano.cli import main\n"
+        "assert main(['clones', '--in', sys.argv[1], '--no-cache', '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in ('volcano.detector', 'volcano.signatures') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(corpus_dir), str(tmp_path / "clones.json")],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_package_exports_resolve_on_first_access():
+    import volcano
+    import volcano.detector
+
+    assert len(set(volcano.__all__)) == len(volcano.__all__) == 37
+    assert volcano.scan is volcano.detector.scan
+    assert all(getattr(volcano, name) is not None for name in volcano.__all__)
+    assert set(volcano.__all__) <= set(dir(volcano))
+    with pytest.raises(AttributeError):
+        volcano.no_such_name
 
 
 def test_cache_clear_explicit_dir(tmp_path, capsys):

@@ -398,8 +398,10 @@ def _src_env() -> dict:
 
 
 def test_importing_the_cli_does_not_import_requests():
-    """Only fetch needs an HTTP client and only --jobs a process pool, so other commands skip both."""
-    heavy = ["requests", "urllib.request", "concurrent.futures.process"]
+    """Only fetch needs an HTTP client and only --jobs a process pool, so other commands skip both;
+    detector, signatures and cache load only with the commands that run them."""
+    heavy = ["requests", "urllib.request", "concurrent.futures.process",
+             "volcano.detector", "volcano.signatures", "volcano.cache"]
     out = subprocess.run(
         [sys.executable, "-c", f"import volcano.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"],
         env=_src_env(), capture_output=True, text=True, check=True,

@@ -345,7 +345,7 @@ def test_a_normalized_fragment_is_its_origin_mode_and_lines():
     got = []
     for cid, source in (("a.sol", OPEN_INITIALIZER), ("b.sol", LATE_UPDATE_SEND)):
         got += normalize_contract(make_contract(cid, source), RenamingMode.CONSISTENT, memo)
-    renamed = [lines for (_, _, mode), lines in memo.table.items() if mode is RenamingMode.CONSISTENT]
+    renamed = [lines for (_, _, mode), lines in memo.table.items() if mode == RenamingMode.CONSISTENT.value]
     assert renamed
     for lines in renamed:
         assert isinstance(lines, tuple) and all(isinstance(line, str) for line in lines)
