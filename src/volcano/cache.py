@@ -1,15 +1,18 @@
 """Incremental analysis cache for within-corpus clone detection.
 
-The cache is one JSON file in a `.volcano-cache/` directory: fragment
-records, with lines normalized in the configured mode only, keyed by
-content digest (so renamed or duplicated files reuse work), the
-id-to-digest binding of the last run, and the clone decisions found.
-A clone decision depends only on two distinct line sequences, so the
-cache keeps one entry (lines_a, lines_b, lcs) per clone pair of distinct
-sequences; on disk the entry is [i, j, lcs], i < j ranks of the two in
-the sorted distinct sequences of the records, and only load and save
-convert. incremental_sequences re-extracts only contracts whose digest
-changed (and rebuilds any record that lacks the configured mode) and
+The cache is one JSON file in a `.volcano-cache/` directory, a table of
+sequences with records that point into it. `sequences` lists the sorted
+distinct normalized line sequences, in the configured mode only, each
+once. `fragments` maps a content digest (so renamed or duplicated files
+reuse work) to its records [name, start_line, end_line, seq], seq an
+index into `sequences`; `contracts` is the id-to-digest binding of the
+last run. A clone decision depends only on two distinct line sequences,
+so `clones` keeps one entry [i, j, lcs] per clone pair of them, i < j
+indices into `sequences`. In memory a record is (name, start_line,
+end_line, lines), where the records loaded from one entry share one
+tuple, and a clone is (lines_a, lines_b, lcs); only load and save convert.
+
+incremental_sequences re-extracts only contracts whose digest changed and
 re-runs LCS only for pairs with a sequence the cache does not hold; the
 result is extensionally equal to a from-scratch analysis of the current
 corpus. incremental_scan expands its decisions into fragment pairs.
@@ -24,7 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,47 +61,63 @@ CACHE_VERSION = code_version(VERSIONED_SOURCES)
 CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
 
+# (name, start_line, end_line, lines)
+Record = tuple[str, int, int, tuple[str, ...]]
 
-def _fragment_records(contract: SourceContract, mode: RenamingMode, memo: NormalizationMemo) -> list[dict]:
+
+def _fragment_records(contract: SourceContract, mode: RenamingMode, memo: NormalizationMemo) -> list[Record]:
     return [
-        {
-            "name": nf.origin.name,
-            "start_line": nf.origin.start_line,
-            "end_line": nf.origin.end_line,
-            "lines": {mode.value: list(nf.lines)},
-        }
+        (nf.origin.name, nf.origin.start_line, nf.origin.end_line, nf.lines)
         for nf in normalize_contract(contract, mode, memo)
     ]
 
 
-def _is_record(record) -> bool:
-    """Whether record has the shape _fragment_records writes."""
-    if not isinstance(record, dict):
-        return False
-    lines = record.get("lines")
-    return (
-        isinstance(record.get("name"), str)
-        and type(record.get("start_line")) is int
-        and type(record.get("end_line")) is int
-        and isinstance(lines, dict)
-        and len(lines) == 1
-        and all(
-            isinstance(seq, list) and all(isinstance(line, str) for line in seq)
-            for seq in lines.values()
-        )
-    )
+def _held(fragments: dict[str, list[Record]]) -> set[tuple[str, ...]]:
+    """The distinct line sequences of fragment records."""
+    return {r[3] for records in fragments.values() for r in records}
 
 
-def _held(fragments: dict[str, list[dict]]) -> set[tuple[str, ...]]:
-    """The distinct line sequences of fragment records; a saved clone names two by rank in sorted order."""
-    return {tuple(seq) for records in fragments.values() for r in records for seq in r["lines"].values()}
+def _sequence_table(sequences) -> list[tuple[str, ...]]:
+    """The saved sequences as interned tuples, checked in one pass: each a
+    non-empty list of str (sys.intern raises TypeError on any other line),
+    the table strictly sorted."""
+    if not (isinstance(sequences, list) and all(isinstance(s, list) and s for s in sequences)):
+        raise ValueError("a sequence is not a non-empty list")
+    table = [tuple(map(sys.intern, s)) for s in sequences]
+    if not all(map(operator.lt, table, table[1:])):
+        raise ValueError("the sequence table is not strictly sorted")
+    return table
+
+
+def _records(fragments, table: list[tuple[str, ...]]) -> dict[str, list[Record]]:
+    """Saved fragment records with each seq resolved to its table entry;
+    every entry must be used by some record."""
+    if not isinstance(fragments, dict):
+        raise ValueError("the fragment table is not a dict")
+    n = len(table)
+    used = bytearray(n)
+    restored = {}
+    for digest, saved in fragments.items():
+        if not isinstance(saved, list):
+            raise ValueError("a digest's records are not a list")
+        records = []
+        for name, start, end, seq in saved:  # ValueError on a record of the wrong arity
+            if not (type(name) is str and type(start) is int and type(end) is int
+                    and type(seq) is int and 0 <= seq < n):
+                raise ValueError("a fragment record has the wrong shape or names no sequence")
+            used[seq] = 1
+            records.append((name, start, end, table[seq]))
+        restored[digest] = records
+    if not all(used):
+        raise ValueError("a sequence is used by no fragment record")
+    return restored
 
 
 @dataclass
 class AnalysisCache:
     config_digest: str
     contracts: dict[str, str] = field(default_factory=dict)  # id -> content digest
-    fragments: dict[str, list[dict]] = field(default_factory=dict)  # digest -> records
+    fragments: dict[str, list[Record]] = field(default_factory=dict)  # digest -> records
     clones: list[tuple] = field(default_factory=list)  # (lines_a, lines_b, lcs)
 
     @classmethod
@@ -112,16 +134,15 @@ class AnalysisCache:
             if blob["version"] != CACHE_VERSION:
                 log.warning("cache %s has version %s, ignoring it", path, blob["version"])
                 return None
-            contracts, fragments, clones = blob["contracts"], blob["fragments"], blob["clones"]
+            contracts, clones = blob["contracts"], blob["clones"]
             if not (
                 isinstance(blob["config_digest"], str)
                 and isinstance(contracts, dict)
                 and all(isinstance(d, str) for d in contracts.values())
-                and isinstance(fragments, dict)
-                and all(isinstance(rs, list) and all(map(_is_record, rs)) for rs in fragments.values())
             ):
-                raise ValueError("the config digest, a contract or a fragment record has the wrong shape")
-            seqs = sorted(_held(fragments))
+                raise ValueError("the config digest or a contract has the wrong shape")
+            seqs = _sequence_table(blob["sequences"])
+            fragments = _records(blob["fragments"], seqs)
             if not isinstance(clones, list) or not all(
                 isinstance(c, list)
                 and len(c) == 3
@@ -142,21 +163,32 @@ class AnalysisCache:
             return None
 
     def save(self, cache_dir) -> None:
-        """Write the cache; each clone is saved as [i, j, lcs], i < j ranks of its sequences."""
+        """Write the cache through a temporary file of this save's own, so
+        that saves into one directory from several processes never clash."""
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        rank = {seq: i for i, seq in enumerate(sorted(_held(self.fragments)))}
+        seqs = sorted(_held(self.fragments))
+        rank = {seq: i for i, seq in enumerate(seqs)}
         blob = {
             "version": CACHE_VERSION,
             "config_digest": self.config_digest,
             "contracts": self.contracts,
-            "fragments": self.fragments,
+            "sequences": seqs,
+            "fragments": {
+                digest: [[name, start, end, rank[lines]] for name, start, end, lines in records]
+                for digest, records in self.fragments.items()
+            },
             "clones": sorted(sorted((rank[a], rank[b])) + [lcs] for a, b, lcs in self.clones),
         }
-        path = cache_dir / CACHE_FILE
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix="analysis.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(text)
+            os.replace(tmp, cache_dir / CACHE_FILE)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @staticmethod
     def clear(cache_dir) -> None:
@@ -169,14 +201,8 @@ def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
     """Normalized fragments of a corpus straight from cache records, by origin."""
     index = {}
     for contract in corpus:
-        for record in cache.fragments.get(contract.content_digest, []):
-            ref = FragmentRef(
-                contract_id=contract.id,
-                start_line=record["start_line"],
-                end_line=record["end_line"],
-                name=record["name"],
-            )
-            lines = tuple(map(sys.intern, record["lines"][mode.value]))
+        for name, start, end, lines in cache.fragments.get(contract.content_digest, ()):
+            ref = FragmentRef(contract_id=contract.id, start_line=start, end_line=end, name=name)
             index[ref] = NormalizedFragment(origin=ref, mode=mode, lines=lines)
     return index
 
@@ -200,15 +226,12 @@ def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig
         )
     known = _held(cache.fragments)
     memo = NormalizationMemo()
-    records: dict[str, list[dict]] = {}
+    records: dict[str, list[Record]] = {}
     for contract in corpus:
         digest = contract.content_digest
-        if digest in records:
-            continue
-        cached = cache.fragments.get(digest)
-        if cached is None or not all(cfg.mode.value in r["lines"] for r in cached):
-            cached = _fragment_records(contract, cfg.mode, memo)
-        records[digest] = cached
+        if digest not in records:
+            cached = cache.fragments.get(digest)
+            records[digest] = _fragment_records(contract, cfg.mode, memo) if cached is None else cached
     cache.contracts = {c.id: c.content_digest for c in corpus}
     cache.fragments = records
 

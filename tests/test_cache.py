@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,13 +53,20 @@ def clone_rich_corpus(n: int = 8) -> Corpus:
     return make_corpus("rich", {f"c{i:02d}": contract_text(i % 3, variant=i % 2) for i in range(n)})
 
 
+def twice_held_corpus() -> Corpus:
+    """clone_rich_corpus and a commented copy of each contract: every
+    sequence is held by records under two content digests."""
+    sources = {c.id: c.source_text for c in clone_rich_corpus()}
+    return make_corpus("twice", {**sources, **{f"copy-{cid}": text + "// a copy\n" for cid, text in sources.items()}})
+
+
 def full_result(corpus: Corpus, cfg: CloneConfig = BLIND_10):
     return incremental_scan(AnalysisCache.empty(cfg), corpus, cfg)
 
 
 def record_sequences(cache: AnalysisCache) -> list[tuple[str, ...]]:
-    """The sorted distinct line sequences of a cache's records, whose ranks a saved clone names."""
-    return sorted({tuple(seq) for records in cache.fragments.values() for r in records for seq in r["lines"].values()})
+    """The sorted distinct line sequences of a cache's records: the saved sequence table."""
+    return sorted({lines for records in cache.fragments.values() for *_, lines in records})
 
 
 def unordered(clones) -> set[tuple]:
@@ -92,14 +101,21 @@ def test_empty_cache_scan_finds_pairs_and_saves(tmp_path):
     assert loaded.contracts == cache.contracts
     assert unordered(loaded.clones) == unordered(cache.clones)
     # one entry per clone pair of distinct sequences, each with its LCS,
-    # saved as [i, j, lcs]: i < j ranks in the sorted distinct sequences
+    # saved as [i, j, lcs]: i < j indices into the sorted sequence table
     seqs = record_sequences(loaded)
+    blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    assert blob["sequences"] == [list(seq) for seq in seqs]
+    assert blob["fragments"] == {
+        digest: [[name, start, end, seqs.index(lines)] for name, start, end, lines in records]
+        for digest, records in cache.fragments.items()
+    }
+    assert (tmp_path / CACHE_FILE).read_text() == json.dumps(blob, sort_keys=True, separators=(",", ":"))
     want = set()
     for p in pairs:
         i, j = sorted((seqs.index(index[p.left].lines), seqs.index(index[p.right].lines)))
         if i != j:
             want.add((i, j, p.lcs_len))
-    assert json.loads((tmp_path / CACHE_FILE).read_text())["clones"] == sorted(map(list, want))
+    assert blob["clones"] == sorted(map(list, want))
     assert unordered(loaded.clones) == {(seqs[i], seqs[j], lcs) for i, j, lcs in want}
     assert all(lcs_oracle(a, b) == lcs for a, b, lcs in loaded.clones)
 
@@ -312,53 +328,124 @@ def test_cache_with_an_impossible_pair_loads_as_none(clones, tmp_path, caplog):
     assert any("falling back to full analysis" in r.message for r in caplog.records)
 
 
-def _drop(key):
+def _drop(field):
     def edit(blob):
-        del _first_record(blob)[key]
+        del _first_record(blob)[field]
     return edit
 
 
-def _first_record(blob) -> dict:
+def _first_record(blob) -> list:
+    """[name, start_line, end_line, seq] of the first digest's first record."""
     return next(iter(blob["fragments"].values()))[0]
 
 
-def _set_record(**values):
-    return lambda blob: _first_record(blob).update(values)
+def _set_record(field, value):
+    return lambda blob: _first_record(blob).__setitem__(field, value)
+
+
+def _set_sequence(index, value):
+    return lambda blob: blob["sequences"].__setitem__(index, value)
 
 
 def _set_table(key, value):
     return lambda blob: blob.update({key: value})
 
 
+def _remap(blob, new_index):
+    """Point every record and clone entry that names sequence k at new_index(k)."""
+    for records in blob["fragments"].values():
+        for record in records:
+            record[3] = new_index(record[3])
+    blob["clones"] = [[new_index(i), new_index(j), lcs] for i, j, lcs in blob["clones"]]
+
+
+def _unsorted(blob):
+    seqs = blob["sequences"]
+    seqs[0], seqs[1] = seqs[1], seqs[0]
+    _remap(blob, lambda k: {0: 1, 1: 0}.get(k, k))
+
+
+def _insert_sequence(blob, seq):
+    """seq as table entry 1, every other reference kept on its own sequence."""
+    blob["sequences"].insert(1, seq)
+    _remap(blob, lambda k: k + (k >= 1))
+
+
+def _duplicate(blob):
+    _insert_sequence(blob, blob["sequences"][0])
+    next(iter(blob["fragments"].values())).append(["copy", 1, 6, 1])
+
+
+def _unused(blob):
+    # sorts between entries 0 and 1: entry 0 is its prefix, and it differs
+    # from entry 1 where entry 0 does
+    _insert_sequence(blob, blob["sequences"][0] + ["~"])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        _drop("lines"),
-        _drop("name"),
-        _set_record(start_line="3"),
-        _set_record(end_line=None),
-        _set_record(lines=[["a ;"]]),
-        _set_record(lines={"blind": "a ;"}),
-        _set_record(lines={"blind": [1]}),
-        _set_record(lines={}),
+        # each record is [name, start_line, end_line, seq]
+        _drop(3),
+        _drop(0),
+        _set_record(1, "3"),
+        _set_record(2, None),
+        _set_record(3, [0]),
+        _set_sequence(0, "a ;"),
+        _set_sequence(0, [1]),
+        _set_sequence(0, []),
         _set_table("contracts", []),
         _set_table("contracts", {"c00": 1}),
         _set_table("fragments", []),
-        _set_table("fragments", {"d": {}}),
-        _set_table("fragments", {"d": ["r"]}),
+        lambda blob: blob["fragments"].update(d={}),
+        lambda blob: blob["fragments"].update(d=["r"]),
         _set_table("config_digest", [1]),
+        pytest.param(_unsorted, id="unsorted"),
+        pytest.param(_duplicate, id="duplicate"),
+        pytest.param(_unused, id="unused"),
+        pytest.param(_set_table("sequences", {}), id="table-dict"),
+        pytest.param(_set_sequence(1, ["{", None]), id="line-null"),
+        pytest.param(_set_sequence(1, [["{"]]), id="line-list"),
+        pytest.param(_set_record(3, 6), id="seq-range"),
+        pytest.param(_set_record(3, -1), id="seq-negative"),
+        pytest.param(_set_record(3, True), id="seq-bool"),
+        pytest.param(_set_record(3, 1.0), id="seq-float"),
+        pytest.param(lambda blob: _first_record(blob).append(0), id="arity5"),
+        pytest.param(lambda blob: blob["fragments"].update(d=[{"name": "f"}]), id="record-dict"),
     ],
 )
 def test_cache_of_the_wrong_shape_loads_as_none(edit, tmp_path, caplog):
     cache = AnalysisCache.empty(BLIND_10)
-    incremental_scan(cache, clone_rich_corpus(), BLIND_10)
+    incremental_scan(cache, twice_held_corpus(), BLIND_10)
     cache.save(tmp_path)
     blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    # a record pointed elsewhere leaves its sequence used by its copy's record
+    assert len(blob["sequences"]) == 6 and len(blob["fragments"]) == 12
+    assert AnalysisCache.load(tmp_path) is not None
     edit(blob)
     (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
     with caplog.at_level(logging.WARNING, logger="volcano.cache"):
         assert AnalysisCache.load(tmp_path) is None
     assert any("falling back to full analysis" in r.message for r in caplog.records)
+
+
+def test_a_remapped_cache_of_the_right_shape_loads(tmp_path):
+    """The edits above that build a broken table keep every other reference
+    intact: without the defect they plant, the cache loads."""
+    cache = AnalysisCache.empty(BLIND_10)
+    incremental_scan(cache, twice_held_corpus(), BLIND_10)
+    cache.save(tmp_path)
+    blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    _unsorted(blob)
+    _unsorted(blob)
+    seq = blob["sequences"][0] + ["~"]
+    _insert_sequence(blob, seq)
+    next(iter(blob["fragments"].values())).append(["extra", 1, 7, 1])
+    (tmp_path / CACHE_FILE).write_text(json.dumps(blob))
+    loaded = AnalysisCache.load(tmp_path)
+    assert loaded is not None
+    assert tuple(seq) in record_sequences(loaded)
+    assert loaded.contracts == cache.contracts
 
 
 def test_wrong_version_cache_ignored(tmp_path, caplog):
@@ -407,20 +494,28 @@ def test_clear_removes_cache_file(tmp_path):
     cache.clear(tmp_path)  # idempotent
 
 
-def test_fragment_index_restores_each_mode():
-    corpus = clone_rich_corpus(2)
-    cache = AnalysisCache.empty(BLIND_10)
-    incremental_scan(cache, corpus, BLIND_10)
-    # a cache is bound to one config, so it keeps lines for its own mode only
-    for records in cache.fragments.values():
-        assert all(set(r["lines"]) == {"blind"} for r in records)
-    index = fragment_index(cache, corpus, RenamingMode.BLIND)
-    assert len(index) == 2
-    for ref, nf in index.items():
-        assert nf.origin == ref
-        assert nf.mode is RenamingMode.BLIND
-        assert all(line is sys.intern(line) for line in nf.lines)
-    assert all("X" in "\n".join(nf.lines) for nf in index.values())
+def test_fragment_index_restores_each_mode(tmp_path):
+    # b's text differs from a's by a comment, so the two digests share one sequence
+    text = contract_text(1)
+    corpus = make_corpus("modes", {"a": text, "b": text + "// a copy\n"})
+    for cfg in (BLIND_10, CONSISTENT_30, CloneConfig(mode=RenamingMode.NONE)):
+        cache = AnalysisCache.empty(cfg)
+        incremental_scan(cache, corpus, cfg)
+        cache.save(tmp_path / cfg.mode.value)
+        loaded = AnalysisCache.load(tmp_path / cfg.mode.value)
+        # a cache is bound to one config, so its records name no mode
+        assert loaded.fragments == cache.fragments
+        assert all(len(r) == 4 for records in loaded.fragments.values() for r in records)
+        (a,), (b,) = loaded.fragments.values()
+        assert a[3] is b[3]  # one tuple per saved sequence
+        index = fragment_index(loaded, corpus, cfg.mode)
+        assert index == fragment_index(cache, corpus, cfg.mode)
+        assert len(index) == 2
+        for ref, nf in index.items():
+            assert nf.origin == ref
+            assert nf.mode is cfg.mode
+            assert all(line is sys.intern(line) for line in nf.lines)
+            assert ("X" in "\n".join(nf.lines)) == (cfg.mode is not RenamingMode.NONE)
 
 
 def test_duplicate_content_shares_fragment_records():
@@ -430,3 +525,72 @@ def test_duplicate_content_shares_fragment_records():
     pairs, _, _ = incremental_scan(cache, corpus, BLIND_10)
     assert len(cache.fragments) == 1  # keyed by content digest
     assert pair_key_set(pairs)  # the two copies still pair up
+
+
+def test_two_saves_into_one_directory_do_not_clash(tmp_path, monkeypatch):
+    first, second = AnalysisCache.empty(CONSISTENT_30), AnalysisCache.empty(CONSISTENT_30)
+    incremental_scan(first, clone_rich_corpus(), CONSISTENT_30)
+    incremental_scan(second, clone_rich_corpus(3), CONSISTENT_30)
+    real = os.replace
+
+    def replace_after_the_second_save(src, dst):
+        monkeypatch.setattr(os, "replace", real)
+        second.save(tmp_path)  # a second process saves before the first renames its file
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_the_second_save)
+    first.save(tmp_path)
+    assert os.replace is real, "the second save ran"
+    loaded = AnalysisCache.load(tmp_path)
+    assert loaded is not None and loaded.contracts == first.contracts  # the last rename wins
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+
+
+def test_a_failed_save_removes_its_temporary_file(tmp_path, monkeypatch):
+    cache = AnalysisCache.empty(BLIND_10)
+    incremental_scan(cache, clone_rich_corpus(3), BLIND_10)
+    cache.save(tmp_path)
+    saved = (tmp_path / CACHE_FILE).read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cache.save(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+    assert (tmp_path / CACHE_FILE).read_bytes() == saved
+
+
+FILE = st.tuples(
+    st.integers(0, 3),  # tag
+    st.integers(0, 2),  # variant, or whether the two-function text is edited
+    st.booleans(),  # two functions (_two_functions) or one (contract_text)
+    st.booleans(),  # a trailing comment: another digest, the same sequences
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=st.sampled_from([BLIND_10, CONSISTENT_30]),
+    files=st.dictionaries(st.integers(0, 11), FILE, max_size=8),
+)
+def test_a_saved_cache_loads_equal_and_saves_byte_identical(cfg, files):
+    sources = {
+        f"c{name:02d}.sol": (_two_functions(tag, bool(variant)) if two else contract_text(tag, variant))
+        + ("// a copy\n" if comment else "")
+        for name, (tag, variant, two, comment) in files.items()
+    }
+    cache = AnalysisCache.empty(cfg)
+    incremental_scan(cache, make_corpus("round-trip", sources), cfg)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        cache.save(cache_dir)
+        saved = (Path(cache_dir) / CACHE_FILE).read_bytes()
+        loaded = AnalysisCache.load(cache_dir)
+        assert loaded is not None
+        assert loaded.config_digest == cache.config_digest
+        assert loaded.contracts == cache.contracts
+        assert loaded.fragments == cache.fragments
+        assert unordered(loaded.clones) == unordered(cache.clones)
+        loaded.save(cache_dir)
+        assert (Path(cache_dir) / CACHE_FILE).read_bytes() == saved
