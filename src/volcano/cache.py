@@ -5,14 +5,14 @@ sequences with records that point into it. `sequences` lists the sorted
 distinct normalized line sequences, in the configured mode only, each
 once. `fragments` maps a content digest (so renamed or duplicated files
 reuse work) to its records [name, start_line, end_line, seq], seq an
-index into `sequences`; `contracts` is the id-to-digest binding of the
-last run. A clone decision depends only on two distinct line sequences,
-so `clones` keeps one entry [i, j, lcs] per clone pair of them, i < j
-indices into `sequences`. In memory a record is (name, start_line,
-end_line, lines), where the records loaded from one entry share one
-tuple, and a clone is (lines_a, lines_b, lcs); only load and save convert.
+index into `sequences`. A clone decision depends only on two distinct
+line sequences, so `clones` keeps one entry [i, j, lcs] per clone pair of
+them, i < j indices into `sequences`. In memory a record is (name,
+start_line, end_line, lines), where the records loaded from one entry
+share one tuple, and a clone is (lines_a, lines_b, lcs), the form the
+clone engine takes and returns; only load and save convert.
 
-incremental_sequences re-extracts only contracts whose digest changed and
+incremental_sequences re-extracts only a contract whose digest changed and
 re-runs LCS only for pairs with a sequence the cache does not hold; the
 result is extensionally equal to a from-scratch analysis of the current
 corpus. incremental_scan expands its decisions into fragment pairs.
@@ -34,11 +34,12 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import normalize
 from .clone_engine import CloneConfig, _fragment_pairs, _sequence_classes, _sequence_pairs
 from .corpus import Corpus, SourceContract
 from .errors import CacheConfigMismatch
 from .extractor import FragmentRef
-from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, normalize_contract
+from .normalize import NormalizationMemo, RenamingMode
 
 log = logging.getLogger(__name__)
 
@@ -67,8 +68,8 @@ Record = tuple[str, int, int, tuple[str, ...]]
 
 def _fragment_records(contract: SourceContract, mode: RenamingMode, memo: NormalizationMemo) -> list[Record]:
     return [
-        (nf.origin.name, nf.origin.start_line, nf.origin.end_line, nf.lines)
-        for nf in normalize_contract(contract, mode, memo)
+        (f.name, f.start_line, f.end_line, memo.lines(f, mode))
+        for f in normalize.extract_functions(contract)
     ]
 
 
@@ -116,7 +117,6 @@ def _records(fragments, table: list[tuple[str, ...]]) -> dict[str, list[Record]]
 @dataclass
 class AnalysisCache:
     config_digest: str
-    contracts: dict[str, str] = field(default_factory=dict)  # id -> content digest
     fragments: dict[str, list[Record]] = field(default_factory=dict)  # digest -> records
     clones: list[tuple] = field(default_factory=list)  # (lines_a, lines_b, lcs)
 
@@ -134,13 +134,9 @@ class AnalysisCache:
             if blob["version"] != CACHE_VERSION:
                 log.warning("cache %s has version %s, ignoring it", path, blob["version"])
                 return None
-            contracts, clones = blob["contracts"], blob["clones"]
-            if not (
-                isinstance(blob["config_digest"], str)
-                and isinstance(contracts, dict)
-                and all(isinstance(d, str) for d in contracts.values())
-            ):
-                raise ValueError("the config digest or a contract has the wrong shape")
+            clones = blob["clones"]
+            if not isinstance(blob["config_digest"], str):
+                raise ValueError("the config digest is not a str")
             seqs = _sequence_table(blob["sequences"])
             fragments = _records(blob["fragments"], seqs)
             if not isinstance(clones, list) or not all(
@@ -154,7 +150,6 @@ class AnalysisCache:
                 raise ValueError("a clone entry names no pair of held sequences or has an impossible LCS")
             return cls(
                 config_digest=blob["config_digest"],
-                contracts=contracts,
                 fragments=fragments,
                 clones=[(seqs[i], seqs[j], lcs) for i, j, lcs in clones],
             )
@@ -172,7 +167,6 @@ class AnalysisCache:
         blob = {
             "version": CACHE_VERSION,
             "config_digest": self.config_digest,
-            "contracts": self.contracts,
             "sequences": seqs,
             "fragments": {
                 digest: [[name, start, end, rank[lines]] for name, start, end, lines in records]
@@ -197,28 +191,27 @@ class AnalysisCache:
             path.unlink()
 
 
-def fragment_index(cache: AnalysisCache, corpus: Corpus, mode: RenamingMode):
-    """Normalized fragments of a corpus straight from cache records, by origin."""
-    index = {}
+def fragment_index(cache: AnalysisCache, corpus: Corpus) -> dict:
+    """The fragment table {origin: lines} of a corpus, straight from cache records."""
+    table = {}
     for contract in corpus:
         for name, start, end, lines in cache.fragments.get(contract.content_digest, ()):
-            ref = FragmentRef(contract_id=contract.id, start_line=start, end_line=end, name=name)
-            index[ref] = NormalizedFragment(origin=ref, mode=mode, lines=lines)
-    return index
+            table[FragmentRef(contract.id, start, end, name)] = lines
+    return table
 
 
 def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
-    """(eligible, seq_pairs, index): the clone decisions of _sequence_pairs
-    over the current corpus and its fragment index, reusing cached work.
+    """(table, decisions): the fragment table of the current corpus and the
+    clone decisions _sequence_pairs makes over it, reusing cached work.
 
     corpus is the full current snapshot, diffed against the cache by content
-    digest; contracts to re-extract share one normalization memo. Every
+    digest; every contract to re-extract uses one normalization memo. Every
     sequence the cache holds brings its clone decisions, so a pair of two
-    such sequences costs no LCS, whichever contracts carry it now: a copied,
+    such sequences costs no LCS, whichever contract carries it now: a copied,
     renamed or partly edited contract recomputes only the pairs of its new
-    sequences. The index is fragment_index of the updated cache. The cache
-    object is updated in place to describe the current corpus; callers
-    persist it with save().
+    sequences. The table is fragment_index of the updated cache. The cache
+    object is updated in place to describe the current corpus, its clones
+    the decisions' clone pairs as they are; callers persist it with save().
     """
     if cache.config_digest != cfg.digest():
         raise CacheConfigMismatch(
@@ -232,19 +225,16 @@ def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig
         if digest not in records:
             cached = cache.fragments.get(digest)
             records[digest] = _fragment_records(contract, cfg.mode, memo) if cached is None else cached
-    cache.contracts = {c.id: c.content_digest for c in corpus}
     cache.fragments = records
 
-    index = fragment_index(cache, corpus, cfg.mode)
-    eligible, seq_pairs = _sequence_pairs(index.values(), cfg, known, cache.clones)
-    cache.clones = [
-        (eligible[ga[0]].lines, eligible[gb[0]].lines, lcs) for ga, gb, lcs, _ in seq_pairs if ga is not gb
-    ]
-    return eligible, seq_pairs, index
+    table = fragment_index(cache, corpus)
+    decisions = _sequence_pairs(table, cfg, known, cache.clones)
+    cache.clones = decisions[2]
+    return table, decisions
 
 
 def incremental_scan(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig):
-    """Clone pairs, classes and fragment index of the current corpus:
+    """Clone pairs, classes and fragment table of the current corpus:
     incremental_sequences with its decisions expanded into fragment pairs."""
-    eligible, seq_pairs, index = incremental_sequences(cache, corpus, cfg)
-    return _fragment_pairs(eligible, seq_pairs), _sequence_classes(eligible, seq_pairs), index
+    table, decisions = incremental_sequences(cache, corpus, cfg)
+    return _fragment_pairs(*decisions), _sequence_classes(*decisions), table

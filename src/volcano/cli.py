@@ -211,8 +211,9 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def clone_report_dict(cfg: CloneConfig, pairs, classes, index) -> dict:
-    """Deterministic JSON document for a within-corpus clone analysis; index maps refs to fragments.
+def clone_report_dict(cfg: CloneConfig, pairs, classes, table) -> dict:
+    """Deterministic JSON document for a within-corpus clone analysis;
+    table is the fragment table, mapping each origin to its lines.
 
     The reference for clone_report_text, which writes the same document
     as text without building a dict per pair.
@@ -223,29 +224,30 @@ def clone_report_dict(cfg: CloneConfig, pairs, classes, index) -> dict:
             {"left": p.left.uid, "right": p.right.uid, "similarity": p.similarity}
             for p in pairs
         ],
-        "classes": [class_row(cls, index, index[cls.members[0]]) for cls in classes],
+        "classes": [class_row(cls, table, table[cls.members[0]]) for cls in classes],
     }
 
 
-def clone_report_text(cfg: CloneConfig, eligible, seq_pairs, index, run: dict) -> str:
+def clone_report_text(cfg: CloneConfig, table, decisions, run: dict) -> str:
     """json.dumps(clone_report_dict(...) plus run, indent=2, sort_keys=True),
-    written from the sequence pairs of _sequence_pairs without a ClonePair
-    or a dict per pair: every pair row fills one template, with each
-    fragment's uid encoded once and each similarity formatted once.
-    """
-    classes = _sequence_classes(eligible, seq_pairs)
-    doc = clone_report_dict(cfg, [], classes, index)
+    written from the decisions of _sequence_pairs without a ClonePair or a
+    dict per pair: every pair row fills one template, with each fragment's
+    uid encoded once and each similarity formatted once."""
+    eligible, groups, clones = decisions
+    doc = clone_report_dict(cfg, [], _sequence_classes(*decisions), table)
     doc["run"] = run
     text = jsonout.dumps(doc)
-    pairs = _pair_tuples(eligible, seq_pairs)
+    pairs = _pair_tuples(*decisions)
     if not pairs:
         return text
     # The one top-level "pairs" key: encoded strings hold no raw newline.
     head, _, tail = text.partition('\n  "pairs": []')
-    uids = [encode_basestring_ascii(nf.origin.uid) for nf in eligible]
+    uids = [encode_basestring_ascii(origin.uid) for origin in eligible]
     left = [f'    {{\n      "left": {uid},\n      "right": ' for uid in uids]
     right = [f'{uid},\n      "similarity": ' for uid in uids]
-    sim = {(lcs, hi): f"{lcs / hi!r}\n    }}" for _, _, lcs, hi in seq_pairs}
+    ratios = {(len(lines), len(lines)) for lines in groups}
+    ratios.update((lcs, max(len(la), len(lb))) for la, lb, lcs in clones)
+    sim = {(lcs, hi): f"{lcs / hi!r}\n    }}" for lcs, hi in ratios}
     rows = ",\n".join([left[i] + right[j] + sim[lcs, hi] for i, j, lcs, hi in pairs])
     return "".join((head, '\n  "pairs": [\n', rows, "\n  ]", tail))
 
@@ -270,10 +272,10 @@ def _cmd_clones(args) -> int:
         cache = cache_mod.AnalysisCache.load(cache_dir)
     if cache is None:
         cache = cache_mod.AnalysisCache.empty(cfg)
-    eligible, seq_pairs, index = cache_mod.incremental_sequences(cache, corpus, cfg)
+    table, decisions = cache_mod.incremental_sequences(cache, corpus, cfg)
     if not args.no_cache:
         cache.save(cache_dir)
-    _write_or_print(clone_report_text(cfg, eligible, seq_pairs, index, _run_echo(args)), args.out)
+    _write_or_print(clone_report_text(cfg, table, decisions, _run_echo(args)), args.out)
     return 0
 
 
@@ -318,29 +320,32 @@ def _cmd_scan(args) -> int:
 
 
 def _parse_configs(text: str) -> list[CloneConfig]:
+    """The distinct mode:threshold cells of --configs; a bad or repeated one exits 2."""
     cfgs = []
     for part in text.split(","):
         mode_name, _, pct = part.strip().partition(":")
         try:
-            cfgs.append(
-                CloneConfig(
-                    mode=RenamingMode(mode_name),
-                    max_difference=Fraction(_threshold_arg(pct or "0"), 100),
-                )
+            cfg = CloneConfig(
+                mode=RenamingMode(mode_name),
+                max_difference=Fraction(_threshold_arg(pct or "0"), 100),
             )
+            if cfg in cfgs:
+                raise ValueError("the cell is already listed")
         except (ValueError, argparse.ArgumentTypeError) as exc:
             print(f"error: bad --configs entry {part.strip()!r}: {exc}", file=sys.stderr)
             raise SystemExit(2)
+        cfgs.append(cfg)
     return cfgs
 
 
 def _cmd_evolve(args) -> int:
     from .detector import analyze_evolution
 
+    cfgs = _parse_configs(args.configs)
     corpus = _load_corpus(args)
     sigs = _load_sigs(args.sigs)
     buckets = corpus_mod.sort_by_version(corpus)
-    report = analyze_evolution(buckets, sigs, _parse_configs(args.configs), jobs=args.jobs)
+    report = analyze_evolution(buckets, sigs, cfgs, jobs=args.jobs)
     report.to_csv(args.out)
     if args.json_out:
         Path(args.json_out).write_text(jsonout.dumps(report.to_dict()) + "\n")

@@ -10,11 +10,12 @@ would push them over it.
 lcs_length is bit-parallel over Python ints: O(|a| * ceil(|b|/w)) word
 operations for w-bit machine words, and exact, not an approximation.
 
-A fragment is identified by its origin; as in extract_functions, the last
-fragment given for an origin stands for it. Clone classes are the
-connected components of the pair graph. A decision depends only on the
-two line sequences and the config, so it is made once per distinct pair
-of sequences and holds for every fragment carrying them.
+The engine reads a fragment table {origin: lines}, normalized lines in
+the config's mode; as in extract_functions, the last fragment given for an
+origin stands for it. Clone classes are the connected components of the
+pair graph. A decision depends only on the two line sequences and the
+config, so it is made once per distinct pair of sequences, kept as
+(lines_a, lines_b, lcs), and holds for every fragment carrying them.
 match_exemplars is the same decision for one sequence against a fixed list
 of exemplars, the query a signature scan asks once per distinct sequence.
 
@@ -140,13 +141,6 @@ def similarity(a, b) -> float:
     return lcs_length(sa, sb) / max(len(sa), len(sb))
 
 
-def _check_mode(nf: NormalizedFragment, cfg: CloneConfig):
-    if nf.mode is not cfg.mode:
-        raise ModeMismatch(
-            f"{nf.origin.uid} is in mode {nf.mode.value}, config wants {cfg.mode.value}"
-        )
-
-
 def within_window(n: int, cfg: CloneConfig) -> bool:
     """Whether a fragment of n normalized lines is inside [min_lines, max_lines]."""
     return n >= cfg.min_lines and (cfg.max_lines is None or n <= cfg.max_lines)
@@ -225,85 +219,87 @@ def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
     return out
 
 
-def _sequence_pairs(fragments, cfg: CloneConfig, known=frozenset(), decided=()):
-    """Clone decisions among fragments, made once per pair of distinct sequences.
+def _table(fragments, cfg: CloneConfig) -> dict:
+    """The fragment table {origin: lines} of normalized fragments in cfg's
+    mode; the last fragment given for an origin stands for it."""
+    table = {}
+    for nf in fragments:
+        if nf.mode is not cfg.mode:
+            raise ModeMismatch(f"{nf.origin.uid} is in mode {nf.mode.value}, config wants {cfg.mode.value}")
+        table[nf.origin] = nf.lines
+    return table
 
-    Returns (eligible, pairs): eligible is the last fragment given for each
-    origin, if inside the line window, sorted by origin; pairs the clone
-    pairs of sequences as (group_a, group_b, lcs, hi), each group the
-    indices of the fragments holding one sequence. group_a is group_b for
-    the fragments of one sequence, clones of each other with no LCS work;
-    at max_difference 0 these are the only pairs, and no index is built.
+
+def _sequence_pairs(table, cfg: CloneConfig, known=frozenset(), decided=()):
+    """Clone decisions over a fragment table, made once per pair of distinct sequences.
+
+    Returns (eligible, groups, clones): eligible the sorted origins of table
+    whose lines are inside the line window; groups maps each of their
+    sequences to its indices in eligible, fragments that are clones of each
+    other with no LCS work; clones the clone pairs of distinct sequences as
+    (lines_a, lines_b, lcs), the form decided takes. At max_difference 0
+    only identical sequences clone, so clones is empty and no index is built.
 
     known is a set of sequences whose pairs with each other are decided
-    under cfg, and decided their clone pairs as (lines_a, lines_b, lcs);
-    those pairs are read, not decided again. Every other pair of distinct
-    sequences is decided by clone_lcs if the prefix index (_candidates)
-    makes it a candidate, and is provably no clone if not (see the module
-    docstring).
+    under cfg, and decided their clone pairs; those pairs are read, not
+    decided again. Every other pair of distinct sequences is decided by
+    clone_lcs if the prefix index (_candidates) makes it a candidate, and
+    is provably no clone if not (see the module docstring).
     """
-    last = {}
-    for nf in fragments:
-        _check_mode(nf, cfg)
-        last[nf.origin] = nf
-    eligible = sorted(
-        (nf for nf in last.values() if within_window(len(nf.lines), cfg)),
-        key=lambda nf: nf.origin,
-    )
+    eligible = sorted(origin for origin, lines in table.items() if within_window(len(lines), cfg))
     groups: dict[tuple, list[int]] = {}
-    for i, nf in enumerate(eligible):
-        groups.setdefault(nf.lines, []).append(i)
-    pairs = [(g, g, len(lines), len(lines)) for lines, g in groups.items() if len(g) > 1]
+    for i, origin in enumerate(eligible):
+        groups.setdefault(table[origin], []).append(i)
     if not cfg.max_difference:
-        return eligible, pairs
-    for la, lb, lcs in decided:
-        if la in groups and lb in groups:
-            pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
+        return eligible, groups, []
+    clones = [c for c in decided if c[0] in groups and c[1] in groups]
     old = [lines for lines in groups if lines in known]
     new = [lines for lines in groups if lines not in known]
     for la, lb in _candidates(old, new, cfg):
         lcs = clone_lcs(la, lb, cfg)
         if lcs is not None:
-            pairs.append((groups[la], groups[lb], lcs, max(len(la), len(lb))))
-    return eligible, pairs
+            clones.append((la, lb, lcs))
+    return eligible, groups, clones
 
 
-def _pair_tuples(eligible, seq_pairs) -> list[tuple[int, int, int, int]]:
-    """(i, j, lcs, max_len) for each clone pair of fragments that sequence
-    pairs stand for, i < j indices into eligible, in canonical order.
+def _pair_tuples(eligible, groups, clones) -> list[tuple[int, int, int, int]]:
+    """(i, j, lcs, max_len) for each clone pair of fragments that decisions
+    stand for, i < j indices into eligible, in canonical order.
 
     Each (i, j) occurs once, so the sort key can be the one int i * n + j;
     sorting on it takes about half the time of sorting the tuples.
     """
     found = []
-    for ga, gb, lcs, hi in seq_pairs:
-        if ga is gb:
-            # A group lists its fragments in ascending order.
-            found += [(i, j, lcs, hi) for i, j in itertools.combinations(ga, 2)]
-        else:
-            found += [(i, j, lcs, hi) if i < j else (j, i, lcs, hi) for i, j in itertools.product(ga, gb)]
+    for lines, g in groups.items():
+        # A group lists its fragments in ascending order.
+        n = len(lines)
+        found += [(i, j, n, n) for i, j in itertools.combinations(g, 2)]
+    for la, lb, lcs in clones:
+        hi = max(len(la), len(lb))
+        found += [
+            (i, j, lcs, hi) if i < j else (j, i, lcs, hi) for i, j in itertools.product(groups[la], groups[lb])
+        ]
     n = len(eligible)
     found.sort(key=lambda p: p[0] * n + p[1])
     return found
 
 
-def _fragment_pairs(eligible, seq_pairs) -> list[ClonePair]:
-    """The clone pairs of fragments that sequence pairs stand for, in canonical order."""
-    origins = [nf.origin for nf in eligible]
+def _fragment_pairs(eligible, groups, clones) -> list[ClonePair]:
+    """The clone pairs of fragments that decisions stand for, in canonical order."""
     return [
-        ClonePair(origins[i], origins[j], lcs_len=lcs, max_len=hi)
-        for i, j, lcs, hi in _pair_tuples(eligible, seq_pairs)
+        ClonePair(eligible[i], eligible[j], lcs_len=lcs, max_len=hi)
+        for i, j, lcs, hi in _pair_tuples(eligible, groups, clones)
     ]
 
 
 def detect_pairs(fragments, cfg: CloneConfig) -> list[ClonePair]:
-    """All clone pairs among fragments, in canonical (left, right) order.
+    """All clone pairs among normalized fragments, in canonical (left, right) order.
 
     The last fragment given for an origin stands for it, so an origin
     never pairs with itself; fragments outside [min_lines, max_lines]
     never pair.
     """
-    return _fragment_pairs(*_sequence_pairs(fragments, cfg))
+    return _fragment_pairs(*_sequence_pairs(_table(fragments, cfg), cfg))
 
 
 def _components(edges) -> list[list]:
@@ -351,25 +347,26 @@ def cluster_classes(pairs) -> list[CloneClass]:
     return _classes(_components((p.left, p.right) for p in pairs))
 
 
-def _sequence_classes(eligible, seq_pairs) -> list[CloneClass]:
+def _sequence_classes(eligible, groups, clones) -> list[CloneClass]:
     """cluster_classes(_fragment_pairs(...)), without building a pair.
 
     The fragments of one sequence are joined through the first of them,
     two clone sequences through the first fragment of each.
     """
-    edges = []
-    for ga, gb, _, _ in seq_pairs:
-        edges.extend((ga[0], i) for i in (ga[1:] if ga is gb else gb[:1]))
-    return _classes([[eligible[i].origin for i in comp] for comp in _components(edges)])
+    edges = [(g[0], i) for g in groups.values() for i in g[1:]]
+    edges += [(groups[la][0], groups[lb][0]) for la, lb, _ in clones]
+    return _classes([[eligible[i] for i in comp] for comp in _components(edges)])
 
 
-def clone_classes(fragments, cfg: CloneConfig) -> list[CloneClass]:
-    """cluster_classes(detect_pairs(fragments, cfg)), without building a pair."""
-    return _sequence_classes(*_sequence_pairs(fragments, cfg))
+def clone_classes(table, cfg: CloneConfig) -> list[CloneClass]:
+    """The clone classes of a fragment table {origin: lines}: those of
+    cluster_classes over its clone pairs, without building a pair."""
+    return _sequence_classes(*_sequence_pairs(table, cfg))
 
 
-def class_row(cls: CloneClass, by_ref, exemplar: NormalizedFragment) -> dict:
-    """Report row of a clone class: every member with its similarity to exemplar."""
+def class_row(cls: CloneClass, table, exemplar) -> dict:
+    """Report row of a clone class: every member with the similarity of its
+    lines in table to the exemplar lines."""
     return {
         "class_id": cls.class_id,
         "members": [
@@ -378,7 +375,7 @@ def class_row(cls: CloneClass, by_ref, exemplar: NormalizedFragment) -> dict:
                 "name": m.name,
                 "start_line": m.start_line,
                 "end_line": m.end_line,
-                "similarity_to_exemplar": similarity(by_ref[m], exemplar),
+                "similarity_to_exemplar": similarity(table[m], exemplar),
             }
             for m in cls.members
         ],

@@ -25,7 +25,7 @@ from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
 from . import jsonout, normalize
 from .extractor import FragmentRef, FunctionFragment
-from .normalize import NormalizationMemo, NormalizedFragment
+from .normalize import NormalizationMemo
 from .signatures import SignatureSet, VulnerabilityType
 
 _ALL_TYPES = [t.name for t in VulnerabilityType]
@@ -191,22 +191,21 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     signature members and every member's similarity to the canonically
     first signature exemplar.
     """
-    by_node: dict[_Node, NormalizedFragment] = {}
+    table: dict[_Node, tuple] = {}
     sig_types: dict[_Node, list] = {}
     for sig_id, vuln_type, exemplar in payload:
         node = _Node(exemplar.origin, "signature")
-        by_node[node] = NormalizedFragment(node, exemplar.mode, exemplar.lines)
+        table[node] = exemplar.lines
         sig_types.setdefault(node, []).append(vuln_type.name)
     for ref, lines in hits.items():
-        node = _Node(ref, "target")
-        by_node[node] = NormalizedFragment(node, cfg.mode, lines)
+        table[_Node(ref, "target")] = lines
 
     out = []
-    for cls in clone_classes(list(by_node.values()), cfg):
+    for cls in clone_classes(table, cfg):
         sig_members = [m for m in cls.members if m.role == "signature"]
         if not sig_members or len(sig_members) == len(cls.members):
             continue
-        row = class_row(cls, by_node, by_node[sig_members[0]])
+        row = class_row(cls, table, table[sig_members[0]])
         row["vuln_types"] = sorted({t for m in sig_members for t in sig_types[m]})
         out.append(row)
     return out

@@ -48,7 +48,7 @@ class UnlabeledContract(VolcanoError):
 
 
 class MalformedLabels(VolcanoError):
-    """A labels CSV row lacks the contract_id,vuln_type columns."""
+    """A labels CSV row lacks the contract_id,vuln_type columns or relabels a contract."""
 
 
 class MalformedManifest(VolcanoError):

@@ -335,10 +335,12 @@ def save_signatures(sig_set: SignatureSet, out_dir) -> None:
 
 
 def read_labels_csv(path) -> dict[str, VulnerabilityType]:
-    """Read a contract_id,vuln_type CSV; a header row is recognized and skipped."""
+    """Read a contract_id,vuln_type CSV; a header row is skipped, and a contract
+    may be listed again with the same type, never with another."""
     import csv
 
     labels: dict[str, VulnerabilityType] = {}
+    first_row: dict[str, int] = {}
     # utf-8-sig: spreadsheet exports often start with a byte-order mark.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -352,7 +354,13 @@ def read_labels_csv(path) -> dict[str, VulnerabilityType]:
             cid, type_name = row[0].strip(), row[1].strip()
             if cid == "contract_id" and type_name == "vuln_type":
                 continue
-            labels[cid] = parse_vuln_type(type_name)
+            vuln_type = parse_vuln_type(type_name)
+            if labels.setdefault(cid, vuln_type) is not vuln_type:
+                raise MalformedLabels(
+                    f"{path}: {cid!r} is labeled {labels[cid].name} in row {first_row[cid]}"
+                    f" and {vuln_type.name} in row {reader.line_num}"
+                )
+            first_row.setdefault(cid, reader.line_num)
     return labels
 
 
@@ -373,15 +381,15 @@ def derive_signatures(
         if contract.id not in labels:
             raise UnlabeledContract(f"no label for {contract.id}")
 
-    none_by_ref: dict = {}
-    mode_frags = []
+    by_ref: dict = {}
+    table: dict = {}
     memo = NormalizationMemo()
     for contract in vuln_corpus:
         for fragment in normalize.extract_functions(contract):
-            none_by_ref[fragment.ref] = memo.normalize(fragment, RenamingMode.NONE)
-            mode_frags.append(memo.normalize(fragment, cfg.mode))
+            by_ref[fragment.ref] = fragment
+            table[fragment.ref] = memo.lines(fragment, cfg.mode)
 
-    classes = clone_classes(mode_frags, cfg)
+    classes = clone_classes(table, cfg)
     if not classes:
         log.warning("derivation found no clone classes in corpus %s", vuln_corpus.label)
 
@@ -400,13 +408,13 @@ def derive_signatures(
             )
             continue
         vuln_type = VulnerabilityType[class_labels[0]]
-        counts = sorted(len(none_by_ref[m].lines) for m in cls.members)
-        median = counts[(len(counts) - 1) // 2]
+        size = {m: len(memo.lines(by_ref[m], RenamingMode.NONE)) for m in cls.members}
+        median = sorted(size.values())[(len(size) - 1) // 2]
         exemplar_ref = min(
-            (m for m in cls.members if len(none_by_ref[m].lines) == median),
+            (m for m in cls.members if size[m] == median),
             key=lambda m: (m.contract_id, m.start_line),
         )
-        exemplar = none_by_ref[exemplar_ref]
+        exemplar = memo.normalize(by_ref[exemplar_ref], RenamingMode.NONE)
         sig_id = _generated_id(vuln_type, exemplar, taken)
         taken.add(sig_id)
         sigs.append(

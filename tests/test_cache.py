@@ -90,20 +90,19 @@ def canonical(pairs, classes, *_) -> str:
 def test_empty_cache_scan_finds_pairs_and_saves(tmp_path):
     corpus = clone_rich_corpus()
     cache = AnalysisCache.empty(CONSISTENT_30)
-    pairs, classes, index = incremental_scan(cache, corpus, CONSISTENT_30)
+    pairs, classes, table = incremental_scan(cache, corpus, CONSISTENT_30)
     assert pairs and classes
-    assert index == fragment_index(cache, corpus, CONSISTENT_30.mode)
-    assert cache.contracts == {c.id: c.content_digest for c in corpus}
+    assert table == fragment_index(cache, corpus)
     cache.save(tmp_path)
     loaded = AnalysisCache.load(tmp_path)
     assert loaded is not None
     assert loaded.config_digest == CONSISTENT_30.digest()
-    assert loaded.contracts == cache.contracts
     assert unordered(loaded.clones) == unordered(cache.clones)
     # one entry per clone pair of distinct sequences, each with its LCS,
     # saved as [i, j, lcs]: i < j indices into the sorted sequence table
     seqs = record_sequences(loaded)
     blob = json.loads((tmp_path / CACHE_FILE).read_text())
+    assert set(blob) == {"version", "config_digest", "sequences", "fragments", "clones"}
     assert blob["sequences"] == [list(seq) for seq in seqs]
     assert blob["fragments"] == {
         digest: [[name, start, end, seqs.index(lines)] for name, start, end, lines in records]
@@ -112,7 +111,7 @@ def test_empty_cache_scan_finds_pairs_and_saves(tmp_path):
     assert (tmp_path / CACHE_FILE).read_text() == json.dumps(blob, sort_keys=True, separators=(",", ":"))
     want = set()
     for p in pairs:
-        i, j = sorted((seqs.index(index[p.left].lines), seqs.index(index[p.right].lines)))
+        i, j = sorted((seqs.index(table[p.left]), seqs.index(table[p.right])))
         if i != j:
             want.add((i, j, p.lcs_len))
     assert blob["clones"] == sorted(map(list, want))
@@ -394,8 +393,8 @@ def _unused(blob):
         _set_sequence(0, "a ;"),
         _set_sequence(0, [1]),
         _set_sequence(0, []),
-        _set_table("contracts", []),
-        _set_table("contracts", {"c00": 1}),
+        lambda blob: blob.pop("sequences"),
+        lambda blob: blob.pop("fragments"),
         _set_table("fragments", []),
         lambda blob: blob["fragments"].update(d={}),
         lambda blob: blob["fragments"].update(d=["r"]),
@@ -445,7 +444,7 @@ def test_a_remapped_cache_of_the_right_shape_loads(tmp_path):
     loaded = AnalysisCache.load(tmp_path)
     assert loaded is not None
     assert tuple(seq) in record_sequences(loaded)
-    assert loaded.contracts == cache.contracts
+    assert loaded.fragments.keys() == cache.fragments.keys()
 
 
 def test_wrong_version_cache_ignored(tmp_path, caplog):
@@ -508,14 +507,13 @@ def test_fragment_index_restores_each_mode(tmp_path):
         assert all(len(r) == 4 for records in loaded.fragments.values() for r in records)
         (a,), (b,) = loaded.fragments.values()
         assert a[3] is b[3]  # one tuple per saved sequence
-        index = fragment_index(loaded, corpus, cfg.mode)
-        assert index == fragment_index(cache, corpus, cfg.mode)
-        assert len(index) == 2
-        for ref, nf in index.items():
-            assert nf.origin == ref
-            assert nf.mode is cfg.mode
-            assert all(line is sys.intern(line) for line in nf.lines)
-            assert ("X" in "\n".join(nf.lines)) == (cfg.mode is not RenamingMode.NONE)
+        table = fragment_index(loaded, corpus)
+        assert table == fragment_index(cache, corpus)
+        assert [ref.contract_id for ref in table] == ["a", "b"]
+        for lines in table.values():
+            assert lines is a[3]
+            assert all(line is sys.intern(line) for line in lines)
+            assert ("X" in "\n".join(lines)) == (cfg.mode is not RenamingMode.NONE)
 
 
 def test_duplicate_content_shares_fragment_records():
@@ -542,7 +540,7 @@ def test_two_saves_into_one_directory_do_not_clash(tmp_path, monkeypatch):
     first.save(tmp_path)
     assert os.replace is real, "the second save ran"
     loaded = AnalysisCache.load(tmp_path)
-    assert loaded is not None and loaded.contracts == first.contracts  # the last rename wins
+    assert loaded is not None and loaded.fragments == first.fragments  # the last rename wins
     assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
 
 
@@ -589,7 +587,6 @@ def test_a_saved_cache_loads_equal_and_saves_byte_identical(cfg, files):
         loaded = AnalysisCache.load(cache_dir)
         assert loaded is not None
         assert loaded.config_digest == cache.config_digest
-        assert loaded.contracts == cache.contracts
         assert loaded.fragments == cache.fragments
         assert unordered(loaded.clones) == unordered(cache.clones)
         loaded.save(cache_dir)

@@ -637,6 +637,20 @@ def test_derive_one_column_label_row_exits_one(tmp_path, capsys):
     assert f"error: {labels}: row 2" in capsys.readouterr().err
 
 
+def test_derive_refuses_a_contract_labeled_twice(corpus_dir, tmp_path, capsys):
+    """The second row used to relabel the contract: derive at 30% exited 0
+    with a mixed-label class and no signature."""
+    labels = tmp_path / "labels.csv"
+    labels.write_text("kill.sol,DOS\nkill06.sol,DOS\nsafe.sol,DOS\nkill.sol,REENTRANCY\n")
+    argv = ["derive", "--in", str(corpus_dir), "--labels", str(labels), "--out", str(tmp_path / "s"),
+            "--threshold", "30"]
+    assert main(argv) == 1
+    assert f"error: {labels}: 'kill.sol' is labeled DOS in row 1 and REENTRANCY in row 4" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    labels.write_text("kill.sol,DOS\nkill06.sol,DOS\nsafe.sol,DOS\nkill.sol,DOS\n")
+    assert main(argv) == 0
+
+
 def test_evolve_writes_csv_and_json(corpus_dir, tmp_path, capsys):
     out = tmp_path / "evolution.csv"
     json_out = tmp_path / "evolution.json"
@@ -665,6 +679,19 @@ def test_evolve_rejects_bad_config_string(corpus_dir, tmp_path, capsys):
         )
     assert err.value.code == 2
     assert "bad --configs entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("configs", ["blind:0,blind:0", "blind:,blind:0", "consistent:30,blind:0, consistent:30"])
+def test_evolve_rejects_a_repeated_config_before_any_work(configs, tmp_path, capsys):
+    """A repeated cell used to be scanned twice and written twice; the corpus
+    path does not exist, so the exit code shows that nothing was loaded."""
+    out = tmp_path / "e.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--in", str(tmp_path / "missing"), "--sigs", "builtin", "--out", str(out),
+              "--configs", configs])
+    assert err.value.code == 2
+    assert "already listed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

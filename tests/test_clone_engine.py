@@ -20,6 +20,7 @@ from volcano.clone_engine import (
     _fragment_pairs,
     _sequence_classes,
     _sequence_pairs,
+    _table,
     clone_classes,
     clone_lcs,
     cluster_classes,
@@ -321,25 +322,32 @@ def test_an_origin_given_twice_pairs_as_its_last_fragment_once():
     config = cfg(Fraction(30, 100))
     got = [(p.left.uid, p.right.uid, p.lcs_len) for p in detect_pairs([a_old, a_new, b], config)]
     assert got == [("a.sol:f:1-4", "b.sol:f:1-4", 3)]
-    (cls,) = clone_classes([a_old, a_new, b], config)
+    (cls,) = clone_classes(_table([a_old, a_new, b], config), config)
     assert cls.members == (a_new.origin, b.origin)
 
 
 def _decisions(fragments, config):
     """The clone decisions of a run over fragments, as _sequence_pairs takes them."""
-    eligible, seq_pairs = _sequence_pairs(fragments, config)
-    decided = [
-        (eligible[ga[0]].lines, eligible[gb[0]].lines, lcs) for ga, gb, lcs, _ in seq_pairs if ga is not gb
-    ]
-    return {nf.lines for nf in eligible}, decided
+    _, groups, clones = _sequence_pairs(_table(fragments, config), config)
+    return set(groups), clones
+
+
+def _unordered(clones) -> set[tuple]:
+    """Clone decisions (lines_a, lines_b, lcs) with each pair's sides in sorted order."""
+    return {(*sorted((a, b)), lcs) for a, b, lcs in clones}
 
 
 @given(st.one_of(_fragments, _near_misses()), _configs, st.sets(st.sampled_from("abcd")))
 def test_sequence_pairs_seeded_with_earlier_decisions_equal_an_unseeded_run(fragments, config, seen):
     known, decided = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
-    seeded = _sequence_pairs(fragments, config, known, decided)
+    table = _table(fragments, config)
+    seeded = _sequence_pairs(table, config, known, decided)
+    unseeded = _sequence_pairs(table, config)
+    # warm equals cold: the decisions a cache keeps are those of a fresh run
+    assert len(seeded[2]) == len(unseeded[2])
+    assert _unordered(seeded[2]) == _unordered(unseeded[2])
     assert _fragment_pairs(*seeded) == detect_pairs(fragments, config)
-    assert _sequence_classes(*seeded) == clone_classes(fragments, config)
+    assert _sequence_classes(*seeded) == clone_classes(table, config)
 
 
 @given(_near_misses(), _configs, st.sets(st.sampled_from("abcd")))
@@ -349,7 +357,7 @@ def test_candidates_hold_every_clone_pair_with_a_new_side(fragments, config, see
     of those."""
     known, decided = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
     with mock.patch.object(clone_engine_mod, "clone_lcs", wraps=clone_lcs) as decide:
-        _sequence_pairs(fragments, config, known, decided)
+        _sequence_pairs(_table(fragments, config), config, known, decided)
     decided = [c.args[:2] for c in decide.call_args_list]
     assert len({frozenset(p) for p in decided}) == len(decided)
     assert not [p for p in decided if p[0] in known and p[1] in known]
@@ -394,7 +402,7 @@ def test_candidate_index_runs_no_kernel_on_dissimilar_functions(monkeypatch):
 
 @given(_fragments, _configs)
 def test_clone_classes_equal_clustered_pairs(fragments, config):
-    assert clone_classes(fragments, config) == cluster_classes(detect_pairs(fragments, config))
+    assert clone_classes(_table(fragments, config), config) == cluster_classes(detect_pairs(fragments, config))
 
 
 def test_pair_similarity_fields_consistent():

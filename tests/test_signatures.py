@@ -225,6 +225,16 @@ def test_read_labels_csv_rejects_one_column_row(tmp_path):
         read_labels_csv(path)
 
 
+def test_read_labels_csv_rejects_a_contract_labeled_twice(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("contract_id,vuln_type\na.sol,DOS\nb.sol,DOS\na.sol, dos \na.sol,REENTRANCY\n")
+    with pytest.raises(MalformedLabels, match=r"'a\.sol' is labeled DOS in row 2 and REENTRANCY in row 5"):
+        read_labels_csv(path)
+    # the same label again is no conflict
+    path.write_text("a.sol,DOS\na.sol,DOS\n")
+    assert read_labels_csv(path) == {"a.sol": VulnerabilityType.DOS}
+
+
 def _sweep(extra: list[str], name="sweepFunds", amount="amount", pool="pool") -> str:
     body = "\n".join(
         [
