@@ -167,14 +167,15 @@ def clone_lcs(a, b, cfg: CloneConfig) -> int | None:
 def match_exemplars(lines, exemplars, cfg: CloneConfig) -> tuple:
     """(k, similarity) for each exemplars[k] that the sequence lines clones under cfg.
 
-    A sequence outside [min_lines, max_lines] matches nothing and runs no
-    decision; every other one is decided against each exemplar by clone_lcs.
+    The line window covers both sides, as in clone_classes: a sequence
+    outside [min_lines, max_lines] matches nothing and runs no decision, an
+    exemplar outside it is matched by nothing, and clone_lcs decides the rest.
     """
     if not within_window(len(lines), cfg):
         return ()
     found = []
     for k, exemplar in enumerate(exemplars):
-        lcs = clone_lcs(lines, exemplar, cfg)
+        lcs = clone_lcs(lines, exemplar, cfg) if within_window(len(exemplar), cfg) else None
         if lcs is not None:
             found.append((k, lcs / max(len(lines), len(exemplar))))
     return tuple(found)

@@ -57,7 +57,7 @@ class ScanReport:
     classes: list[dict]
     per_contract_ms: list[float]
     cross_classes_ms: float
-    wall_ms: float | None = None  # elapsed time of scan(), both phases together
+    wall_ms: float  # elapsed time of scan(), both phases together
 
     @property
     def per_type_instances(self) -> dict[str, int]:
@@ -112,14 +112,16 @@ class _Payload(list):
     window maps to (). A fragment text repeated across the corpus thus
     costs a memo and a match-table lookup after its first occurrence, and
     a sequence that several texts normalize to is decided once against
-    all signatures. A payload serves one config; every worker process
-    holds its own copy.
+    all signatures. A payload serves one config; the payloads of a sweep
+    share one memo, and every worker process holds its own copy of them.
     """
 
-    def __init__(self, entries, memo: NormalizationMemo):
-        super().__init__(entries)
+    def __init__(self, sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo):
+        if not len(sigs):
+            raise EmptySignatureSet("scan needs at least one signature")
+        super().__init__((s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs)
         self.memo = memo
-        self.exemplars = [exemplar.lines for _, _, exemplar in entries]
+        self.exemplars = [exemplar.lines for _, _, exemplar in self]
         self.matches: dict[tuple, tuple] = {}
 
     def decide(self, fragment: FunctionFragment, cfg: CloneConfig) -> tuple[tuple, tuple]:
@@ -129,12 +131,6 @@ class _Payload(list):
         if found is None:
             found = self.matches[lines] = match_exemplars(lines, self.exemplars, cfg)
         return lines, found
-
-
-def _payload_of(sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo) -> _Payload:
-    if not len(sigs):
-        raise EmptySignatureSet("scan needs at least one signature")
-    return _Payload([(s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs], memo)
 
 
 def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
@@ -157,14 +153,14 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     return detections, hits, elapsed_ms
 
 
-def _init_worker(payload, cfg):
-    _WORKER["payload"] = payload
-    _WORKER["cfg"] = cfg
+def _init_worker(payloads, cfgs):
+    _WORKER["cells"] = list(zip(payloads, cfgs))
 
 
 def _scan_task(args):
-    contract_id, source_text = args
-    return _scan_source(contract_id, source_text, _WORKER["payload"], _WORKER["cfg"])
+    k, contract_id, source_text = args
+    payload, cfg = _WORKER["cells"][k]
+    return _scan_source(contract_id, source_text, payload, cfg)
 
 
 class _Node(NamedTuple):
@@ -211,36 +207,45 @@ def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
     return out
 
 
-def _scan_contracts(target: Corpus, payload, cfg: CloneConfig, jobs: int) -> list:
-    """_scan_source over every contract of target, in corpus order; jobs caps the workers."""
+def _scan_contracts(target: Corpus, payloads, cfgs, jobs: int):
+    """The sweep: yields the _scan_source results of every contract of
+    target, in corpus order, for one cell (payloads[k], cfgs[k]) at a time.
+
+    jobs caps the workers. One pool serves every cell, so its workers keep
+    their copies of the memo and the match tables from one cell to the next.
+    """
     workers = min(jobs, len(target), os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which only --jobs needs.
-        from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        for payload, cfg in zip(payloads, cfgs):
+            yield [_scan_source(c.id, c.source_text, payload, cfg) for c in target]
+        return
+    # Imported here: it loads multiprocessing, which only --jobs needs.
+    from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [(c.id, c.source_text) for c in target]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(payload, cfg)
-        ) as pool:
-            chunk = max(1, len(tasks) // (workers * 4))
-            return list(pool.map(_scan_task, tasks, chunksize=chunk))
-    return [_scan_source(c.id, c.source_text, payload, cfg) for c in target]
+    chunk = max(1, len(target) // (workers * 4))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(payloads, cfgs)
+    ) as pool:
+        for k in range(len(cfgs)):
+            tasks = [(k, c.id, c.source_text) for c in target]
+            yield list(pool.map(_scan_task, tasks, chunksize=chunk))
 
 
-def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, results) -> ScanReport:
-    """The scan report of target from the _scan_source results of its contracts."""
+def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
+    """Match every signature against every fragment of the target corpus."""
+    started = time.perf_counter()
+    payload = _Payload(sigs, cfg, NormalizationMemo())
+    (results,) = _scan_contracts(target, [payload], [cfg], jobs)
     detections: list[Detection] = []
     hits: dict[FragmentRef, tuple] = {}
-    per_contract_ms = []
-    for dets, frag_hits, elapsed in results:
+    for dets, frag_hits, _ in results:
         detections.extend(dets)
         hits.update(frag_hits)
-        per_contract_ms.append(elapsed)
     detections.sort(key=lambda d: (d.target, d.sig_id))
 
-    started = time.perf_counter()
+    classes_started = time.perf_counter()
     classes = _cross_classes(payload, hits, cfg)
-    cross_classes_ms = (time.perf_counter() - started) * 1000.0
+    finished = time.perf_counter()
     return ScanReport(
         config={
             "corpus": target.label,
@@ -250,18 +255,10 @@ def _assemble(target: Corpus, sigs: SignatureSet, payload, cfg: CloneConfig, res
         },
         detections=detections,
         classes=classes,
-        per_contract_ms=per_contract_ms,
-        cross_classes_ms=cross_classes_ms,
+        per_contract_ms=[elapsed for _, _, elapsed in results],
+        cross_classes_ms=(finished - classes_started) * 1000.0,
+        wall_ms=(finished - started) * 1000.0,
     )
-
-
-def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
-    """Match every signature against every fragment of the target corpus."""
-    started = time.perf_counter()
-    payload = _payload_of(sigs, cfg, NormalizationMemo())
-    report = _assemble(target, sigs, payload, cfg, _scan_contracts(target, payload, cfg, jobs))
-    report.wall_ms = (time.perf_counter() - started) * 1000.0
-    return report
 
 
 def count_instances(report: ScanReport) -> dict[str, int]:
@@ -353,12 +350,12 @@ def analyze_evolution(
 
     Classes are computed independently per bucket. A separate pass over
     the whole corpus flags classes that would span buckets, so nothing is
-    silently double-counted. Each contract is scanned once per config:
-    a contract's scan result does not depend on the rest of the corpus,
-    so every bucket's report and the whole-corpus one are assembled from
-    the same results. One NormalizationMemo serves every config, so a
-    serial run pretty-prints each distinct fragment text once; under
-    jobs > 1 every worker holds its own copy.
+    silently double-counted. The configs are the cells of one sweep, which
+    scans each contract once per config: a contract's scan result does not
+    depend on the rest of the corpus, so every bucket's cells and the
+    cross-bucket check read the same results. One NormalizationMemo serves
+    every config, so each distinct fragment text is pretty-printed once per
+    process; under jobs > 1, one worker pool serves every config.
     """
     bucket_names = list(buckets)
     bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
@@ -366,37 +363,38 @@ def analyze_evolution(
         label="all-buckets",
         contracts=[c for bucket in bucket_names for c in buckets[bucket]],
     )
+    memo = NormalizationMemo()
+    payloads = [_Payload(sigs, cfg, memo) for cfg in cfg_range]
     cells = []
     cross = []
-    memo = NormalizationMemo()
-    for cfg in cfg_range:
+    for results, cfg, payload in zip(_scan_contracts(union, payloads, cfg_range, jobs), cfg_range, payloads):
         pct = _threshold_percent(cfg)
-        payload = _payload_of(sigs, cfg, memo)
-        results = _scan_contracts(union, payload, cfg, jobs)
-        start = 0
+        dets = {bucket: [] for bucket in bucket_names}
+        hits = {bucket: {} for bucket in bucket_names}
+        detected: dict[FragmentRef, tuple] = {}
+        for contract, (found, frag_hits, _) in zip(union, results):
+            dets[bucket_of[contract.id]] += found
+            hits[bucket_of[contract.id]].update(frag_hits)
+            detected.update(frag_hits)
         for bucket in bucket_names:
-            corpus = buckets[bucket]
-            report = _assemble(corpus, sigs, payload, cfg, results[start:start + len(corpus)])
-            start += len(corpus)
+            classes = _cross_classes(payload, hits[bucket], cfg)
             for name in _ALL_TYPES:
-                sims = [d.similarity for d in report.detections if d.vuln_type.name == name]
+                sims = [d.similarity for d in dets[bucket] if d.vuln_type.name == name]
                 cells.append(
                     {
                         "mode": cfg.mode.value,
                         "threshold_percent": pct,
                         "vuln_type": name,
                         "bucket": bucket,
-                        "class_count": sum(name in cls["vuln_types"] for cls in report.classes),
+                        "class_count": sum(name in cls["vuln_types"] for cls in classes),
                         "min_similarity": min(sims, default=None),
                         "detections": len(sims),
                     }
                 )
 
-        whole = _assemble(union, sigs, payload, cfg, results)
         # A member counts for its bucket if it is a detected fragment; an
         # exemplar is none, even where its contract id is a corpus one.
-        detected = {d.target for d in whole.detections}
-        for cls in whole.classes:
+        for cls in _cross_classes(payload, detected, cfg):
             spanned = sorted(
                 {
                     bucket_of[m["contract_id"]]

@@ -292,6 +292,45 @@ def test_scan_classes_group_signature_with_targets():
     assert sims["v"] in (1.0, 0.75)
 
 
+# Five normalized lines, a near miss of the two four-line open-initializer exemplars.
+INITIALIZE_CONTRACT = wrap(
+    "    function initialize() public {\n"
+    "        new_owner = msg.sender;\n"
+    "        started = true;\n"
+    "    }"
+)
+
+
+def _window_config(min_lines: int) -> CloneConfig:
+    return CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(30, 100), min_lines=min_lines)
+
+
+@pytest.mark.parametrize("min_lines,detected", [(3, 2), (4, 2), (5, 0)])
+def test_every_detection_sits_in_a_class_of_its_type(min_lines, detected):
+    """The line window covers signature exemplars in both phases: an exemplar
+    outside it matches nothing, as it joins no class."""
+    report = scan(make_corpus("init", {"i": INITIALIZE_CONTRACT}), builtin_signatures(), _window_config(min_lines))
+    assert len(report.detections) == detected
+    for d in report.detections:
+        target = (d.target.contract_id, d.target.name, d.target.start_line, d.target.end_line)
+        assert any(
+            d.vuln_type.name in cls["vuln_types"]
+            and target in {(m["contract_id"], m["name"], m["start_line"], m["end_line"]) for m in cls["members"]}
+            for cls in report.classes
+        ), d
+
+
+@pytest.mark.parametrize("min_lines", [4, 5])
+def test_every_evolution_cell_with_detections_counts_a_class(min_lines):
+    sources = dict(EVOLUTION_SOURCES, init=INITIALIZE_CONTRACT)
+    report = analyze_evolution(
+        sort_by_version(make_corpus("evo", sources)), builtin_signatures(), [_window_config(min_lines)]
+    )
+    assert any(c["detections"] for c in report.cells) == (min_lines == 4)
+    for cell in report.cells:
+        assert cell["class_count"] or not cell["detections"], cell
+
+
 def test_write_catalog_csv(tmp_path):
     corpus = make_corpus("victims", {"v": KILL_CONTRACT})
     report = scan(corpus, builtin_signatures(), CONSISTENT_30)
@@ -378,7 +417,10 @@ def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
     assert sorted(calls) == sorted([c.id for c in corpus] * 2)
 
 
-@pytest.mark.parametrize("configs", [[BLIND_0, CONSISTENT_30], [CONSISTENT_30, BLIND_30]])
+@pytest.mark.parametrize(
+    "configs",
+    [[BLIND_0, CONSISTENT_30], [CONSISTENT_30, BLIND_30], [CONSISTENT_30, BLIND_0, CONSISTENT_0, BLIND_30]],
+)
 def test_evolution_parallel_matches_serial(configs):
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
@@ -387,6 +429,32 @@ def test_evolution_parallel_matches_serial(configs):
     serial = analyze_evolution(buckets, sigs, configs, jobs=1)
     parallel = analyze_evolution(buckets, sigs, configs, jobs=2)
     assert parallel.to_dict() == serial.to_dict()
+
+
+def test_evolution_starts_one_worker_pool_for_all_configs(monkeypatch):
+    """The configs are cells of one sweep: one pool, whose workers keep their memo."""
+    import concurrent.futures
+
+    pools = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sources = dict(REPEATING_SOURCES)
+    sources.update(EVOLUTION_SOURCES)
+    buckets = sort_by_version(make_corpus("evo", sources))
+    sigs = builtin_signatures()
+    configs = [
+        CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(pct, 100)) for pct in (0, 10, 20, 30)
+    ]
+    parallel = analyze_evolution(buckets, sigs, configs, jobs=2)
+    assert len(pools) == 1
+    assert parallel.to_dict() == analyze_evolution(buckets, sigs, configs, jobs=1).to_dict()
+    assert len(pools) == 1
 
 
 KILL_FUNCTION = "function kill(address evil) external {\n        suicide(evil);\n    }"
