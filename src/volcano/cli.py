@@ -84,10 +84,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _rate_arg(text: str) -> float:
+    # fetch sleeps 1/rate s between requests; time.sleep overflows past ~9e9 s.
     value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError("must be a positive number")
+    if not 1 / 86400 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be at least 1/86400 requests per second (one a day)")
     return value
 
 
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explorer-url", dest="explorer_url", default=corpus_mod.DEFAULT_EXPLORER_URL)
     p.add_argument("--api-key", dest="api_key", default=None,
                    help=f"overrides ${corpus_mod.EXPLORER_KEY_ENV}")
-    p.add_argument("--rate", type=_positive_float, default=5.0, help="max requests per second")
+    p.add_argument("--rate", type=_rate_arg, default=5.0, help="max requests per second")
     p.set_defaults(func=_cmd_fetch)
 
     p = sub.add_parser("extract", help="list function fragments of a corpus")

@@ -11,6 +11,9 @@ classes over the union of exemplars and detected fragments, and
 wall-clock timing per contract, for the cross-class phase and for the
 whole scan. Timing excludes corpus loading and lives in its own section
 so the detection body stays deterministic.
+
+analyze_evolution() runs the same sweep, one cell per config, and reads
+the cross classes themselves: it never serializes one into report rows.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ _WORKER = {}
 
 
 class _Payload(list):
-    """One (sig_id, vuln_type, exemplar) entry per signature, the run's
-    NormalizationMemo as .memo and a match table as .matches.
+    """One sweep cell: one (sig_id, vuln_type, exemplar) entry per
+    signature, its CloneConfig as .cfg, the run's NormalizationMemo as
+    .memo and a match table as .matches.
 
     matches maps each normalized sequence the scan meets to
     match_exemplars(lines, exemplar lines, cfg), the (entry index,
@@ -120,16 +124,17 @@ class _Payload(list):
         if not len(sigs):
             raise EmptySignatureSet("scan needs at least one signature")
         super().__init__((s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs)
+        self.cfg = cfg
         self.memo = memo
         self.exemplars = [exemplar.lines for _, _, exemplar in self]
         self.matches: dict[tuple, tuple] = {}
 
-    def decide(self, fragment: FunctionFragment, cfg: CloneConfig) -> tuple[tuple, tuple]:
+    def decide(self, fragment: FunctionFragment) -> tuple[tuple, tuple]:
         """(normalized lines, matches) of a fragment, normalized and matched on a miss."""
-        lines = self.memo.lines(fragment, cfg.mode)
+        lines = self.memo.lines(fragment, self.cfg.mode)
         found = self.matches.get(lines)
         if found is None:
-            found = self.matches[lines] = match_exemplars(lines, self.exemplars, cfg)
+            found = self.matches[lines] = match_exemplars(lines, self.exemplars, self.cfg)
         return lines, found
 
 
@@ -141,7 +146,7 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     hits: dict[FragmentRef, tuple] = {}
     # normalize.extract_functions: the one extraction seam of every command.
     for fragment in normalize.extract_functions(SourceContract(contract_id, source_text)):
-        lines, found = decide(fragment, cfg)
+        lines, found = decide(fragment)
         if not found:
             continue
         ref = fragment.ref
@@ -153,14 +158,14 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
     return detections, hits, elapsed_ms
 
 
-def _init_worker(payloads, cfgs):
-    _WORKER["cells"] = list(zip(payloads, cfgs))
+def _init_worker(payloads):
+    _WORKER["payloads"] = payloads
 
 
 def _scan_task(args):
     k, contract_id, source_text = args
-    payload, cfg = _WORKER["cells"][k]
-    return _scan_source(contract_id, source_text, payload, cfg)
+    payload = _WORKER["payloads"][k]
+    return _scan_source(contract_id, source_text, payload, payload.cfg)
 
 
 class _Node(NamedTuple):
@@ -179,63 +184,59 @@ class _Node(NamedTuple):
         return getattr(self.ref, attr)
 
 
-def _cross_classes(payload, hits, cfg: CloneConfig) -> list[dict]:
-    """Clone classes over exemplars plus detected fragments, serialized.
+def _cross_classes(payload, hits, cfg: CloneConfig):
+    """Clone classes over exemplars plus detected fragments: (the node
+    table, [(class, its exemplars' sorted type names)]).
 
-    Only classes containing at least one signature and one target fragment
-    survive; each class dict records the vulnerability types of its
-    signature members and every member's similarity to the canonically
-    first signature exemplar.
+    Only classes that hold a target fragment are kept. Each such class
+    holds an exemplar too, since every detected fragment clones one under
+    cfg's window and threshold; a class of exemplars alone is dropped.
     """
     table: dict[_Node, tuple] = {}
-    sig_types: dict[_Node, list] = {}
-    for sig_id, vuln_type, exemplar in payload:
+    sig_types: dict[_Node, set] = {}
+    for _, vuln_type, exemplar in payload:
         node = _Node(exemplar.origin, "signature")
         table[node] = exemplar.lines
-        sig_types.setdefault(node, []).append(vuln_type.name)
+        sig_types.setdefault(node, set()).add(vuln_type.name)
     for ref, lines in hits.items():
         table[_Node(ref, "target")] = lines
-
-    out = []
-    for cls in clone_classes(table, cfg):
-        sig_members = [m for m in cls.members if m.role == "signature"]
-        if not sig_members or len(sig_members) == len(cls.members):
-            continue
-        row = class_row(cls, table, table[sig_members[0]])
-        row["vuln_types"] = sorted({t for m in sig_members for t in sig_types[m]})
-        out.append(row)
-    return out
+    return table, [
+        (cls, sorted({t for m in cls.members for t in sig_types.get(m, ())}))
+        for cls in clone_classes(table, cfg)
+        if any(m.role == "target" for m in cls.members)
+    ]
 
 
-def _scan_contracts(target: Corpus, payloads, cfgs, jobs: int):
+def _scan_contracts(target: Corpus, payloads, jobs: int):
     """The sweep: yields the _scan_source results of every contract of
-    target, in corpus order, for one cell (payloads[k], cfgs[k]) at a time.
+    target, in corpus order, for one cell (payload) at a time.
 
-    jobs caps the workers. One pool serves every cell, so its workers keep
-    their copies of the memo and the match tables from one cell to the next.
+    jobs caps the workers, as do the contracts and the CPUs this process
+    may run on. One pool serves every cell, so its workers keep their
+    copies of the memo and the match tables from one cell to the next.
     """
-    workers = min(jobs, len(target), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(target), cpus)
     if workers <= 1:
-        for payload, cfg in zip(payloads, cfgs):
-            yield [_scan_source(c.id, c.source_text, payload, cfg) for c in target]
+        for payload in payloads:
+            yield [_scan_source(c.id, c.source_text, payload, payload.cfg) for c in target]
         return
     # Imported here: it loads multiprocessing, which only --jobs needs.
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(target) // (workers * 4))
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(payloads, cfgs)
+        max_workers=workers, initializer=_init_worker, initargs=(payloads,)
     ) as pool:
-        for k in range(len(cfgs)):
-            tasks = [(k, c.id, c.source_text) for c in target]
-            yield list(pool.map(_scan_task, tasks, chunksize=chunk))
+        for k in range(len(payloads)):
+            yield list(pool.map(_scan_task, [(k, c.id, c.source_text) for c in target], chunksize=chunk))
 
 
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
     """Match every signature against every fragment of the target corpus."""
     started = time.perf_counter()
     payload = _Payload(sigs, cfg, NormalizationMemo())
-    (results,) = _scan_contracts(target, [payload], [cfg], jobs)
+    (results,) = _scan_contracts(target, [payload], jobs)
     detections: list[Detection] = []
     hits: dict[FragmentRef, tuple] = {}
     for dets, frag_hits, _ in results:
@@ -244,7 +245,11 @@ def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) ->
     detections.sort(key=lambda d: (d.target, d.sig_id))
 
     classes_started = time.perf_counter()
-    classes = _cross_classes(payload, hits, cfg)
+    table, cross = _cross_classes(payload, hits, cfg)
+    classes = []
+    for cls, types in cross:
+        first_exemplar = next(table[m] for m in cls.members if m.role == "signature")
+        classes.append({**class_row(cls, table, first_exemplar), "vuln_types": types})
     finished = time.perf_counter()
     return ScanReport(
         config={
@@ -367,7 +372,8 @@ def analyze_evolution(
     payloads = [_Payload(sigs, cfg, memo) for cfg in cfg_range]
     cells = []
     cross = []
-    for results, cfg, payload in zip(_scan_contracts(union, payloads, cfg_range, jobs), cfg_range, payloads):
+    for payload, results in zip(payloads, _scan_contracts(union, payloads, jobs)):
+        cfg = payload.cfg
         pct = _threshold_percent(cfg)
         dets = {bucket: [] for bucket in bucket_names}
         hits = {bucket: {} for bucket in bucket_names}
@@ -377,7 +383,7 @@ def analyze_evolution(
             hits[bucket_of[contract.id]].update(frag_hits)
             detected.update(frag_hits)
         for bucket in bucket_names:
-            classes = _cross_classes(payload, hits[bucket], cfg)
+            _, classes = _cross_classes(payload, hits[bucket], cfg)
             for name in _ALL_TYPES:
                 sims = [d.similarity for d in dets[bucket] if d.vuln_type.name == name]
                 cells.append(
@@ -386,26 +392,18 @@ def analyze_evolution(
                         "threshold_percent": pct,
                         "vuln_type": name,
                         "bucket": bucket,
-                        "class_count": sum(name in cls["vuln_types"] for cls in classes),
+                        "class_count": sum(name in types for _, types in classes),
                         "min_similarity": min(sims, default=None),
                         "detections": len(sims),
                     }
                 )
 
-        # A member counts for its bucket if it is a detected fragment; an
-        # exemplar is none, even where its contract id is a corpus one.
-        for cls in _cross_classes(payload, detected, cfg):
-            spanned = sorted(
-                {
-                    bucket_of[m["contract_id"]]
-                    for m in cls["members"]
-                    if FragmentRef(m["contract_id"], m["start_line"], m["end_line"], m["name"]) in detected
-                }
-            )
+        # A class spans the buckets of its targets; an exemplar has none,
+        # even where its contract id is a corpus one.
+        for cls, _ in _cross_classes(payload, detected, cfg)[1]:
+            spanned = sorted({bucket_of[m.contract_id] for m in cls.members if m.role == "target"})
             if len(spanned) > 1:
-                cross.append(
-                    {"class_id": cls["class_id"], "mode": cfg.mode.value, "buckets": spanned}
-                )
+                cross.append({"class_id": cls.class_id, "mode": cfg.mode.value, "buckets": spanned})
     return EvolutionReport(
         buckets=bucket_names,
         configs=[{**cfg.to_dict(), "threshold_percent": _threshold_percent(cfg)} for cfg in cfg_range],

@@ -224,7 +224,7 @@ def test_fetch_malformed_address_exits_two(tmp_path, capsys):
     assert "malformed address" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "fast"])
+@pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "fast", "1e-12"])
 def test_fetch_rate_must_be_positive(rate, tmp_path, monkeypatch, capsys):
     def fake_fetch(*args, **kw):
         raise AssertionError("no fetch may start under a bad --rate")

@@ -158,11 +158,16 @@ def test_scan_parallel_matches_serial():
 
 @pytest.mark.parametrize(
     "contracts,cpus,pools",
-    [(2, 8, [(2, 1)]), (40, 2, [(2, 5)]), (3, 1, []), (3, None, [])],
+    [(2, 8, [(2, 1)]), (40, 2, [(2, 5)]), (3, 1, []), (3, None, []), (40, (8, 2), [(2, 5)])],
 )
 def test_scan_jobs_starts_no_more_workers_than_contracts_or_cpus(contracts, cpus, pools, monkeypatch):
     """--jobs 6 is a cap: the pool gets min(jobs, contracts, CPUs) workers,
-    chunks sized for them, and none when that is one."""
+    chunks sized for them, and none when that is one.
+
+    cpus is the host's count and the process's affinity set alike, or
+    (host, affinity) where they differ, as in a cpuset-limited container:
+    the affinity set counts. None is a platform with neither count.
+    """
     import concurrent.futures
 
     started = []
@@ -179,7 +184,12 @@ def test_scan_jobs_starts_no_more_workers_than_contracts_or_cpus(contracts, cpus
             return super().map(fn, *iterables, chunksize=chunksize)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    host, affinity = cpus if isinstance(cpus, tuple) else (cpus, cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: host)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
     sources = {
         f"c{i:02d}": wrap(f"    function kill(address bad{i}) external {{ suicide(bad{i}); }}")
         for i in range(contracts)
@@ -403,6 +413,36 @@ def test_evolution_flags_cross_bucket_classes():
     assert flagged["mode"] == "consistent"
 
 
+def test_evolution_builds_no_class_rows(monkeypatch):
+    """evolve counts and buckets clone classes without serializing them:
+    no class_row, and no similarity to an exemplar for any member."""
+    sources = dict(EVOLUTION_SOURCES, **REPEATING_SOURCES)
+    sources["old"] = wrap(
+        "    function kill(address ancient) external { suicide(ancient); }",
+        pragma="pragma solidity ^0.3.6;",
+    )
+    corpus = make_corpus("evo", sources)
+    buckets = sort_by_version(corpus)
+    calls = {"class_row": 0, "similarity": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(detector_mod, "class_row", counted("class_row", detector_mod.class_row))
+    monkeypatch.setattr(clone_engine_mod, "similarity", counted("similarity", clone_engine_mod.similarity))
+    report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30, BLIND_0])
+    assert calls == {"class_row": 0, "similarity": 0}
+    assert len({c["bucket"] for c in report.cells if c["class_count"]}) > 1
+    assert report.cross_bucket_classes
+    # scan still writes its classes as rows, through the same two functions
+    assert scan(corpus, builtin_signatures(), CONSISTENT_30).classes
+    assert calls["class_row"] and calls["similarity"]
+
+
 def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
     corpus = make_corpus("evo", EVOLUTION_SOURCES)
     sigs = builtin_signatures()
@@ -444,6 +484,7 @@ def test_evolution_starts_one_worker_pool_for_all_configs(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
     buckets = sort_by_version(make_corpus("evo", sources))
