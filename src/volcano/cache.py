@@ -218,7 +218,7 @@ def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig
             "cache was built under a different configuration; run `volcano cache clear`"
         )
     known = _held(cache.fragments)
-    memo = NormalizationMemo()
+    memo = NormalizationMemo((cfg.mode,))
     records: dict[str, list[Record]] = {}
     for contract in corpus:
         digest = contract.content_digest

@@ -30,7 +30,7 @@ from . import jsonout
 from .clone_engine import CloneConfig, _pair_tuples, _sequence_classes, class_row
 from .errors import VolcanoError
 from .extractor import extract_functions
-from .normalize import RenamingMode, normalize_contract
+from .normalize import NormalizationMemo, RenamingMode, normalize_contract
 
 # detector, signatures and cache are imported by the commands that run them,
 # so a command loads only the modules it needs.
@@ -85,11 +85,10 @@ def _positive_int(text: str) -> int:
 
 
 def _rate_arg(text: str) -> float:
-    # fetch sleeps 1/rate s between requests; time.sleep overflows past ~9e9 s.
-    value = float(text)
-    if not 1 / 86400 <= value < float("inf"):
-        raise argparse.ArgumentTypeError("must be at least 1/86400 requests per second (one a day)")
-    return value
+    try:
+        return corpus_mod.check_rate(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _add_corpus_flags(sub):
@@ -203,9 +202,10 @@ def _cmd_normalize(args) -> int:
         contracts = [corpus_mod.SourceContract(path.name, text)]
     else:
         contracts = list(corpus_mod.load_corpus(path))
+    memo = NormalizationMemo((mode,))
     blocks = []
     for contract in contracts:
-        for nf in normalize_contract(contract, mode):
+        for nf in normalize_contract(contract, mode, memo):
             header = f"-- {nf.origin.uid} [{mode.value}]"
             blocks.append("\n".join([header, *nf.lines]))
     _write_or_print("\n\n".join(blocks) + ("\n" if blocks else ""), args.out)

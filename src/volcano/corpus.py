@@ -196,11 +196,24 @@ def dedupe(corpus: Corpus) -> Corpus:
     return Corpus(label=corpus.label, contracts=kept, skipped=corpus.skipped)
 
 
+def check_rate(max_per_second: float) -> float:
+    """max_per_second, if RateBudget can keep it; ValueError otherwise.
+
+    RateBudget sleeps 1/rate seconds between requests, and time.sleep
+    overflows past about 9e9 s, so the floor is one request a day.
+    """
+    if not 1 / 86400 <= max_per_second < float("inf"):
+        raise ValueError(
+            f"rate must be finite and at least one request a day (1/86400 per second), got {max_per_second}"
+        )
+    return max_per_second
+
+
 class RateBudget:
     """Spaces outgoing requests to at most max_per_second."""
 
     def __init__(self, max_per_second: float = 5.0, clock=time.monotonic, sleep=time.sleep):
-        self.interval = 1.0 / max_per_second
+        self.interval = 1.0 / check_rate(max_per_second)
         self._clock = clock
         self._sleep = sleep
         self._next_ok = clock()

@@ -235,7 +235,7 @@ def _scan_contracts(target: Corpus, payloads, jobs: int):
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
     """Match every signature against every fragment of the target corpus."""
     started = time.perf_counter()
-    payload = _Payload(sigs, cfg, NormalizationMemo())
+    payload = _Payload(sigs, cfg, NormalizationMemo((cfg.mode,)))
     (results,) = _scan_contracts(target, [payload], jobs)
     detections: list[Detection] = []
     hits: dict[FragmentRef, tuple] = {}
@@ -358,9 +358,10 @@ def analyze_evolution(
     silently double-counted. The configs are the cells of one sweep, which
     scans each contract once per config: a contract's scan result does not
     depend on the rest of the corpus, so every bucket's cells and the
-    cross-bucket check read the same results. One NormalizationMemo serves
-    every config, so each distinct fragment text is pretty-printed once per
-    process; under jobs > 1, one worker pool serves every config.
+    cross-bucket check read the same results. One NormalizationMemo, built
+    with every config's mode, serves every config, so each distinct
+    fragment text is pretty-printed once per process and renamed once per
+    mode; under jobs > 1, one worker pool serves every config.
     """
     bucket_names = list(buckets)
     bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
@@ -368,7 +369,7 @@ def analyze_evolution(
         label="all-buckets",
         contracts=[c for bucket in bucket_names for c in buckets[bucket]],
     )
-    memo = NormalizationMemo()
+    memo = NormalizationMemo(cfg.mode for cfg in cfg_range)
     payloads = [_Payload(sigs, cfg, memo) for cfg in cfg_range]
     cells = []
     cross = []

@@ -13,14 +13,29 @@ distinct renamable identifier, in order of first occurrence, to `X<i>`,
 skipping the one placeholder that would equal the declared name.
 Language keywords, the builtin globals and members below, elementary type
 names, literals, and the fragment's own declared name are never renamed.
+
+Normalization is one token pass. pretty_print tokenizes the
+comment-stripped text once and keeps each printed line's tokens on the
+fragment it returns, and renaming maps those tokens instead of reading
+the printed lines again. The renamed lines are defined as the renaming of
+each printed line read back by tokenize, so a line whose reading can
+differ from its tokens is read back: one holding a quote (rendering turns
+a newline into a space, so an unterminated string literal swallows the
+rest of the line) or a `.` directly before a digit (`1 . 0x1f` renders
+as `1.0x1f`, which reads as `1.0` and the identifier `x1f`). A fragment
+that carries no tokens, such as a signature exemplar, is read line by
+line through the same renamer.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import re
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import EmptyFragment, ModeError
 from .extractor import FragmentRef, FunctionFragment, extract_functions, strip_comments
@@ -49,15 +64,18 @@ _ELEMENTARY_RE = re.compile(r"address|bool|string|byte|bytes\d{0,2}|u?int\d{0,3}
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 # One token per: string literal (terminated or not), number, identifier,
-# multi-character operator, any other non-space character.
+# multi-character operator, any other non-space character. The leading
+# lookahead turns a whitespace character away in one step instead of
+# failing every alternative at it.
 _TOKEN_RE = re.compile(
+    r"(?=\S)(?:"
     r"\"(?:[^\"\\\n]|\\.)*\"?"
     r"|'(?:[^'\\\n]|\\.)*'?"
     r"|0[xX][0-9a-fA-F_]+"
     r"|\d[\d_]*(?:\.\d[\d_]*)?(?:[eE][+-]?\d+)?"
     r"|[A-Za-z_$][A-Za-z0-9_$]*"
     r"|>>>=|>>>|>>=|<<=|>>|<<|\*\*|\+\+|--|<=|>=|==|!=|&&|\|\||\+=|-=|\*=|/=|%=|&=|\|=|\^=|=>|->"
-    r"|\S",
+    r"|\S)",
     re.DOTALL,
 )
 
@@ -74,6 +92,12 @@ class NormalizedFragment:
     mode: RenamingMode
     lines: tuple[str, ...]  # interned, so equal lines are usually one object
 
+    # Not a field, so equality, hashing and repr ignore it: pretty_print
+    # sets it to one entry per line, the line's tokens or None where the
+    # line must be read back (see the module docstring). None here means
+    # every line is read back.
+    line_tokens = None
+
     def __len__(self) -> int:
         return len(self.lines)
 
@@ -89,6 +113,11 @@ def tokenize(code: str) -> list[str]:
 
 def _render(tokens: list[str]) -> str:
     """Join tokens with single spaces; '.' binds tight to both neighbours."""
+    text = " ".join(tokens)
+    if '"' not in text and "'" not in text:
+        # Only a string literal holds a space or a newline, or starts or
+        # ends with '.', so here a space beside a '.' borders a '.' token.
+        return text.replace(" .", ".").replace(". ", ".")
     parts: list[str] = []
     attach = False
     for t in tokens:
@@ -106,40 +135,56 @@ def _render(tokens: list[str]) -> str:
     return " ".join(parts).replace("\n", " ")
 
 
-def _split_lines(tokens: list[str]) -> list[str]:
-    lines: list[str] = []
-    cur: list[str] = []
+_LAYOUT = frozenset(["(", ")", ";", "{", "}"])
+
+
+def _split_lines(tokens: list[str]) -> list[list[str]]:
+    """The tokens of each printed line, in order."""
+    lines: list[list[str]] = []
+    start = 0
     depth = 0
-    for t in tokens:
+    # Visit only the layout tokens; the rest stay on their line.
+    for i in itertools.compress(itertools.count(), map(_LAYOUT.__contains__, tokens)):
+        t = tokens[i]
         if t == "(":
             depth += 1
-            cur.append(t)
         elif t == ")":
             depth = max(0, depth - 1)
-            cur.append(t)
-        elif t == ";" and depth == 0:
-            cur.append(t)
-            lines.append(_render(cur))
-            cur = []
-        elif t in ("{", "}"):
-            if cur:
-                lines.append(_render(cur))
-                cur = []
-            lines.append(t)
+        elif t == ";":
+            if depth == 0:
+                lines.append(tokens[start:i + 1])
+                start = i + 1
         else:
-            cur.append(t)
-    if cur:
-        lines.append(_render(cur))
+            if start < i:
+                lines.append(tokens[start:i])
+            lines.append([t])
+            start = i + 1
+    if start < len(tokens):
+        lines.append(tokens[start:])
     return lines
 
 
+_DOT_DIGIT_RE = re.compile(r"\.\d")
+
+
 def pretty_print(fragment: FunctionFragment) -> NormalizedFragment:
-    """Normalize layout only; renaming mode stays NONE."""
+    """Normalize layout only; renaming mode stays NONE.
+
+    The result carries each line's tokens as line_tokens, for in_mode.
+    """
     code = strip_comments(fragment.exact_text)
-    lines = tuple(map(sys.intern, _split_lines(tokenize(code))))
-    if not lines:
+    token_lines = _split_lines(tokenize(code))
+    if not token_lines:
         raise EmptyFragment(fragment.ref.uid)
-    return NormalizedFragment(origin=fragment.ref, mode=RenamingMode.NONE, lines=lines)
+    lines = tuple([sys.intern(_render(tokens)) for tokens in token_lines])
+    nf = NormalizedFragment(origin=fragment.ref, mode=RenamingMode.NONE, lines=lines)
+    # A line tokenize may read differently from the tokens it was rendered
+    # from, one with a quote or a '.' directly before a digit, is read back.
+    object.__setattr__(nf, "line_tokens", tuple([
+        None if '"' in line or "'" in line or ("." in line and _DOT_DIGIT_RE.search(line)) else tokens
+        for line, tokens in zip(lines, token_lines)
+    ]))
+    return nf
 
 
 def _declared_name(ref: FragmentRef) -> str | None:
@@ -151,43 +196,37 @@ def _declared_name(ref: FragmentRef) -> str | None:
     return name
 
 
-def _renamable(token: str, declared: str | None) -> bool:
-    if not _IDENT_RE.fullmatch(token):
-        return False
-    if token == declared:
-        return False
-    if token in SOLIDITY_KEYWORDS or token in BUILTIN_GLOBALS or token in BUILTIN_MEMBERS:
-        return False
-    if _ELEMENTARY_RE.fullmatch(token):
-        return False
-    return True
+_KEPT = SOLIDITY_KEYWORDS | BUILTIN_GLOBALS | BUILTIN_MEMBERS
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _renamable(token: str) -> bool:
+    """Whether renaming may change an identifier token, the fragment's declared name aside."""
+    return bool(_IDENT_RE.fullmatch(token)) and token not in _KEPT and not _ELEMENTARY_RE.fullmatch(token)
 
 
 def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
     if nf.mode is not RenamingMode.NONE:
         raise ModeError(f"{nf.origin.uid} is already in mode {nf.mode.value}")
+    kept = nf.line_tokens or (None,) * len(nf.lines)
+    token_lines = [tokenize(line) if tokens is None else tokens for line, tokens in zip(nf.lines, kept)]
+    # Each distinct token is decided once, in order of first occurrence,
+    # the order consistent mode numbers its placeholders in. A token that
+    # cannot start an identifier is passed over before the cached check.
     declared = _declared_name(nf.origin)
-    consistent = mode is RenamingMode.CONSISTENT
-    mapping: dict[str, str] = {}
-    placeholders = 0
+    distinct = dict.fromkeys(itertools.chain.from_iterable(token_lines))
+    names = [t for t in filter(_renamable, filter(_IDENT_RE.match, distinct)) if t != declared]
+    if mode is RenamingMode.CONSISTENT:
+        # A fragment named X<i> keeps its name to itself.
+        placeholders = (p for p in map("X{}".format, itertools.count(1)) if p != declared)
+        mapping = dict(zip(names, placeholders))
+    else:
+        mapping = dict.fromkeys(names, "X")
     new_lines = []
-    for line in nf.lines:
-        out = []
-        for t in tokenize(line):
-            if _renamable(t, declared):
-                if consistent:
-                    if t not in mapping:
-                        placeholders += 1
-                        if f"X{placeholders}" == declared:
-                            # A fragment named X<i> keeps its name to itself.
-                            placeholders += 1
-                        mapping[t] = f"X{placeholders}"
-                    out.append(mapping[t])
-                else:
-                    out.append("X")
-            else:
-                out.append(t)
-        new_lines.append(sys.intern(_render(out)))
+    for line, tokens, kept_tokens in zip(nf.lines, token_lines, kept):
+        out = list(map(mapping.get, tokens, tokens))
+        # A kept line none of whose tokens is renamed renders as printed.
+        new_lines.append(line if kept_tokens is not None and out == tokens else sys.intern(_render(out)))
     return NormalizedFragment(origin=nf.origin, mode=mode, lines=tuple(new_lines))
 
 
@@ -212,17 +251,21 @@ class NormalizationMemo:
     """Normalized lines by content, for the length of one run.
 
     Pretty-printing reads only a fragment's exact text, and renaming only
-    the printed lines, the name and the mode, so fragments that agree on
+    the printed tokens, the name and the mode, so fragments that agree on
     those normalize alike up to their origin. table maps (exact text,
-    name, mode value) to the lines. A renamed entry is built from the
-    mode-NONE entry of its text and name, and extraction reads a
-    fragment's name from its text, so a text is pretty-printed once
-    whatever modes it is asked in. The key holds the mode's value, a str,
-    because hashing the member runs the Python-level Enum.__hash__ on
-    every lookup (and .value is a Python-level property too).
+    name, mode value) to the lines, and holds only the modes the run
+    reads: the memo is built with them, as modes. On a miss it
+    pretty-prints the text once and renames the printed tokens into every
+    declared mode, so a text is pretty-printed once and renamed once per
+    mode; the tokens are dropped when the miss is done. A mode asked for
+    but not declared is added to modes and still returns the right lines.
+    The key holds the mode's value, a str, because hashing the member runs
+    the Python-level Enum.__hash__ on every lookup (and .value is a
+    Python-level property too).
     """
 
-    def __init__(self):
+    def __init__(self, modes: Iterable[RenamingMode] = ()):
+        self.modes = tuple(dict.fromkeys(modes))
         self.table: dict[tuple, tuple[str, ...]] = {}
 
     def lines(self, fragment: FunctionFragment, mode: RenamingMode) -> tuple[str, ...]:
@@ -230,13 +273,19 @@ class NormalizationMemo:
         key = (fragment.exact_text, fragment.name, mode._value_)
         lines = self.table.get(key)
         if lines is None:
-            if mode is RenamingMode.NONE:
-                lines = pretty_print(fragment).lines
-            else:
-                printed = self.lines(fragment, RenamingMode.NONE)
-                lines = in_mode(NormalizedFragment(fragment.ref, RenamingMode.NONE, printed), mode).lines
-            self.table[key] = lines
+            if mode not in self.modes:
+                self.modes += (mode,)
+            self._fill(fragment)
+            lines = self.table[key]
         return lines
+
+    def _fill(self, fragment: FunctionFragment) -> None:
+        """Store the fragment's lines in each declared mode not stored yet."""
+        printed = pretty_print(fragment)
+        for mode in self.modes:
+            key = (fragment.exact_text, fragment.name, mode._value_)
+            if key not in self.table:
+                self.table[key] = printed.lines if mode is RenamingMode.NONE else in_mode(printed, mode).lines
 
     def normalize(self, fragment: FunctionFragment, mode: RenamingMode) -> NormalizedFragment:
         """in_mode(pretty_print(fragment), mode), computed once per distinct content."""
@@ -251,5 +300,5 @@ def normalize_contract(
     A run that passes one memo to every call normalizes each distinct
     fragment text once; without one, the memo lives for this call only.
     """
-    memo = NormalizationMemo() if memo is None else memo
+    memo = NormalizationMemo((mode,)) if memo is None else memo
     return [memo.normalize(fragment, mode) for fragment in extract_functions(contract)]

@@ -383,7 +383,7 @@ def derive_signatures(
 
     by_ref: dict = {}
     table: dict = {}
-    memo = NormalizationMemo()
+    memo = NormalizationMemo((RenamingMode.NONE, cfg.mode))
     for contract in vuln_corpus:
         for fragment in normalize.extract_functions(contract):
             by_ref[fragment.ref] = fragment

@@ -1,14 +1,17 @@
-"""Shared helpers: corpus builders, the reference extractor and the two
-reference LCS routines."""
+"""Shared helpers: corpus builders, the reference extractor, the reference
+renamer and the two reference LCS routines."""
 from __future__ import annotations
 
 import bisect
 import logging
 import re
+import sys
 
 from volcano.corpus import Corpus, SourceContract
 from volcano.extractor import FragmentRef, FunctionFragment, extract_functions
-from volcano.normalize import RenamingMode, in_mode, pretty_print
+from volcano import normalize
+from volcano.errors import ModeError
+from volcano.normalize import NormalizedFragment, RenamingMode, in_mode, pretty_print, tokenize
 
 
 def make_contract(cid: str, text: str) -> SourceContract:
@@ -27,6 +30,65 @@ def single_fragment(text: str, cid: str = "c") -> FunctionFragment:
 
 def norm(text: str, mode: RenamingMode = RenamingMode.NONE, cid: str = "c"):
     return in_mode(pretty_print(single_fragment(text, cid=cid)), mode)
+
+
+def render_reference(tokens: list[str]) -> str:
+    """normalize._render as one attach loop for every line."""
+    parts: list[str] = []
+    attach = False
+    for t in tokens:
+        if t == ".":
+            if parts:
+                parts[-1] += "."
+            else:
+                parts.append(".")
+            attach = True
+        elif attach:
+            parts[-1] += t
+            attach = False
+        else:
+            parts.append(t)
+    return " ".join(parts).replace("\n", " ")
+
+
+def _renamable_reference(token: str, declared: str | None) -> bool:
+    if not normalize._IDENT_RE.fullmatch(token) or token == declared:
+        return False
+    if token in normalize.SOLIDITY_KEYWORDS or token in normalize.BUILTIN_GLOBALS:
+        return False
+    return token not in normalize.BUILTIN_MEMBERS and not normalize._ELEMENTARY_RE.fullmatch(token)
+
+
+def normalize_reference(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
+    """in_mode as a second token pass: every printed line is tokenized
+    again from its text, token by token, with no token kept from
+    pretty_print and no decision cached."""
+    if nf.mode is not RenamingMode.NONE:
+        raise ModeError(f"{nf.origin.uid} is already in mode {nf.mode.value}")
+    if mode is RenamingMode.NONE:
+        return nf
+    declared = normalize._declared_name(nf.origin)
+    consistent = mode is RenamingMode.CONSISTENT
+    mapping: dict[str, str] = {}
+    placeholders = 0
+    new_lines = []
+    for line in nf.lines:
+        out = []
+        for t in tokenize(line):
+            if _renamable_reference(t, declared):
+                if consistent:
+                    if t not in mapping:
+                        placeholders += 1
+                        if f"X{placeholders}" == declared:
+                            placeholders += 1
+                        mapping[t] = f"X{placeholders}"
+                    out.append(mapping[t])
+                else:
+                    out.append("X")
+            else:
+                out.append(t)
+        new_lines.append(sys.intern(render_reference(out)))
+    return NormalizedFragment(origin=nf.origin, mode=mode, lines=tuple(new_lines))
 
 
 def wrap(body: str, pragma: str | None = "pragma solidity ^0.4.10;") -> str:

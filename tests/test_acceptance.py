@@ -112,7 +112,7 @@ def _renamable_idents(sig) -> list[str]:
     seen: list[str] = []
     for line in sig.exemplar.lines:
         for token in tokenize(line):
-            if _renamable(token, declared) and token not in seen:
+            if token != declared and _renamable(token) and token not in seen:
                 seen.append(token)
     return seen
 
@@ -749,7 +749,7 @@ def _plant_class(template: list[str], members: int, tag: str, rng: random.Random
     idents = []
     for line in base_nf.lines:
         for token in tokenize(line):
-            if _renamable(token, declared) and token not in idents:
+            if token != declared and _renamable(token) and token not in idents:
                 idents.append(token)
     for m in range(1, members):
         table = {ident: f"{tag}v{m}n{k}" for k, ident in enumerate(idents)}

@@ -256,6 +256,20 @@ def test_rate_budget_spaces_requests():
     assert ft.slept == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("rate", [0, -1.0, float("nan"), float("inf"), 1e-12, 1 / 86401])
+def test_rate_budget_rejects_a_rate_it_cannot_keep(rate):
+    with pytest.raises(ValueError, match="one request a day"):
+        RateBudget(rate)
+
+
+def test_rate_budget_keeps_one_request_a_day():
+    ft = FakeTime()
+    budget = RateBudget(1 / 86400, clock=ft.clock, sleep=ft.sleep)
+    budget.wait()
+    budget.wait()
+    assert ft.slept == [pytest.approx(86400)]
+
+
 def _response(status: int = 200, payload=None) -> tuple[int, bytes]:
     """An explorer response as _http_get returns it: (status, body bytes)."""
     return status, json.dumps(payload or {}).encode()

@@ -16,6 +16,7 @@ from conftest import make_corpus, norm, wrap
 import volcano.clone_engine as clone_engine_mod
 import volcano.detector as detector_mod
 import volcano.normalize as normalize_mod
+from volcano.cache import AnalysisCache, incremental_sequences
 from volcano.cli import main
 from volcano.clone_engine import CloneConfig, clone_lcs, match_exemplars
 from volcano.corpus import Corpus, sort_by_version
@@ -541,6 +542,34 @@ def test_derive_renames_each_distinct_fragment_text_once(monkeypatch):
     derive_signatures(corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30)
     assert len(renamed) == len(set(renamed)) == 6
     assert {mode for _, mode in renamed} == {RenamingMode.CONSISTENT}
+
+
+def test_each_command_stores_only_the_modes_it_reads(monkeypatch):
+    corpus = make_corpus(
+        "copies",
+        {f"k{i}": wrap(f"    {KILL_FUNCTION}\n    function own{i}() public {{ owner = {i}; }}") for i in range(3)},
+    )
+    sigs = builtin_signatures()
+    memos = []
+    real_fill = normalize_mod.NormalizationMemo._fill
+
+    def recording(memo, fragment):
+        memos.append(memo)
+        real_fill(memo, fragment)
+
+    monkeypatch.setattr(normalize_mod.NormalizationMemo, "_fill", recording)
+    runs = [
+        (lambda: scan(corpus, sigs, CONSISTENT_30), {"consistent"}),
+        (lambda: incremental_sequences(AnalysisCache.empty(CONSISTENT_30), corpus, CONSISTENT_30), {"consistent"}),
+        (lambda: analyze_evolution(sort_by_version(corpus), sigs, [BLIND_0, CONSISTENT_30]), {"blind", "consistent"}),
+        (lambda: derive_signatures(corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30),
+         {"none", "consistent"}),
+    ]
+    for run, modes in runs:
+        memos.clear()
+        run()
+        assert memos
+        assert {mode for memo in memos for _, _, mode in memo.table} == modes
 
 
 def test_detection_to_dict_shape():

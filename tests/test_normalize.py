@@ -7,10 +7,10 @@ import sys
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_contract, norm, single_fragment, wrap
+from conftest import make_contract, norm, normalize_reference, render_reference, single_fragment, wrap
 
 from volcano.errors import EmptyFragment, ModeError
 from volcano.extractor import FunctionFragment, extract_functions
@@ -357,3 +357,79 @@ def test_normalization_is_idempotent_over_generated_functions(function, mode):
     nf = norm(wrap(function), mode)
     again = norm(wrap("\n".join(nf.lines)), mode)
     assert again.lines == nf.lines
+
+
+def _fragment(text: str, name: str) -> FunctionFragment:
+    return FunctionFragment(contract_id="c", name=name, start_line=1, end_line=1, exact_text=text)
+
+
+# Two lines whose tokens read back differently from their rendered text:
+# rendering turns the newline after an unterminated quote into a space,
+# so the literal swallows the rest of the line, and `1 . 0x1f` renders as
+# `1.0x1f`, which reads back as `1.0` and the identifier `x1f`.
+_TRAPS = {
+    "unterminated quote": (
+        's = "open\nowner + amount ;',
+        {"none": 's = "open owner + amount ;', "blind": 'X = "open owner + amount ;',
+         "consistent": 'X2 = "open owner + amount ;'},
+    ),
+    "dot before digit": (
+        "v = 1 . 0x1f ;",
+        {"none": "v = 1.0x1f ;", "blind": "X = 1.0 X ;", "consistent": "X2 = 1.0 X3 ;"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", ["X1", "<modifier:X1>"])
+@pytest.mark.parametrize("trap", list(_TRAPS))
+def test_a_line_that_reads_back_differently_renames_as_read_back(trap, name, mode):
+    text, want = _TRAPS[trap]
+    fragment = _fragment(text, name)
+    printed = pretty_print(fragment)
+    assert in_mode(printed, mode).lines == (want[mode.value],)
+    assert normalize_reference(printed, mode).lines == (want[mode.value],)
+    assert NormalizationMemo([mode]).lines(fragment, mode) == (want[mode.value],)
+
+
+def test_a_mode_the_memo_was_not_built_with_still_normalizes_right():
+    fragment = single_fragment(LATE_UPDATE_SEND)
+    memo = NormalizationMemo([RenamingMode.CONSISTENT])
+    memo.lines(fragment, RenamingMode.CONSISTENT)
+    assert {mode for _, _, mode in memo.table} == {"consistent"}
+    for mode in (RenamingMode.NONE, RenamingMode.BLIND):
+        assert memo.lines(fragment, mode) == in_mode(pretty_print(fragment), mode).lines
+    assert memo.modes == (RenamingMode.CONSISTENT, RenamingMode.NONE, RenamingMode.BLIND)
+
+
+# Hostile fragment text: unterminated and escaped literals, backslash-
+# newlines, dots between numbers, hex literals and identifiers, comments
+# and placeholder names. Half the atoms come from the second list, so
+# that runs of quotes, newlines, dots and digits meet often.
+_ATOMS = st.one_of(
+    st.sampled_from(["a", "X1", "x1f", "msg", "1", "\u0663", " ", ";", "{", "//", "/*"]),
+    st.sampled_from(['"', "'", "\\", "\n", ".", "1 .", "0x1f"]),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(_ATOMS, min_size=1, max_size=20).map("".join),
+    st.sampled_from(["X1", "<modifier:X1>", "f", "<fallback>"]),
+    st.permutations(_MODES).flatmap(lambda order: st.integers(0, len(order)).map(lambda k: order[:k])),
+    st.permutations(_MODES),
+)
+def test_memo_lines_equal_the_two_pass_reference(text, name, declared, asked):
+    """Every subset and order of declared modes, asked in every order."""
+    fragment = _fragment(text, name)
+    try:
+        printed = pretty_print(fragment)
+    except EmptyFragment:
+        with pytest.raises(EmptyFragment):
+            NormalizationMemo(declared).lines(fragment, asked[0])
+        return
+    for line, tokens in zip(printed.lines, printed.line_tokens):
+        assert tokens is None or line == render_reference(tokens)
+    memo = NormalizationMemo(declared)
+    for mode in asked:
+        assert memo.lines(fragment, mode) == normalize_reference(printed, mode).lines
