@@ -12,8 +12,9 @@ wall-clock timing per contract, for the cross-class phase and for the
 whole scan. Timing excludes corpus loading and lives in its own section
 so the detection body stays deterministic.
 
-analyze_evolution() runs the same sweep, one cell per config, and reads
-the cross classes themselves: it never serializes one into report rows.
+Both run one sweep, which extracts each contract once and decides it
+under every cell, one config each. analyze_evolution() reads the cross
+classes themselves: it never serializes one into report rows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
 from .corpus import Corpus, SourceContract
@@ -138,14 +138,12 @@ class _Payload(list):
         return lines, found
 
 
-def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
-    """Scan one contract; returns (detections, {detected ref: its lines}, elapsed ms)."""
-    started = time.perf_counter()
+def _scan_source(contract_id: str, fragments, payload, cfg: CloneConfig):
+    """Decide a contract's fragments under one cell: (detections, {detected ref: its lines})."""
     decide = payload.decide
     detections = []
     hits: dict[FragmentRef, tuple] = {}
-    # normalize.extract_functions: the one extraction seam of every command.
-    for fragment in normalize.extract_functions(SourceContract(contract_id, source_text)):
+    for fragment in fragments:
         lines, found = decide(fragment)
         if not found:
             continue
@@ -154,34 +152,31 @@ def _scan_source(contract_id: str, source_text: str, payload, cfg: CloneConfig):
             sig_id, vuln_type, _ = payload[k]
             detections.append(Detection(sig_id=sig_id, vuln_type=vuln_type, target=ref, similarity=sim))
         hits[ref] = lines
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return detections, hits, elapsed_ms
+    return detections, hits
 
 
 def _init_worker(payloads):
     _WORKER["payloads"] = payloads
 
 
-def _scan_task(args):
-    k, contract_id, source_text = args
-    payload = _WORKER["payloads"][k]
-    return _scan_source(contract_id, source_text, payload, payload.cfg)
+def _scan_task(contract: SourceContract):
+    """Extract a contract once and decide it under every cell: ([result per cell], elapsed ms)."""
+    started = time.perf_counter()
+    # normalize.extract_functions: the one extraction seam of every command.
+    fragments = normalize.extract_functions(contract)
+    results = [_scan_source(contract.id, fragments, payload, payload.cfg) for payload in _WORKER["payloads"]]
+    return results, (time.perf_counter() - started) * 1000.0
 
 
-class _Node(NamedTuple):
-    """A member of a cross class: a signature exemplar or a target fragment.
-
-    An exemplar and a target that share a ref (a signature file scanned as
-    a corpus) stay two members. Nodes sort as their refs, signature first
-    on a tie, and read as their ref otherwise (uid, contract_id, ...), so
-    class ids and rows are those of the refs.
+@dataclass(frozen=True, order=True)
+class _Node(FragmentRef):
+    """A member of a cross class: the ref of a signature exemplar or a target
+    fragment. An exemplar and a target that share a ref (a signature file
+    scanned as a corpus) stay two members. Nodes sort as their refs,
+    signature first on a tie, so class ids and rows are those of the refs.
     """
 
-    ref: FragmentRef
     role: str  # "signature" or "target"
-
-    def __getattr__(self, attr):
-        return getattr(self.ref, attr)
 
 
 def _cross_classes(payload, hits, cfg: CloneConfig):
@@ -195,11 +190,11 @@ def _cross_classes(payload, hits, cfg: CloneConfig):
     table: dict[_Node, tuple] = {}
     sig_types: dict[_Node, set] = {}
     for _, vuln_type, exemplar in payload:
-        node = _Node(exemplar.origin, "signature")
+        node = _Node(**vars(exemplar.origin), role="signature")
         table[node] = exemplar.lines
         sig_types.setdefault(node, set()).add(vuln_type.name)
     for ref, lines in hits.items():
-        table[_Node(ref, "target")] = lines
+        table[_Node(**vars(ref), role="target")] = lines
     return table, [
         (cls, sorted({t for m in cls.members for t in sig_types.get(m, ())}))
         for cls in clone_classes(table, cfg)
@@ -208,19 +203,23 @@ def _cross_classes(payload, hits, cfg: CloneConfig):
 
 
 def _scan_contracts(target: Corpus, payloads, jobs: int):
-    """The sweep: yields the _scan_source results of every contract of
-    target, in corpus order, for one cell (payload) at a time.
+    """The sweep: the _scan_task result of every contract of target, in
+    corpus order; its k-th cell result is that of the k-th payload.
 
     jobs caps the workers, as do the contracts and the CPUs this process
-    may run on. One pool serves every cell, so its workers keep their
-    copies of the memo and the match tables from one cell to the next.
+    may run on. The serial path and the one worker pool map the same
+    task; a worker decides each contract it gets under every cell, with
+    its own copies of the memo and the match tables. Every cell's results
+    are held at once.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(target), cpus)
     if workers <= 1:
-        for payload in payloads:
-            yield [_scan_source(c.id, c.source_text, payload, payload.cfg) for c in target]
-        return
+        _init_worker(payloads)
+        try:
+            return list(map(_scan_task, target))
+        finally:
+            _WORKER.clear()
     # Imported here: it loads multiprocessing, which only --jobs needs.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -228,21 +227,17 @@ def _scan_contracts(target: Corpus, payloads, jobs: int):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(payloads,)
     ) as pool:
-        for k in range(len(payloads)):
-            yield list(pool.map(_scan_task, [(k, c.id, c.source_text) for c in target], chunksize=chunk))
+        return list(pool.map(_scan_task, target, chunksize=chunk))
 
 
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
     """Match every signature against every fragment of the target corpus."""
     started = time.perf_counter()
     payload = _Payload(sigs, cfg, NormalizationMemo((cfg.mode,)))
-    (results,) = _scan_contracts(target, [payload], jobs)
-    detections: list[Detection] = []
-    hits: dict[FragmentRef, tuple] = {}
-    for dets, frag_hits, _ in results:
-        detections.extend(dets)
-        hits.update(frag_hits)
-    detections.sort(key=lambda d: (d.target, d.sig_id))
+    results = _scan_contracts(target, [payload], jobs)
+    cell = [per_cell[0] for per_cell, _ in results]
+    detections = sorted((d for dets, _ in cell for d in dets), key=lambda d: (d.target, d.sig_id))
+    hits = {ref: lines for _, frag_hits in cell for ref, lines in frag_hits.items()}
 
     classes_started = time.perf_counter()
     table, cross = _cross_classes(payload, hits, cfg)
@@ -260,7 +255,7 @@ def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) ->
         },
         detections=detections,
         classes=classes,
-        per_contract_ms=[elapsed for _, _, elapsed in results],
+        per_contract_ms=[elapsed for _, elapsed in results],
         cross_classes_ms=(finished - classes_started) * 1000.0,
         wall_ms=(finished - started) * 1000.0,
     )
@@ -355,13 +350,12 @@ def analyze_evolution(
 
     Classes are computed independently per bucket. A separate pass over
     the whole corpus flags classes that would span buckets, so nothing is
-    silently double-counted. The configs are the cells of one sweep, which
-    scans each contract once per config: a contract's scan result does not
-    depend on the rest of the corpus, so every bucket's cells and the
-    cross-bucket check read the same results. One NormalizationMemo, built
-    with every config's mode, serves every config, so each distinct
-    fragment text is pretty-printed once per process and renamed once per
-    mode; under jobs > 1, one worker pool serves every config.
+    silently double-counted. The configs are the cells of one sweep: a
+    contract's results do not depend on the rest of the corpus, so every
+    bucket's cells and the cross-bucket check read the same results. One
+    NormalizationMemo, built with every config's mode, serves every
+    config, so each distinct fragment text is pretty-printed once per
+    process and renamed once per mode.
     """
     bucket_names = list(buckets)
     bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
@@ -371,15 +365,17 @@ def analyze_evolution(
     )
     memo = NormalizationMemo(cfg.mode for cfg in cfg_range)
     payloads = [_Payload(sigs, cfg, memo) for cfg in cfg_range]
+    results = _scan_contracts(union, payloads, jobs)
     cells = []
     cross = []
-    for payload, results in zip(payloads, _scan_contracts(union, payloads, jobs)):
+    for k, payload in enumerate(payloads):
         cfg = payload.cfg
         pct = _threshold_percent(cfg)
         dets = {bucket: [] for bucket in bucket_names}
         hits = {bucket: {} for bucket in bucket_names}
         detected: dict[FragmentRef, tuple] = {}
-        for contract, (found, frag_hits, _) in zip(union, results):
+        for contract, (per_cell, _) in zip(union, results):
+            found, frag_hits = per_cell[k]
             dets[bucket_of[contract.id]] += found
             hits[bucket_of[contract.id]].update(frag_hits)
             detected.update(frag_hits)

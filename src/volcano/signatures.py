@@ -344,23 +344,26 @@ def read_labels_csv(path) -> dict[str, VulnerabilityType]:
     # utf-8-sig: spreadsheet exports often start with a byte-order mark.
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            if len(row) < 2:
-                raise MalformedLabels(
-                    f"{path}: row {reader.line_num} needs contract_id,vuln_type, got {row!r}"
-                )
-            cid, type_name = row[0].strip(), row[1].strip()
-            if cid == "contract_id" and type_name == "vuln_type":
-                continue
-            vuln_type = parse_vuln_type(type_name)
-            if labels.setdefault(cid, vuln_type) is not vuln_type:
-                raise MalformedLabels(
-                    f"{path}: {cid!r} is labeled {labels[cid].name} in row {first_row[cid]}"
-                    f" and {vuln_type.name} in row {reader.line_num}"
-                )
-            first_row.setdefault(cid, reader.line_num)
+        try:
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                if len(row) < 2:
+                    raise MalformedLabels(
+                        f"{path}: row {reader.line_num} needs contract_id,vuln_type, got {row!r}"
+                    )
+                cid, type_name = row[0].strip(), row[1].strip()
+                if cid == "contract_id" and type_name == "vuln_type":
+                    continue
+                vuln_type = parse_vuln_type(type_name)
+                if labels.setdefault(cid, vuln_type) is not vuln_type:
+                    raise MalformedLabels(
+                        f"{path}: {cid!r} is labeled {labels[cid].name} in row {first_row[cid]}"
+                        f" and {vuln_type.name} in row {reader.line_num}"
+                    )
+                first_row.setdefault(cid, reader.line_num)
+        except csv.Error as exc:
+            raise MalformedLabels(f"{path}: row {reader.line_num}: {exc}") from None
     return labels
 
 

@@ -122,6 +122,13 @@ def test_threshold_out_of_range_exits_two(corpus_dir):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--threshold", "abc"], ["--threshold", "1.5"], ["--min-lines", "0"]])
+def test_bad_clone_flag_value_exits_two(flag, corpus_dir):
+    with pytest.raises(SystemExit) as err:
+        main(["scan", "--in", str(corpus_dir), "--sigs", "builtin", *flag])
+    assert err.value.code == 2
+
+
 @pytest.mark.parametrize("command", ["scan", "clones", "derive"])
 def test_max_lines_below_min_lines_exits_two(command, corpus_dir, tmp_path, capsys):
     extra = {
@@ -635,6 +642,19 @@ def test_derive_one_column_label_row_exits_one(tmp_path, capsys):
     labels.write_text("contract_id,vuln_type\nd1.sol\n")
     assert main(["derive", "--in", str(root), "--labels", str(labels), "--out", str(tmp_path / "s")]) == 1
     assert f"error: {labels}: row 2" in capsys.readouterr().err
+
+
+def test_derive_oversized_label_field_exits_one(tmp_path, capsys):
+    """A field over csv's 131,072-character limit used to end derive in a traceback."""
+    root = tmp_path / "labeled"
+    root.mkdir()
+    (root / "d1.sol").write_text(wrap("    function close(address t) public { selfdestruct(t); }"))
+    labels = tmp_path / "labels.csv"
+    labels.write_text('contract_id,vuln_type\nd1.sol,"' + "x" * 131_073 + '"\n')
+    assert main(["derive", "--in", str(root), "--labels", str(labels), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {labels}: row 2: field larger than field limit")
+    assert len(err.splitlines()) == 1
 
 
 def test_derive_refuses_a_contract_labeled_twice(corpus_dir, tmp_path, capsys):

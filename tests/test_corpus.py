@@ -95,6 +95,7 @@ def test_load_corpus_empty_warns(tmp_path, caplog):
         (">0.x", (1, 0)),
         (">0.x.5", (0, 0)),  # the least version above some 0.x.5 is 0.0.6
         ("~0.4.5 >=0.4.7", (0, 4)),
+        ("foo || ^0.5.0", (0, 5)),  # an alternative without a clause admits nothing
     ],
 )
 def test_parse_pragma_cases(constraint, expected):
@@ -327,6 +328,19 @@ def test_fetch_unverified_raises_without_retry(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus_mod, "_http_get", fake_get)
     with pytest.raises(NotVerified):
         fetch_contract(ADDR, "KEY", tmp_path, rate_budget=_budget())
+    assert len(calls) == 1
+
+
+def test_fetch_client_error_raises_without_retry(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_get(url, params, timeout):
+        calls.append(1)
+        return _response(404)
+
+    monkeypatch.setattr(corpus_mod, "_http_get", fake_get)
+    with pytest.raises(NetworkError, match="HTTP 404"):
+        fetch_contract(ADDR, "KEY", tmp_path, rate_budget=_budget(), _sleep=lambda s: pytest.fail("slept"))
     assert len(calls) == 1
 
 

@@ -24,13 +24,14 @@ from volcano.detector import (
     Detection,
     EvolutionReport,
     ScanReport,
+    _Node,
     analyze_evolution,
     count_instances,
     scan,
     write_catalog_csv,
 )
 from volcano.errors import EmptySignatureSet
-from volcano.extractor import extract_functions
+from volcano.extractor import FragmentRef, extract_functions
 from volcano.normalize import RenamingMode, in_mode, pretty_print
 from volcano.signatures import (
     SignatureSet,
@@ -444,7 +445,20 @@ def test_evolution_builds_no_class_rows(monkeypatch):
     assert calls["class_row"] and calls["similarity"]
 
 
-def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
+def test_cross_class_node_is_a_ref_with_a_role():
+    ref = FragmentRef("c.sol", 3, 7, "f")
+    sig, target = _Node(**vars(ref), role="signature"), _Node(**vars(ref), role="target")
+    assert isinstance(sig, FragmentRef) and sig.uid == target.uid == ref.uid
+    assert sig != ref and target != ref and sig != target
+    earlier = _Node(**vars(FragmentRef("b.sol", 9, 9, "g")), role="target")
+    assert sorted([target, sig, earlier]) == [earlier, sig, target]
+
+
+@pytest.mark.parametrize(
+    "configs", [[CONSISTENT_0, CONSISTENT_30], [BLIND_0, CONSISTENT_30, CONSISTENT_0, BLIND_30]]
+)
+def test_evolution_extracts_each_contract_once_per_run(configs, monkeypatch):
+    """A sweep task is one contract, decided under every config after one extraction."""
     corpus = make_corpus("evo", EVOLUTION_SOURCES)
     sigs = builtin_signatures()
     calls = []
@@ -454,8 +468,11 @@ def test_evolution_extracts_each_contract_once_per_config(monkeypatch):
         return extract_functions(contract)
 
     monkeypatch.setattr(normalize_mod, "extract_functions", counting)
-    analyze_evolution(sort_by_version(corpus), sigs, [CONSISTENT_0, CONSISTENT_30])
-    assert sorted(calls) == sorted([c.id for c in corpus] * 2)
+    report = analyze_evolution(sort_by_version(corpus), sigs, configs)
+    assert sorted(calls) == sorted(c.id for c in corpus)
+    assert {(c["mode"], c["threshold_percent"]) for c in report.cells} == {
+        (cfg.mode.value, int(cfg.max_difference * 100)) for cfg in configs
+    }
 
 
 @pytest.mark.parametrize(

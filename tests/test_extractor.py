@@ -131,6 +131,12 @@ def test_bodiless_declarations_are_skipped():
     assert names == ["real"]
 
 
+def test_a_header_that_meets_a_declaration_has_no_body():
+    """The header walk of f meets modifier m at depth 0: f is bodiless, m and g are not."""
+    src = wrap("    function f() public\n    modifier m() { _; }\n    function g() public { a = 1; }")
+    assert [f.name for f in extract_functions(make_contract("c", src))] == ["<modifier:m>", "g"]
+
+
 def test_nested_definitions_extract_separately():
     src = wrap(
         "\n".join(

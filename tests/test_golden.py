@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -43,9 +44,18 @@ def golden_corpus(tmp_path):
     return root
 
 
-def test_golden_scan(golden_corpus, tmp_path):
+@pytest.fixture(params=["1", "2"])
+def jobs(request, monkeypatch):
+    """--jobs for scan and evolve: 2 runs the sweep on a worker pool, whatever the host's CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return request.param
+
+
+def test_golden_scan(golden_corpus, tmp_path, jobs):
     out = tmp_path / "scan.json"
-    assert main(["scan", "--in", str(golden_corpus), "--sigs", "builtin", "--out", str(out)]) == 0
+    argv = ["scan", "--in", str(golden_corpus), "--sigs", "builtin", "--out", str(out), "--jobs", jobs]
+    assert main(argv) == 0
     doc = json.loads(out.read_text())
     del doc["timing"], doc["config"]["run"]
     assert doc["detections"] and doc["classes"]
@@ -75,10 +85,10 @@ def test_golden_derive(golden_corpus, tmp_path):
     assert _sha(blob) == GOLDEN["derive"]
 
 
-def test_golden_evolve(golden_corpus, tmp_path):
+def test_golden_evolve(golden_corpus, tmp_path, jobs):
     csv_out = tmp_path / "evolution.csv"
     json_out = tmp_path / "evolution.json"
     assert main(["evolve", "--in", str(golden_corpus), "--sigs", "builtin",
-                 "--out", str(csv_out), "--json-out", str(json_out)]) == 0
+                 "--out", str(csv_out), "--json-out", str(json_out), "--jobs", jobs]) == 0
     assert _sha(csv_out.read_bytes()) == GOLDEN["evolve.csv"]
     assert _sha(json_out.read_bytes()) == GOLDEN["evolve.json"]

@@ -137,6 +137,15 @@ def test_load_annotated_file(tmp_path):
     assert sigs.signatures[0].exemplar.lines[0] == "function drain ( uint amount ) public"
 
 
+def test_load_identical_exemplars_get_numbered_ids(tmp_path):
+    kill = ["function kill(address target) external {", "    selfdestruct(target);", "}"]
+    path = tmp_path / "sigs.sol"
+    path.write_text("\n".join([f"// {ANNOTATION_PREFIX}DOS", *kill, f"// {ANNOTATION_PREFIX}DOS", *kill, ""]))
+    first, second = (s.sig_id for s in load_signatures(path))
+    assert re.fullmatch(r"dos-[0-9a-f]{8}", first)
+    assert second == f"{first}-2"
+
+
 def test_load_missing_annotation_raises(tmp_path):
     path = tmp_path / "bad.sol"
     path.write_text("function naked() public { a = 1; }\n")
@@ -222,6 +231,14 @@ def test_read_labels_csv_rejects_one_column_row(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("contract_id,vuln_type\na.sol,DOS\nb.sol\n")
     with pytest.raises(MalformedLabels, match=r"labels\.csv: row 3"):
+        read_labels_csv(path)
+
+
+def test_read_labels_csv_rejects_an_oversized_field(tmp_path):
+    """csv.Error (here the 131,072-character field limit) used to escape as is."""
+    path = tmp_path / "labels.csv"
+    path.write_text('contract_id,vuln_type\na.sol,DOS\nb.sol,"' + "x" * 131_073 + '"\n')
+    with pytest.raises(MalformedLabels, match=r"labels\.csv: row 3: field larger than field limit"):
         read_labels_csv(path)
 
 
