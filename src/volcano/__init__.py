@@ -27,7 +27,7 @@ _EXPORTS = {
         "parse_pragma",
         "sort_by_version",
     ],
-    "detector": ["ScanReport", "analyze_evolution", "count_instances", "scan"],
+    "detector": ["ScanReport", "analyze_evolution", "scan"],
     "extractor": ["FragmentRef", "FunctionFragment", "extract_functions", "mask_comments_and_strings"],
     "normalize": [
         "NormalizedFragment",

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .errors import EmptyFragment, ModeMismatch
 from .extractor import FragmentRef
-from .normalize import NormalizedFragment, RenamingMode
+from .normalize import RenamingMode
 
 MAX_DIFFERENCE_CEILING = Fraction(30, 100)
 
@@ -129,16 +129,11 @@ def lcs_length(a, b) -> int:
     return len(b) - v.bit_count()
 
 
-def _sequences(value):
-    return value.lines if isinstance(value, NormalizedFragment) else value
-
-
 def similarity(a, b) -> float:
-    """LCS similarity in [0, 1]; accepts fragments or raw line sequences."""
-    sa, sb = _sequences(a), _sequences(b)
-    if not sa or not sb:
+    """LCS similarity in [0, 1] of two line sequences."""
+    if not a or not b:
         raise EmptyFragment("similarity is undefined for an empty fragment")
-    return lcs_length(sa, sb) / max(len(sa), len(sb))
+    return lcs_length(a, b) / max(len(a), len(b))
 
 
 def within_window(n: int, cfg: CloneConfig) -> bool:

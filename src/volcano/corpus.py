@@ -26,8 +26,10 @@ log = logging.getLogger(__name__)
 DEFAULT_EXPLORER_URL = "https://api.etherscan.io/api"
 EXPLORER_KEY_ENV = "VOLCANO_EXPLORER_KEY"
 
-_PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
-_CLAUSE_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*v?(\d+)(?:\.(\d+|x|\*))?(?:\.(\d+|x|\*))?")
+# Linear on any text: no ';' after the first pragma means none after any
+# (one match says so), and a clause never starts at a space.
+_PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+)(;?)")
+_CLAUSE_RE = re.compile(r"(?:(\^|~|>=|<=|>|<|=)\s*)?v?(\d+)(?:\.(\d+|x|\*))?(?:\.(\d+|x|\*))?")
 ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
 
 
@@ -118,15 +120,18 @@ def parse_pragma(source_text: str) -> SolidityVersion | None:
     """
     masked = _mask(source_text, mask_strings=True, warn_to=None)
     m = _PRAGMA_RE.search(masked)
-    if not m:
+    if not m or not m.group(2):
         return None
     raw = m.group(1).strip()
     best = None
     for alternative in raw.split("||"):
-        bounds = [
-            _bounds(c.group(1) or "", int(c.group(2)), _num(c.group(3)), _num(c.group(4)))
-            for c in _CLAUSE_RE.finditer(alternative)
-        ]
+        try:
+            bounds = [
+                _bounds(c.group(1) or "", int(c.group(2)), _num(c.group(3)), _num(c.group(4)))
+                for c in _CLAUSE_RE.finditer(alternative)
+            ]
+        except ValueError:  # a number too long for int() admits no version
+            continue
         if not bounds:
             continue
         lowest = max(lo for lo, _ in bounds)

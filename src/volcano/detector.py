@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
 from .corpus import Corpus, SourceContract
@@ -64,7 +64,11 @@ class ScanReport:
 
     @property
     def per_type_instances(self) -> dict[str, int]:
-        return count_instances(self)
+        """Distinct detected target fragments per vulnerability type."""
+        seen: dict[str, set] = {name: set() for name in _ALL_TYPES}
+        for d in self.detections:
+            seen[d.vuln_type.name].add(d.target)
+        return {name: len(refs) for name, refs in seen.items()}
 
     @property
     def contract_count(self) -> int:
@@ -123,7 +127,7 @@ class _Payload(list):
     def __init__(self, sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo):
         if not len(sigs):
             raise EmptySignatureSet("scan needs at least one signature")
-        super().__init__((s.sig_id, s.vuln_type, s.exemplar_in(cfg.mode)) for s in sigs)
+        super().__init__((s.sig_id, s.vuln_type, normalize.in_mode(s.exemplar, cfg.mode)) for s in sigs)
         self.cfg = cfg
         self.memo = memo
         self.exemplars = [exemplar.lines for _, _, exemplar in self]
@@ -261,14 +265,6 @@ def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) ->
     )
 
 
-def count_instances(report: ScanReport) -> dict[str, int]:
-    """Distinct detected target fragments per vulnerability type."""
-    seen: dict[str, set] = {name: set() for name in _ALL_TYPES}
-    for d in report.detections:
-        seen[d.vuln_type.name].add(d.target)
-    return {name: len(refs) for name, refs in seen.items()}
-
-
 def write_catalog_csv(report: ScanReport, corpus: Corpus, path) -> None:
     """One CSV row per detection, with the contract's version bucket."""
     import csv
@@ -300,19 +296,8 @@ class EvolutionReport:
     cells: list[dict]
     cross_bucket_classes: list[dict] = field(default_factory=list)
 
-    def cell(self, mode: str, bucket: str, vuln_type: str) -> dict | None:
-        for c in self.cells:
-            if c["mode"] == mode and c["bucket"] == bucket and c["vuln_type"] == vuln_type:
-                return c
-        return None
-
     def to_dict(self) -> dict:
-        return {
-            "buckets": self.buckets,
-            "configs": self.configs,
-            "cells": self.cells,
-            "cross_bucket_classes": self.cross_bucket_classes,
-        }
+        return asdict(self)
 
     def to_csv(self, path) -> None:
         import csv

@@ -8,11 +8,13 @@ and finds the `function`, `constructor`, `modifier` and 0.6+
 `fallback()`/`receive()` keywords with str.find. From each keyword it
 reads only what decides a definition: the name, then the header's
 parentheses, braces, semicolons and nested declaration keywords, up to
-the body's `{` (in one step where the parentheses never nest), whose `}`
-is a lookup. Its cost follows the declarations and braces, not the
-tokens. That keeps it total over the 0.3-0.8 syntax range (and over the
-broken sources verified contracts occasionally contain): anything that
-cannot be matched to a body is skipped with a warning, never raised.
+the body's `{` (in one step where the parentheses never nest, else from
+each `(` past its `)`), whose `}` is a lookup. Its cost follows the
+declarations and brackets, not the tokens, even where a parameter list
+never closes. That keeps it total over the 0.3-0.8 syntax range (and
+over the broken sources verified contracts occasionally contain):
+anything that cannot be matched to a body is skipped with a warning,
+never raised.
 
 Masking is length-preserving so every offset on the masked canvas maps
 straight back into the original text.
@@ -20,6 +22,7 @@ straight back into the original text.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import string
@@ -178,21 +181,21 @@ def _starts_token(canvas: str, pos: int) -> bool:
     return not (i and canvas[i - 1] in _WORD_STARTS)
 
 
-def _brace_pairs(canvas: str) -> dict[int, int]:
-    """Offset of each '{' that closes -> offset of its '}'; a stray '}' is skipped."""
+def _pairs(canvas: str, left: str, right: str) -> dict[int, int]:
+    """Offset of each left that closes -> offset of its right; a stray right is skipped."""
     find = canvas.find
     close_of = {}
     open_at = []
-    opening = find("{")
-    closing = find("}")
+    opening = find(left)
+    closing = find(right)
     while closing >= 0:
         if 0 <= opening < closing:
             open_at.append(opening)
-            opening = find("{", opening + 1)
+            opening = find(left, opening + 1)
         else:
             if open_at:
                 close_of[open_at.pop()] = closing
-            closing = find("}", closing + 1)
+            closing = find(right, closing + 1)
     return close_of
 
 
@@ -211,13 +214,14 @@ def _keywords(canvas: str) -> list[tuple[int, str]]:
     return found
 
 
-def _body_open(canvas: str, pos: int) -> int | None:
+def _body_open(canvas: str, pos: int, paren_pairs) -> int | None:
     """Offset of the body's '{' of the header read from pos, or None.
 
     The header holds a parameter list, visibility words, a modifier list
-    and a returns clause. A ';' at depth 0 is a bodiless declaration; a
-    new declaration keyword or an unbalanced ')' means we misread a type
-    position, so there is no fragment.
+    and a returns clause. A ';' outside parentheses is a bodiless
+    declaration; a new declaration keyword or an unbalanced ')' means we
+    misread a type position, so there is no fragment. The walk jumps from
+    each '(' past its ')' in paren_pairs(); one that never closes ends it.
     """
     brace = canvas.find("{", pos, pos + _SHORT_HEADER)
     if brace >= 0:
@@ -225,22 +229,16 @@ def _body_open(canvas: str, pos: int) -> int | None:
         if (";" not in head and "function" not in head and "constructor" not in head
                 and "modifier" not in head and _FLAT_HEADER_RE.fullmatch(head)):
             return brace
-    depth = 0
-    for m in _HEADER_RE.finditer(canvas, pos):
-        t = m.group()
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth < 0:
-                return None
-        elif depth == 0:
-            if t == "{":
-                return m.start()
-            if t == ";":
-                return None
-            if t != "}" and _starts_token(canvas, m.start()):
-                return None
+    close_of = paren_pairs()
+    i = pos
+    while m := _HEADER_RE.search(canvas, i):
+        t, i = m.group(), m.end()
+        if t == "(" and m.start() in close_of:
+            i = close_of[m.start()] + 1
+        elif t == "{":
+            return m.start()
+        elif t in ("(", ")", ";") or (t != "}" and _starts_token(canvas, m.start())):
+            return None
     return None
 
 
@@ -271,7 +269,9 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
     """
     text = contract.source_text
     canvas = mask_comments_and_strings(text)
-    close_of = _brace_pairs(canvas)
+    close_of = _pairs(canvas, "{", "}")
+    # Built once, for the first header that leaves _body_open's flat path.
+    paren_pairs = functools.cache(lambda: _pairs(canvas, "(", ")"))
     # Keyed by (start_line, end_line, name): the ref within one contract.
     fragments: dict[tuple[int, int, str], FunctionFragment] = {}
     line, counted = 1, 0  # the line of offset counted; keywords come in order
@@ -282,7 +282,7 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
         if declared is None:
             continue
         name, header = declared
-        body = _body_open(canvas, header)
+        body = _body_open(canvas, header, paren_pairs)
         if body is None:
             continue
         line += text.count("\n", counted, pos)

@@ -98,9 +98,6 @@ class NormalizedFragment:
     # every line is read back.
     line_tokens = None
 
-    def __len__(self) -> int:
-        return len(self.lines)
-
     @property
     def line_digests(self) -> tuple[str, ...]:
         # Old name of lines, still read by perfbench/layers.py.

@@ -30,7 +30,7 @@ from .errors import (
     UnlabeledContract,
 )
 from . import jsonout, normalize
-from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, in_mode, normalize_contract
+from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, normalize_contract
 
 log = logging.getLogger(__name__)
 
@@ -63,9 +63,6 @@ class VulnSignature:
     exemplar: NormalizedFragment  # always mode NONE
     source_listing: str = ""
     placeholder: bool = False
-
-    def exemplar_in(self, mode: RenamingMode) -> NormalizedFragment:
-        return in_mode(self.exemplar, mode)
 
 
 @dataclass

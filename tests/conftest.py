@@ -310,6 +310,14 @@ def pair_key_set(pairs):
     return {(p.left.uid, p.right.uid) for p in pairs}
 
 
+def evolution_cell(report, mode: str, bucket: str, vuln_type: str) -> dict | None:
+    """The evolution report's cell for one (mode, bucket, type), or None."""
+    for c in report.cells:
+        if c["mode"] == mode and c["bucket"] == bucket and c["vuln_type"] == vuln_type:
+            return c
+    return None
+
+
 # A small mixed corpus for the golden report test: clones across three
 # version buckets and a pragma-less file, near-misses that only consistent
 # renaming at 30% catches, benign code, and labels that give both a

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import lcs_oracle, make_contract, make_corpus, pair_key_set, wrap
+from conftest import evolution_cell, lcs_oracle, make_contract, make_corpus, pair_key_set, wrap
 
 from volcano.cache import AnalysisCache, incremental_scan
 from volcano.clone_engine import CloneConfig, detect_pairs, lcs_length, similarity
@@ -594,10 +594,10 @@ def test_acceptance_7_version_bucketing_and_na(capsys):
         problems.append(f"bucket order {list(buckets)}")
 
     report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30])
-    cell = report.cell("consistent", "^0.3", "REENTRANCY")
+    cell = evolution_cell(report, "consistent", "^0.3", "REENTRANCY")
     if cell["class_count"] != 0 or cell["min_similarity"] is not None:
         problems.append(f"^0.3 reentrancy cell {cell}")
-    hit = report.cell("consistent", "^0.4", "DOS")
+    hit = evolution_cell(report, "consistent", "^0.4", "DOS")
     if hit["class_count"] != 1:
         problems.append(f"^0.4 DOS cell {hit}")
 

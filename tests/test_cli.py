@@ -584,7 +584,7 @@ def test_the_package_exports_resolve_on_first_access():
     import volcano
     import volcano.detector
 
-    assert len(set(volcano.__all__)) == len(volcano.__all__) == 37
+    assert len(set(volcano.__all__)) == len(volcano.__all__) == 36
     assert volcano.scan is volcano.detector.scan
     assert all(getattr(volcano, name) is not None for name in volcano.__all__)
     assert set(volcano.__all__) <= set(dir(volcano))
@@ -809,3 +809,38 @@ def test_threshold_zero_runs_no_lcs(tmp_path, monkeypatch, argv):
         run = [a.format(pct=pct, tmp=tmp_path) for a in argv] + ["--in", str(root)]
         assert main(run) == 0
         assert bool(calls) is want_calls, (pct, len(calls))
+
+
+# Texts that made the pragma reader or the header walk quadratic, or made
+# int() raise; the timeout fails a command that hangs instead of the suite.
+_HOSTILE = {
+    "digits.sol": f"pragma solidity ^0.{'9' * 5_000};\n" + KILL,
+    "headers.sol": "function f(" * 36_400,
+    "pragmas.sol": "pragma solidity x " * 20_000,
+    "spaces.sol": "pragma solidity ^" + " " * 100_000 + "x;\n" + SAFE,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--dump", "--out", "{tmp}/fragments.json"],
+        ["evolve", "--sigs", "builtin", "--out", "{tmp}/evolve.csv"],
+        ["scan", "--sigs", "builtin", "--format", "csv", "--out", "{tmp}/catalog.csv"],
+    ],
+    ids=["extract", "evolve", "scan-csv"],
+)
+def test_the_cli_stays_total_on_a_hostile_corpus(argv, tmp_path):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name, text in _HOSTILE.items():
+        (root / name).write_text(text)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    run = [sys.executable, "-m", "volcano.cli", argv[0], "--in", str(root)]
+    run += [a.format(tmp=tmp_path) for a in argv[1:]]
+    out = subprocess.run(run, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr
+    if argv[0] == "scan":
+        rows = (tmp_path / "catalog.csv").read_text().splitlines()
+        assert {row.split(",")[-1] for row in rows[1:] if row.startswith("digits.sol,")} == {"unknown"}

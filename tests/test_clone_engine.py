@@ -101,16 +101,16 @@ def test_lcs_matches_oracle(pair):
 def test_similarity_frozen_values():
     a = frag("a", ["l1", "l2", "l3"])
     b = frag("b", ["l1", "l3"])
-    assert similarity(a, b) == pytest.approx(2 / 3)
+    assert similarity(a.lines, b.lines) == pytest.approx(2 / 3)
     ten = frag("t", [f"l{i}" for i in range(10)])
     seven = frag("s", [f"l{i}" for i in range(7)] + ["q1", "q2", "q3"])
-    assert similarity(ten, seven) == pytest.approx(0.7)
-    assert similarity(a, a) == 1.0
+    assert similarity(ten.lines, seven.lines) == pytest.approx(0.7)
+    assert similarity(a.lines, a.lines) == 1.0
 
 
 def test_similarity_on_empty_raises():
     with pytest.raises(EmptyFragment):
-        similarity(frag("a", []), frag("b", ["x"]))
+        similarity(frag("a", []).lines, frag("b", ["x"]).lines)
 
 
 def test_threshold_boundary_is_inclusive_exact():
@@ -475,4 +475,4 @@ def test_consistent_pairs_subset_of_blind_pairs():
 def test_similarity_accepts_normalized_fragments_from_source():
     left = norm(wrap("    function f() public { a = 1; b = 2; }"), RenamingMode.BLIND, cid="l")
     right = norm(wrap("    function f() public { c = 1; d = 2; }"), RenamingMode.BLIND, cid="r")
-    assert similarity(left, right) == 1.0
+    assert similarity(left.lines, right.lines) == 1.0

@@ -11,11 +11,14 @@ import socketserver
 import subprocess
 import sys
 import threading
+import time
 import urllib.parse
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import volcano.corpus as corpus_mod
 from conftest import make_contract, make_corpus, wrap
@@ -116,6 +119,48 @@ def test_parse_pragma_absent_or_hidden():
 def test_parse_pragma_first_directive_wins():
     src = "pragma solidity ^0.4.10;\npragma solidity ^0.6.0;\n"
     assert parse_pragma(src).minor == 4
+
+
+def test_a_number_too_long_to_read_admits_no_version():
+    huge = "9" * 5_000  # past int()'s 4,300-digit limit
+    assert parse_pragma(f"pragma solidity ^0.{huge};") is None
+    assert parse_pragma(f"pragma solidity >={huge}.4.0;") is None
+    v = parse_pragma(f"pragma solidity ^0.{huge} || ^0.5.0;")
+    assert (v.major, v.minor) == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "text, bucket",
+    [
+        ("pragma solidity x " * 10_000, None),  # no ';' after any occurrence
+        ("pragma solidity ^" + " " * 20_000 + "x;", None),
+        ("pragma solidity 1" + " " * 20_000 + "x;", "^1.0"),
+    ],
+    ids=["no-semicolon", "spaces-after-an-operator", "spaces-after-a-clause"],
+)
+def test_parse_pragma_is_linear_on_hostile_text(text, bucket):
+    started = time.perf_counter()
+    v = parse_pragma(text)
+    assert time.perf_counter() - started < 2.0
+    assert (v and v.bucket) == bucket
+
+
+_PRAGMA_PIECES = st.one_of(
+    st.sampled_from(["pragma", "solidity", " ", "\n", ";", "^", "~", ">=", "<", "=", "v", ".", "x", "*", "||", "0", "4"]),
+    st.text(max_size=6),
+    st.integers(4_290, 4_400).map(lambda n: "9" * n),
+)
+
+
+@given(
+    st.sampled_from(["", "pragma solidity ", "pragma solidity ^0."]),
+    st.lists(_PRAGMA_PIECES, max_size=10).map("".join),
+    st.sampled_from(["", ";"]),
+)
+@example("pragma solidity ^0.", "9" * 4_400, ";")
+def test_parse_pragma_never_raises(prefix, body, end):
+    v = parse_pragma(prefix + body + end)
+    assert v is None or (v.major >= 0 and v.minor >= 0)
 
 
 def _admits(op: str, parts, v) -> bool:

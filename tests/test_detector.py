@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_corpus, norm, wrap
+from conftest import evolution_cell, make_corpus, norm, wrap
 
 import volcano.clone_engine as clone_engine_mod
 import volcano.detector as detector_mod
@@ -26,7 +26,6 @@ from volcano.detector import (
     ScanReport,
     _Node,
     analyze_evolution,
-    count_instances,
     scan,
     write_catalog_csv,
 )
@@ -107,7 +106,6 @@ def test_scan_wider_threshold_adds_near_misses():
     assert got == {("dos-open-suicide", 1.0), ("dos-open-selfdestruct", 0.75)}
     # two detections on one fragment stay one DOS instance
     assert report.per_type_instances["DOS"] == 1
-    assert count_instances(report) == report.per_type_instances
 
 
 def test_scan_requires_signatures():
@@ -378,9 +376,9 @@ def test_analyze_evolution_cells_and_na():
     assert list(buckets) == ["^0.3", "^0.4"]
     report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30])
     assert isinstance(report, EvolutionReport)
-    empty = report.cell("consistent", "^0.3", "REENTRANCY")
+    empty = evolution_cell(report, "consistent", "^0.3", "REENTRANCY")
     assert empty["class_count"] == 0 and empty["min_similarity"] is None
-    hit = report.cell("consistent", "^0.4", "DOS")
+    hit = evolution_cell(report, "consistent", "^0.4", "DOS")
     assert hit["class_count"] == 1
     assert hit["min_similarity"] == 0.75
     assert hit["detections"] == 4  # two kills x two DOS signatures
@@ -633,7 +631,7 @@ DECIDING_SOURCES = {
 
 def _deciding_by_fragment(corpus, sigs, cfg):
     """Detections of a scan that normalizes every fragment and matches it alone."""
-    exemplars = [s.exemplar_in(cfg.mode).lines for s in sigs]
+    exemplars = [in_mode(s.exemplar, cfg.mode).lines for s in sigs]
     found = []
     for contract in corpus:
         for fragment in extract_functions(contract):
@@ -714,5 +712,5 @@ def test_evolution_does_not_bucket_an_exemplar_by_its_contract_id():
     sigs = SignatureSet(signatures=[VulnSignature("dos-a", VulnerabilityType.DOS, exemplar)])
     buckets = sort_by_version(make_corpus("evo", sources))
     report = analyze_evolution(buckets, sigs, [CONSISTENT_30])
-    assert report.cell("consistent", "^0.4", "DOS")["class_count"] == 1
+    assert evolution_cell(report, "consistent", "^0.4", "DOS")["class_count"] == 1
     assert report.cross_bucket_classes == []

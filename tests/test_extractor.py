@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from conftest import (
 )
 from test_acceptance import BENIGN_SOURCES
 
+import volcano.extractor as extractor_mod
 from volcano.corpus import SourceContract
 from volcano.extractor import (
     FragmentRef,
@@ -328,8 +330,39 @@ def _assert_matches_reference(contract):
 @example("function f(); { } function g(x; y) { }")
 @example("function f()) { } fallback (} { } modifier m(a, (b)) { }")
 @example("function f(uint a) returns (uint) { } function g((x) { }")
+# Off the shortcut the walk steps over each parameter list whole: what
+# it holds (a keyword, '{', ';') never counts, and one that never closes
+# ends the header.
+@example("function f(function g() { }) public { } function h(a { } function k() { }")
+@example("function f(x; {y}) m(z) { } function g(( ) { } modifier n() { }")
 def test_extraction_equals_token_walk_reference(text):
     _assert_matches_reference(SourceContract("c", text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["function f(" * 8_000, "contract C { function f( " * 4_000],
+    ids=["headers", "headers-in-a-contract"],
+)
+def test_a_parameter_list_that_never_closes_is_read_in_linear_time(text):
+    started = time.perf_counter()
+    assert extract_functions(SourceContract("c", text)) == []
+    assert time.perf_counter() - started < 2.0
+
+
+def test_parenthesis_pairs_are_built_once_and_only_off_the_flat_path(monkeypatch):
+    built = []
+    real = extractor_mod._pairs
+    monkeypatch.setattr(
+        extractor_mod, "_pairs", lambda canvas, left, right: built.append(left) or real(canvas, left, right)
+    )
+    flat = wrap("    function f(uint a) public returns (uint) { }\n    function g() { }")
+    assert len(extract_functions(SourceContract("flat", flat))) == 2
+    assert built == ["{"]
+    built.clear()
+    nested = wrap("    function f(g(x)) { }\n    function h(k(y)) { }\n    modifier m(n(z)) { _; }")
+    assert len(extract_functions(SourceContract("nested", nested))) == 3
+    assert built == ["{", "("]
 
 
 # Every contract source the suite writes as a .sol file: the golden and

@@ -52,7 +52,7 @@ def test_pretty_print_layout():
         "new_owner = msg.sender ;",
         "}",
     )
-    assert len(nf) == 4
+    assert len(nf.lines) == 4
     assert all(line is sys.intern(line) for line in nf.lines)
 
 
@@ -83,7 +83,7 @@ def test_guard_and_statement_share_one_line():
     assert nf.lines[2] == (
         "if ( balance >= amountToSend ) msg.sender.call.value ( amountToSend ) ( ) ;"
     )
-    assert len(nf) == 5
+    assert len(nf.lines) == 5
 
 
 def test_for_header_semicolons_do_not_split():

@@ -18,7 +18,7 @@ from volcano.errors import (
     UnknownType,
     UnlabeledContract,
 )
-from volcano.normalize import RenamingMode
+from volcano.normalize import RenamingMode, in_mode
 from volcano.signatures import (
     ANNOTATION_PREFIX,
     SignatureSet,
@@ -99,11 +99,11 @@ def test_duplicated_exemplar_bodies():
 
 def test_exemplar_in_modes():
     sig = next(s for s in builtin_signatures() if s.sig_id == "reentrancy-late-state-update")
-    cons = sig.exemplar_in(RenamingMode.CONSISTENT)
+    cons = in_mode(sig.exemplar, RenamingMode.CONSISTENT)
     assert cons.lines[2] == "if ( X2 >= X1 ) msg.sender.call.value ( X1 ) ( ) ;"
-    blind = sig.exemplar_in(RenamingMode.BLIND)
+    blind = in_mode(sig.exemplar, RenamingMode.BLIND)
     assert blind.lines[2] == "if ( X >= X ) msg.sender.call.value ( X ) ( ) ;"
-    assert sig.exemplar_in(RenamingMode.NONE) is sig.exemplar
+    assert in_mode(sig.exemplar, RenamingMode.NONE) is sig.exemplar
 
 
 def test_signature_set_rejects_duplicate_ids():
