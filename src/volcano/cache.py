@@ -34,12 +34,11 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import normalize
 from .clone_engine import CloneConfig, _fragment_pairs, _sequence_classes, _sequence_pairs
-from .corpus import Corpus, SourceContract
+from .corpus import Corpus
 from .errors import CacheConfigMismatch
 from .extractor import FragmentRef
-from .normalize import NormalizationMemo, RenamingMode
+from .normalize import NormalizationMemo
 
 log = logging.getLogger(__name__)
 
@@ -62,15 +61,8 @@ CACHE_VERSION = code_version(VERSIONED_SOURCES)
 CACHE_FILE = "analysis.json"
 DEFAULT_CACHE_DIR = ".volcano-cache"
 
-# (name, start_line, end_line, lines)
+# (name, start_line, end_line, lines): a one-mode NormalizationMemo's record
 Record = tuple[str, int, int, tuple[str, ...]]
-
-
-def _fragment_records(contract: SourceContract, mode: RenamingMode, memo: NormalizationMemo) -> list[Record]:
-    return [
-        (f.name, f.start_line, f.end_line, memo.lines(f, mode))
-        for f in normalize.extract_functions(contract)
-    ]
 
 
 def _held(fragments: dict[str, list[Record]]) -> set[tuple[str, ...]]:
@@ -205,7 +197,7 @@ def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig
     clone decisions _sequence_pairs makes over it, reusing cached work.
 
     corpus is the full current snapshot, diffed against the cache by content
-    digest; every contract to re-extract uses one normalization memo. Every
+    digest; each contract to re-extract goes through one memo's records. Every
     sequence the cache holds brings its clone decisions, so a pair of two
     such sequences costs no LCS, whichever contract carries it now: a copied,
     renamed or partly edited contract recomputes only the pairs of its new
@@ -224,7 +216,7 @@ def incremental_sequences(cache: AnalysisCache, corpus: Corpus, cfg: CloneConfig
         digest = contract.content_digest
         if digest not in records:
             cached = cache.fragments.get(digest)
-            records[digest] = _fragment_records(contract, cfg.mode, memo) if cached is None else cached
+            records[digest] = memo.records(contract) if cached is None else cached
     cache.fragments = records
 
     table = fragment_index(cache, corpus)

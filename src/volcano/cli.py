@@ -29,8 +29,8 @@ from . import corpus as corpus_mod
 from . import jsonout
 from .clone_engine import CloneConfig, _pair_tuples, _sequence_classes, class_row
 from .errors import VolcanoError
-from .extractor import extract_functions
-from .normalize import NormalizationMemo, RenamingMode, normalize_contract
+from .extractor import FragmentRef, extract_functions
+from .normalize import NormalizationMemo, RenamingMode
 
 # detector, signatures and cache are imported by the commands that run them,
 # so a command loads only the modules it needs.
@@ -205,9 +205,9 @@ def _cmd_normalize(args) -> int:
     memo = NormalizationMemo((mode,))
     blocks = []
     for contract in contracts:
-        for nf in normalize_contract(contract, mode, memo):
-            header = f"-- {nf.origin.uid} [{mode.value}]"
-            blocks.append("\n".join([header, *nf.lines]))
+        for name, start, end, lines in memo.records(contract):
+            header = f"-- {FragmentRef(contract.id, start, end, name).uid} [{mode.value}]"
+            blocks.append("\n".join([header, *lines]))
     _write_or_print("\n\n".join(blocks) + ("\n" if blocks else ""), args.out)
     return 0
 
@@ -452,6 +452,9 @@ def main(argv=None) -> int:
         return 1
     except UnicodeDecodeError as exc:
         print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeEncodeError as exc:
+        print(f"error: the output cannot be encoded ({exc}); use --out", file=sys.stderr)
         return 1
 
 

@@ -27,7 +27,7 @@ from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
 from .corpus import Corpus, SourceContract
 from .errors import EmptySignatureSet
 from . import jsonout, normalize
-from .extractor import FragmentRef, FunctionFragment
+from .extractor import FragmentRef
 from .normalize import NormalizationMemo
 from .signatures import SignatureSet, VulnerabilityType
 
@@ -111,47 +111,41 @@ _WORKER = {}
 
 class _Payload(list):
     """One sweep cell: one (sig_id, vuln_type, exemplar) entry per
-    signature, its CloneConfig as .cfg, the run's NormalizationMemo as
-    .memo and a match table as .matches.
+    signature, its CloneConfig as .cfg, the place of cfg.mode in the
+    run's NormalizationMemo.modes as .column and a match table as .matches.
 
     matches maps each normalized sequence the scan meets to
     match_exemplars(lines, exemplar lines, cfg), the (entry index,
     similarity) of every signature it clones; a sequence outside the line
-    window maps to (). A fragment text repeated across the corpus thus
-    costs a memo and a match-table lookup after its first occurrence, and
-    a sequence that several texts normalize to is decided once against
-    all signatures. A payload serves one config; the payloads of a sweep
-    share one memo, and every worker process holds its own copy of them.
+    window maps to (). A sequence that several fragments normalize to is
+    thus decided once against all signatures. A payload serves one
+    config, and every worker process holds its own copy of it.
     """
 
-    def __init__(self, sigs: SignatureSet, cfg: CloneConfig, memo: NormalizationMemo):
+    def __init__(self, sigs: SignatureSet, cfg: CloneConfig, column: int):
         if not len(sigs):
             raise EmptySignatureSet("scan needs at least one signature")
         super().__init__((s.sig_id, s.vuln_type, normalize.in_mode(s.exemplar, cfg.mode)) for s in sigs)
         self.cfg = cfg
-        self.memo = memo
+        self.column = column
         self.exemplars = [exemplar.lines for _, _, exemplar in self]
         self.matches: dict[tuple, tuple] = {}
 
-    def decide(self, fragment: FunctionFragment) -> tuple[tuple, tuple]:
-        """(normalized lines, matches) of a fragment, normalized and matched on a miss."""
-        lines = self.memo.lines(fragment, self.cfg.mode)
-        found = self.matches.get(lines)
-        if found is None:
-            found = self.matches[lines] = match_exemplars(lines, self.exemplars, self.cfg)
-        return lines, found
 
-
-def _scan_source(contract_id: str, fragments, payload, cfg: CloneConfig):
-    """Decide a contract's fragments under one cell: (detections, {detected ref: its lines})."""
-    decide = payload.decide
+def _scan_source(contract_id: str, records, payload, cfg: CloneConfig):
+    """Decide a contract's memo records under one cell: (detections, {detected ref: its lines})."""
+    column = 3 + payload.column
+    matches = payload.matches
     detections = []
     hits: dict[FragmentRef, tuple] = {}
-    for fragment in fragments:
-        lines, found = decide(fragment)
+    for record in records:
+        lines = record[column]
+        found = matches.get(lines)
+        if found is None:
+            found = matches[lines] = match_exemplars(lines, payload.exemplars, cfg)
         if not found:
             continue
-        ref = fragment.ref
+        ref = FragmentRef(contract_id, record[1], record[2], record[0])
         for k, sim in found:
             sig_id, vuln_type, _ = payload[k]
             detections.append(Detection(sig_id=sig_id, vuln_type=vuln_type, target=ref, similarity=sim))
@@ -159,16 +153,15 @@ def _scan_source(contract_id: str, fragments, payload, cfg: CloneConfig):
     return detections, hits
 
 
-def _init_worker(payloads):
-    _WORKER["payloads"] = payloads
+def _init_worker(memo, payloads):
+    _WORKER.update(memo=memo, payloads=payloads)
 
 
 def _scan_task(contract: SourceContract):
-    """Extract a contract once and decide it under every cell: ([result per cell], elapsed ms)."""
+    """Normalize a contract once and decide it under every cell: ([result per cell], elapsed ms)."""
     started = time.perf_counter()
-    # normalize.extract_functions: the one extraction seam of every command.
-    fragments = normalize.extract_functions(contract)
-    results = [_scan_source(contract.id, fragments, payload, payload.cfg) for payload in _WORKER["payloads"]]
+    records = _WORKER["memo"].records(contract)
+    results = [_scan_source(contract.id, records, payload, payload.cfg) for payload in _WORKER["payloads"]]
     return results, (time.perf_counter() - started) * 1000.0
 
 
@@ -206,20 +199,21 @@ def _cross_classes(payload, hits, cfg: CloneConfig):
     ]
 
 
-def _scan_contracts(target: Corpus, payloads, jobs: int):
+def _scan_contracts(target: Corpus, memo: NormalizationMemo, payloads, jobs: int):
     """The sweep: the _scan_task result of every contract of target, in
     corpus order; its k-th cell result is that of the k-th payload.
 
-    jobs caps the workers, as do the contracts and the CPUs this process
-    may run on. The serial path and the one worker pool map the same
-    task; a worker decides each contract it gets under every cell, with
-    its own copies of the memo and the match tables. Every cell's results
-    are held at once.
+    memo is built with the modes the payloads' columns index. jobs caps
+    the workers, as do the contracts and the CPUs this process may run
+    on. The serial path and the one worker pool map the same task; a
+    worker reads each contract it gets through memo.records once and
+    decides the records under every cell, with its own copies of the memo
+    and the match tables. Every cell's results are held at once.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(target), cpus)
     if workers <= 1:
-        _init_worker(payloads)
+        _init_worker(memo, payloads)
         try:
             return list(map(_scan_task, target))
         finally:
@@ -229,7 +223,7 @@ def _scan_contracts(target: Corpus, payloads, jobs: int):
 
     chunk = max(1, len(target) // (workers * 4))
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(payloads,)
+        max_workers=workers, initializer=_init_worker, initargs=(memo, payloads)
     ) as pool:
         return list(pool.map(_scan_task, target, chunksize=chunk))
 
@@ -237,8 +231,8 @@ def _scan_contracts(target: Corpus, payloads, jobs: int):
 def scan(target: Corpus, sigs: SignatureSet, cfg: CloneConfig, jobs: int = 1) -> ScanReport:
     """Match every signature against every fragment of the target corpus."""
     started = time.perf_counter()
-    payload = _Payload(sigs, cfg, NormalizationMemo((cfg.mode,)))
-    results = _scan_contracts(target, [payload], jobs)
+    payload = _Payload(sigs, cfg, 0)
+    results = _scan_contracts(target, NormalizationMemo((cfg.mode,)), [payload], jobs)
     cell = [per_cell[0] for per_cell, _ in results]
     detections = sorted((d for dets, _ in cell for d in dets), key=lambda d: (d.target, d.sig_id))
     hits = {ref: lines for _, frag_hits in cell for ref, lines in frag_hits.items()}
@@ -338,7 +332,7 @@ def analyze_evolution(
     silently double-counted. The configs are the cells of one sweep: a
     contract's results do not depend on the rest of the corpus, so every
     bucket's cells and the cross-bucket check read the same results. One
-    NormalizationMemo, built with every config's mode, serves every
+    NormalizationMemo, built with every config's mode once, serves every
     config, so each distinct fragment text is pretty-printed once per
     process and renamed once per mode.
     """
@@ -348,9 +342,9 @@ def analyze_evolution(
         label="all-buckets",
         contracts=[c for bucket in bucket_names for c in buckets[bucket]],
     )
-    memo = NormalizationMemo(cfg.mode for cfg in cfg_range)
-    payloads = [_Payload(sigs, cfg, memo) for cfg in cfg_range]
-    results = _scan_contracts(union, payloads, jobs)
+    modes = list(dict.fromkeys(cfg.mode for cfg in cfg_range))
+    payloads = [_Payload(sigs, cfg, modes.index(cfg.mode)) for cfg in cfg_range]
+    results = _scan_contracts(union, NormalizationMemo(modes), payloads, jobs)
     cells = []
     cross = []
     for k, payload in enumerate(payloads):

@@ -245,57 +245,35 @@ def in_mode(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
 
 
 class NormalizationMemo:
-    """Normalized lines by content, for the length of one run.
+    """The lines of each distinct fragment in every mode a run reads.
 
     Pretty-printing reads only a fragment's exact text, and renaming only
     the printed tokens, the name and the mode, so fragments that agree on
-    those normalize alike up to their origin. table maps (exact text,
-    name, mode value) to the lines, and holds only the modes the run
-    reads: the memo is built with them, as modes. On a miss it
-    pretty-prints the text once and renames the printed tokens into every
-    declared mode, so a text is pretty-printed once and renamed once per
-    mode; the tokens are dropped when the miss is done. A mode asked for
-    but not declared is added to modes and still returns the right lines.
-    The key holds the mode's value, a str, because hashing the member runs
-    the Python-level Enum.__hash__ on every lookup (and .value is a
-    Python-level property too).
+    text and name normalize alike up to their origin. table maps (exact
+    text, name) to the fragment's lines in each of modes, in that order:
+    a text is pretty-printed once and renamed once per mode other than
+    NONE, and the printed tokens are dropped when its entry is filled.
+    records is the one stage through which a command extracts and
+    normalizes a contract.
     """
 
-    def __init__(self, modes: Iterable[RenamingMode] = ()):
+    def __init__(self, modes: Iterable[RenamingMode]):
         self.modes = tuple(dict.fromkeys(modes))
-        self.table: dict[tuple, tuple[str, ...]] = {}
+        self.table: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = {}
 
-    def lines(self, fragment: FunctionFragment, mode: RenamingMode) -> tuple[str, ...]:
-        """in_mode(pretty_print(fragment), mode).lines, computed once per distinct content."""
-        key = (fragment.exact_text, fragment.name, mode._value_)
+    def lines(self, fragment: FunctionFragment) -> tuple[tuple[str, ...], ...]:
+        """in_mode(pretty_print(fragment), mode).lines for each of modes."""
+        key = (fragment.exact_text, fragment.name)
         lines = self.table.get(key)
         if lines is None:
-            if mode not in self.modes:
-                self.modes += (mode,)
-            self._fill(fragment)
-            lines = self.table[key]
+            printed = pretty_print(fragment)
+            lines = self.table[key] = tuple([
+                printed.lines if mode is RenamingMode.NONE else in_mode(printed, mode).lines
+                for mode in self.modes
+            ])
         return lines
 
-    def _fill(self, fragment: FunctionFragment) -> None:
-        """Store the fragment's lines in each declared mode not stored yet."""
-        printed = pretty_print(fragment)
-        for mode in self.modes:
-            key = (fragment.exact_text, fragment.name, mode._value_)
-            if key not in self.table:
-                self.table[key] = printed.lines if mode is RenamingMode.NONE else in_mode(printed, mode).lines
-
-    def normalize(self, fragment: FunctionFragment, mode: RenamingMode) -> NormalizedFragment:
-        """in_mode(pretty_print(fragment), mode), computed once per distinct content."""
-        return NormalizedFragment(origin=fragment.ref, mode=mode, lines=self.lines(fragment, mode))
-
-
-def normalize_contract(
-    contract, mode: RenamingMode, memo: NormalizationMemo | None = None
-) -> list[NormalizedFragment]:
-    """Every function fragment of a contract, pretty-printed and renamed into mode.
-
-    A run that passes one memo to every call normalizes each distinct
-    fragment text once; without one, the memo lives for this call only.
-    """
-    memo = NormalizationMemo((mode,)) if memo is None else memo
-    return [memo.normalize(fragment, mode) for fragment in extract_functions(contract)]
+    def records(self, contract) -> list[tuple]:
+        """(name, start_line, end_line, *lines in each of modes) per fragment of
+        a contract, in source order; the contract is extracted once."""
+        return [(f.name, f.start_line, f.end_line, *self.lines(f)) for f in extract_functions(contract)]

@@ -29,8 +29,9 @@ from .errors import (
     UnknownType,
     UnlabeledContract,
 )
-from . import jsonout, normalize
-from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, normalize_contract
+from . import jsonout
+from .extractor import FragmentRef
+from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +86,11 @@ class SignatureSet:
 
 def _exemplars(contract_id: str, source: str) -> list[NormalizedFragment]:
     """The mode-NONE fragments of one signature source text."""
-    return normalize_contract(SourceContract(contract_id, source), RenamingMode.NONE)
+    records = NormalizationMemo((RenamingMode.NONE,)).records(SourceContract(contract_id, source))
+    return [
+        NormalizedFragment(FragmentRef(contract_id, start, end, name), RenamingMode.NONE, lines)
+        for name, start, end, lines in records
+    ]
 
 
 # Built-in exemplars. The re-entrancy and integer over/underflow entries
@@ -381,13 +386,14 @@ def derive_signatures(
         if contract.id not in labels:
             raise UnlabeledContract(f"no label for {contract.id}")
 
-    by_ref: dict = {}
+    # Each record holds the lines in cfg.mode, then the printed lines last.
     table: dict = {}
-    memo = NormalizationMemo((RenamingMode.NONE, cfg.mode))
+    printed: dict = {}
+    memo = NormalizationMemo((cfg.mode, RenamingMode.NONE))
     for contract in vuln_corpus:
-        for fragment in normalize.extract_functions(contract):
-            by_ref[fragment.ref] = fragment
-            table[fragment.ref] = memo.lines(fragment, cfg.mode)
+        for name, start, end, *lines in memo.records(contract):
+            ref = FragmentRef(contract.id, start, end, name)
+            table[ref], printed[ref] = lines[0], lines[-1]
 
     classes = clone_classes(table, cfg)
     if not classes:
@@ -408,13 +414,13 @@ def derive_signatures(
             )
             continue
         vuln_type = VulnerabilityType[class_labels[0]]
-        size = {m: len(memo.lines(by_ref[m], RenamingMode.NONE)) for m in cls.members}
+        size = {m: len(printed[m]) for m in cls.members}
         median = sorted(size.values())[(len(size) - 1) // 2]
         exemplar_ref = min(
             (m for m in cls.members if size[m] == median),
             key=lambda m: (m.contract_id, m.start_line),
         )
-        exemplar = memo.normalize(by_ref[exemplar_ref], RenamingMode.NONE)
+        exemplar = NormalizedFragment(exemplar_ref, RenamingMode.NONE, printed[exemplar_ref])
         sig_id = _generated_id(vuln_type, exemplar, taken)
         taken.add(sig_id)
         sigs.append(

@@ -844,3 +844,24 @@ def test_the_cli_stays_total_on_a_hostile_corpus(argv, tmp_path):
     if argv[0] == "scan":
         rows = (tmp_path / "catalog.csv").read_text().splitlines()
         assert {row.split(",")[-1] for row in rows[1:] if row.startswith("digits.sol,")} == {"unknown"}
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_text_stdout_cannot_encode_is_an_error_not_a_traceback(out, tmp_path):
+    """An ASCII stdout (a Windows console meets CJK text the same way) cannot
+    print a non-ASCII string literal; --out writes it as UTF-8."""
+    source = tmp_path / "a.sol"
+    source.write_text(wrap('    function greet() public { note = "héllo"; }'), encoding="utf-8")
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    run = [sys.executable, "-m", "volcano.cli", "normalize", "--in", str(source)]
+    if out:
+        run += ["--out", str(tmp_path / "out.txt")]
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}
+    done = subprocess.run(run, env=env, capture_output=True, timeout=60)
+    assert b"Traceback" not in done.stderr
+    if out:
+        assert done.returncode == 0, done.stderr
+        assert 'note = "héllo" ;' in (tmp_path / "out.txt").read_text(encoding="utf-8")
+    else:
+        assert done.returncode == 1
+        assert done.stderr.startswith(b"error: ") and b"use --out" in done.stderr

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import re
 import sys
@@ -140,7 +141,19 @@ def test_scan_report_canonical_body_excludes_timing():
     assert first.config["max_difference"] == "3/10"
 
 
-def test_scan_parallel_matches_serial():
+@pytest.fixture(params=multiprocessing.get_all_start_methods())
+def start_method(request, monkeypatch):
+    """Worker pools start their processes this way for the test; two CPUs,
+    whatever the host's, so that --jobs 2 starts a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(default, force=True)
+
+
+def test_scan_parallel_matches_serial(start_method):
     sources = {
         f"c{i}": wrap(
             f"    function kill(address bad{i}) external {{ suicide(bad{i}); }}\n"
@@ -452,12 +465,37 @@ def test_cross_class_node_is_a_ref_with_a_role():
     assert sorted([target, sig, earlier]) == [earlier, sig, target]
 
 
-@pytest.mark.parametrize(
-    "configs", [[CONSISTENT_0, CONSISTENT_30], [BLIND_0, CONSISTENT_30, CONSISTENT_0, BLIND_30]]
-)
-def test_evolution_extracts_each_contract_once_per_run(configs, monkeypatch):
-    """A sweep task is one contract, decided under every config after one extraction."""
-    corpus = make_corpus("evo", EVOLUTION_SOURCES)
+def _normalize_cli(corpus, sigs, tmp_path):
+    for contract in corpus:
+        (tmp_path / contract.id).write_text(contract.source_text, encoding="utf-8")
+    assert main(["normalize", "--in", str(tmp_path), "--mode", "blind", "--out", str(tmp_path / "out.txt")]) == 0
+
+
+# Each corpus command on every contract; an evolve sweep runs each of its
+# configs as a cell.
+_CORPUS_COMMANDS = {
+    "scan": lambda corpus, sigs, tmp_path: scan(corpus, sigs, CONSISTENT_30),
+    "evolve-2": lambda corpus, sigs, tmp_path: analyze_evolution(
+        sort_by_version(corpus), sigs, [CONSISTENT_0, CONSISTENT_30]
+    ),
+    "evolve-4": lambda corpus, sigs, tmp_path: analyze_evolution(
+        sort_by_version(corpus), sigs, [BLIND_0, CONSISTENT_30, CONSISTENT_0, BLIND_30]
+    ),
+    "clones-cold": lambda corpus, sigs, tmp_path: incremental_sequences(
+        AnalysisCache.empty(CONSISTENT_30), corpus, CONSISTENT_30
+    ),
+    "derive": lambda corpus, sigs, tmp_path: derive_signatures(
+        corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30
+    ),
+    "cli-normalize": _normalize_cli,
+}
+
+
+@pytest.mark.parametrize("command", list(_CORPUS_COMMANDS))
+def test_every_corpus_command_extracts_each_contract_once(command, tmp_path, monkeypatch):
+    """Every command reads a contract through one NormalizationMemo.records call."""
+    sources = {f"{cid}.sol": text for cid, text in {**REPEATING_SOURCES, **EVOLUTION_SOURCES}.items()}
+    corpus = make_corpus("once", sources)
     sigs = builtin_signatures()
     calls = []
 
@@ -466,18 +504,15 @@ def test_evolution_extracts_each_contract_once_per_run(configs, monkeypatch):
         return extract_functions(contract)
 
     monkeypatch.setattr(normalize_mod, "extract_functions", counting)
-    report = analyze_evolution(sort_by_version(corpus), sigs, configs)
-    assert sorted(calls) == sorted(c.id for c in corpus)
-    assert {(c["mode"], c["threshold_percent"]) for c in report.cells} == {
-        (cfg.mode.value, int(cfg.max_difference * 100)) for cfg in configs
-    }
+    _CORPUS_COMMANDS[command](corpus, sigs, tmp_path)
+    assert sorted(calls) == sorted(sources)
 
 
 @pytest.mark.parametrize(
     "configs",
     [[BLIND_0, CONSISTENT_30], [CONSISTENT_30, BLIND_30], [CONSISTENT_30, BLIND_0, CONSISTENT_0, BLIND_30]],
 )
-def test_evolution_parallel_matches_serial(configs):
+def test_evolution_parallel_matches_serial(configs, start_method):
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
     buckets = sort_by_version(make_corpus("evo", sources))
@@ -566,13 +601,13 @@ def test_each_command_stores_only_the_modes_it_reads(monkeypatch):
     )
     sigs = builtin_signatures()
     memos = []
-    real_fill = normalize_mod.NormalizationMemo._fill
+    real_lines = normalize_mod.NormalizationMemo.lines
 
     def recording(memo, fragment):
         memos.append(memo)
-        real_fill(memo, fragment)
+        return real_lines(memo, fragment)
 
-    monkeypatch.setattr(normalize_mod.NormalizationMemo, "_fill", recording)
+    monkeypatch.setattr(normalize_mod.NormalizationMemo, "lines", recording)
     runs = [
         (lambda: scan(corpus, sigs, CONSISTENT_30), {"consistent"}),
         (lambda: incremental_sequences(AnalysisCache.empty(CONSISTENT_30), corpus, CONSISTENT_30), {"consistent"}),
@@ -584,7 +619,8 @@ def test_each_command_stores_only_the_modes_it_reads(monkeypatch):
         memos.clear()
         run()
         assert memos
-        assert {mode for memo in memos for _, _, mode in memo.table} == modes
+        assert {mode.value for memo in memos for mode in memo.modes} == modes
+        assert {len(lines) for memo in memos for lines in memo.table.values()} == {len(modes)}
 
 
 def test_detection_to_dict_shape():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_contract, norm, normalize_reference, render_reference, single_fragment, wrap
+from conftest import make_contract, norm, normalize_reference, render_reference, wrap
 
 from volcano.errors import EmptyFragment, ModeError
 from volcano.extractor import FunctionFragment, extract_functions
@@ -19,7 +19,6 @@ from volcano.normalize import (
     NormalizedFragment,
     RenamingMode,
     in_mode,
-    normalize_contract,
     pretty_print,
     rename_blind,
     rename_consistent,
@@ -328,28 +327,34 @@ def _contracts(draw) -> list[tuple[str, str]]:
     )
 
 
-@given(_contracts(), st.lists(st.permutations(_MODES), min_size=1, max_size=5))
-def test_memoized_normalization_equals_unmemoized(contracts, orders):
-    """One memo across contracts and modes, in every order, changes nothing."""
-    memo = NormalizationMemo()
-    for k, (cid, source) in enumerate(contracts):
+# Every subset of the modes, in every order.
+_DECLARED = st.permutations(_MODES).flatmap(lambda order: st.integers(0, len(order)).map(lambda k: order[:k]))
+
+
+@given(_contracts(), _DECLARED)
+def test_memoized_normalization_equals_unmemoized(contracts, declared):
+    """One memo across contracts, built with any modes in any order, changes nothing."""
+    memo = NormalizationMemo(declared)
+    for cid, source in contracts:
         contract = make_contract(cid, source)
-        for mode in orders[k % len(orders)]:
-            want = [in_mode(pretty_print(f), mode) for f in extract_functions(contract)]
-            assert normalize_contract(contract, mode, memo) == want
+        want = [
+            (f.name, f.start_line, f.end_line, *[in_mode(pretty_print(f), mode).lines for mode in declared])
+            for f in extract_functions(contract)
+        ]
+        assert memo.records(contract) == want
 
 
 def test_a_normalized_fragment_is_its_origin_mode_and_lines():
     assert [f.name for f in fields(NormalizedFragment)] == ["origin", "mode", "lines"]
-    memo = NormalizationMemo()
+    memo = NormalizationMemo([RenamingMode.CONSISTENT])
     got = []
     for cid, source in (("a.sol", OPEN_INITIALIZER), ("b.sol", LATE_UPDATE_SEND)):
-        got += normalize_contract(make_contract(cid, source), RenamingMode.CONSISTENT, memo)
-    renamed = [lines for (_, _, mode), lines in memo.table.items() if mode == RenamingMode.CONSISTENT.value]
+        got += [record[3] for record in memo.records(make_contract(cid, source))]
+    renamed = [lines for (lines,) in memo.table.values()]
     assert renamed
     for lines in renamed:
         assert isinstance(lines, tuple) and all(isinstance(line, str) for line in lines)
-    assert sorted(renamed) == sorted(nf.lines for nf in got)
+    assert sorted(renamed) == sorted(got)
 
 
 @given(_functions(), st.sampled_from(_MODES))
@@ -389,17 +394,7 @@ def test_a_line_that_reads_back_differently_renames_as_read_back(trap, name, mod
     printed = pretty_print(fragment)
     assert in_mode(printed, mode).lines == (want[mode.value],)
     assert normalize_reference(printed, mode).lines == (want[mode.value],)
-    assert NormalizationMemo([mode]).lines(fragment, mode) == (want[mode.value],)
-
-
-def test_a_mode_the_memo_was_not_built_with_still_normalizes_right():
-    fragment = single_fragment(LATE_UPDATE_SEND)
-    memo = NormalizationMemo([RenamingMode.CONSISTENT])
-    memo.lines(fragment, RenamingMode.CONSISTENT)
-    assert {mode for _, _, mode in memo.table} == {"consistent"}
-    for mode in (RenamingMode.NONE, RenamingMode.BLIND):
-        assert memo.lines(fragment, mode) == in_mode(pretty_print(fragment), mode).lines
-    assert memo.modes == (RenamingMode.CONSISTENT, RenamingMode.NONE, RenamingMode.BLIND)
+    assert NormalizationMemo([mode]).lines(fragment) == ((want[mode.value],),)
 
 
 # Hostile fragment text: unterminated and escaped literals, backslash-
@@ -416,20 +411,18 @@ _ATOMS = st.one_of(
 @given(
     st.lists(_ATOMS, min_size=1, max_size=20).map("".join),
     st.sampled_from(["X1", "<modifier:X1>", "f", "<fallback>"]),
-    st.permutations(_MODES).flatmap(lambda order: st.integers(0, len(order)).map(lambda k: order[:k])),
-    st.permutations(_MODES),
+    _DECLARED,
 )
-def test_memo_lines_equal_the_two_pass_reference(text, name, declared, asked):
-    """Every subset and order of declared modes, asked in every order."""
+def test_memo_lines_equal_the_two_pass_reference(text, name, declared):
+    """Every subset and order of declared modes."""
     fragment = _fragment(text, name)
     try:
         printed = pretty_print(fragment)
     except EmptyFragment:
         with pytest.raises(EmptyFragment):
-            NormalizationMemo(declared).lines(fragment, asked[0])
+            NormalizationMemo(declared).lines(fragment)
         return
     for line, tokens in zip(printed.lines, printed.line_tokens):
         assert tokens is None or line == render_reference(tokens)
-    memo = NormalizationMemo(declared)
-    for mode in asked:
-        assert memo.lines(fragment, mode) == normalize_reference(printed, mode).lines
+    want = tuple(normalize_reference(printed, mode).lines for mode in declared)
+    assert NormalizationMemo(declared).lines(fragment) == want
