@@ -147,16 +147,14 @@ def _cmd_fetch(args) -> int:
         for line in Path(args.addresses).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
-                addresses.append(line)
+                try:
+                    addresses.append(_address_arg(line))
+                except argparse.ArgumentTypeError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
     if not addresses:
         print("error: no addresses given (use --address or --addresses)", file=sys.stderr)
         return 2
-    for addr in addresses:
-        try:
-            _address_arg(addr)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     api_key = args.api_key or os.environ.get(corpus_mod.EXPLORER_KEY_ENV, "")
     budget = corpus_mod.RateBudget(args.rate)
     fetched = 0
@@ -345,13 +343,12 @@ def _cmd_evolve(args) -> int:
     cfgs = _parse_configs(args.configs)
     corpus = _load_corpus(args)
     sigs = _load_sigs(args.sigs)
-    buckets = corpus_mod.sort_by_version(corpus)
-    report = analyze_evolution(buckets, sigs, cfgs, jobs=args.jobs)
+    report = analyze_evolution(corpus, sigs, cfgs, jobs=args.jobs)
     report.to_csv(args.out)
     if args.json_out:
         Path(args.json_out).write_text(jsonout.dumps(report.to_dict()) + "\n")
     flagged = len(report.cross_bucket_classes)
-    print(f"evolution table over {len(buckets)} buckets -> {args.out}"
+    print(f"evolution table over {len(report.buckets)} buckets -> {args.out}"
           + (f" ({flagged} cross-bucket classes flagged)" if flagged else ""))
     return 0
 

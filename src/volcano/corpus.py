@@ -62,6 +62,11 @@ class SourceContract:
     def version(self) -> SolidityVersion | None:
         return parse_pragma(self.source_text)
 
+    @property
+    def bucket(self) -> str:
+        """The contract's version bucket: its version's, or 'unknown' if it has none."""
+        return self.version.bucket if self.version else "unknown"
+
 
 @dataclass
 class Corpus:
@@ -160,6 +165,10 @@ def load_corpus(root, label: str | None = None) -> Corpus:
             skipped += 1
             log.warning("skipping %s: not valid UTF-8", path)
             continue
+        except OSError as exc:
+            skipped += 1
+            log.warning("skipping %s: %s", path, exc)
+            continue
         if not text:
             skipped += 1
             log.warning("skipping %s: empty file", path)
@@ -171,22 +180,12 @@ def load_corpus(root, label: str | None = None) -> Corpus:
 
 
 def sort_by_version(corpus: Corpus) -> dict[str, Corpus]:
-    """Partition a corpus into version buckets; pragma-less contracts go to 'unknown'."""
+    """Version buckets in version order, 'unknown' last; a stable sort keeps corpus order in each."""
     groups: dict[str, list[SourceContract]] = {}
-    for c in corpus:
-        key = c.version.bucket if c.version else "unknown"
-        groups.setdefault(key, []).append(c)
-
-    def order(key: str):
-        if key == "unknown":
-            return (1, 0, 0)
-        major, minor = key.lstrip("^").split(".")
-        return (0, int(major), int(minor))
-
-    return {
-        key: Corpus(label=f"{corpus.label}:{key}", contracts=groups[key])
-        for key in sorted(groups, key=order)
-    }
+    ordered = sorted(corpus, key=lambda c: (0, c.version.major, c.version.minor) if c.version else (1,))
+    for c in ordered:
+        groups.setdefault(c.bucket, []).append(c)
+    return {key: Corpus(label=f"{corpus.label}:{key}", contracts=group) for key, group in groups.items()}
 
 
 def dedupe(corpus: Corpus) -> Corpus:

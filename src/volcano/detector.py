@@ -13,8 +13,9 @@ whole scan. Timing excludes corpus loading and lives in its own section
 so the detection body stays deterministic.
 
 Both run one sweep, which extracts each contract once and decides it
-under every cell, one config each. analyze_evolution() reads the cross
-classes themselves: it never serializes one into report rows.
+under every cell, one config each. analyze_evolution() sweeps the corpus
+it is given, counting each contract toward its SourceContract.bucket, and
+reads the cross classes themselves, never serializing one into rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .clone_engine import CloneConfig, class_row, clone_classes, match_exemplars
-from .corpus import Corpus, SourceContract
+from .corpus import Corpus, SourceContract, sort_by_version
 from .errors import EmptySignatureSet
 from . import jsonout, normalize
 from .extractor import FragmentRef
@@ -263,7 +264,7 @@ def write_catalog_csv(report: ScanReport, corpus: Corpus, path) -> None:
     """One CSV row per detection, with the contract's version bucket."""
     import csv
 
-    bucket_of = {c.id: (c.version.bucket if c.version else "unknown") for c in corpus}
+    bucket_of = {c.id: c.bucket for c in corpus}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -320,31 +321,26 @@ def _threshold_percent(cfg: CloneConfig):
 
 
 def analyze_evolution(
-    buckets: dict[str, Corpus],
+    corpus: Corpus,
     sigs: SignatureSet,
     cfg_range,
     jobs: int = 1,
 ) -> EvolutionReport:
     """Per (bucket x type x mode): clone-class count and minimum similarity.
 
-    Classes are computed independently per bucket. A separate pass over
-    the whole corpus flags classes that would span buckets, so nothing is
-    silently double-counted. The configs are the cells of one sweep: a
-    contract's results do not depend on the rest of the corpus, so every
-    bucket's cells and the cross-bucket check read the same results. One
-    NormalizationMemo, built with every config's mode once, serves every
-    config, so each distinct fragment text is pretty-printed once per
-    process and renamed once per mode.
+    One sweep over the corpus, in its own order, decides each contract
+    under every config; a contract's results do not depend on the rest of
+    the corpus, and count toward its SourceContract.bucket. Buckets are
+    listed in sort_by_version order and their classes computed apart; a
+    pass over the whole corpus flags classes that would span buckets, so
+    nothing is silently double-counted. One NormalizationMemo, built with
+    every config's mode, serves every config.
     """
-    bucket_names = list(buckets)
-    bucket_of = {c.id: bucket for bucket, corpus in buckets.items() for c in corpus}
-    union = Corpus(
-        label="all-buckets",
-        contracts=[c for bucket in bucket_names for c in buckets[bucket]],
-    )
-    modes = list(dict.fromkeys(cfg.mode for cfg in cfg_range))
-    payloads = [_Payload(sigs, cfg, modes.index(cfg.mode)) for cfg in cfg_range]
-    results = _scan_contracts(union, NormalizationMemo(modes), payloads, jobs)
+    bucket_names = list(sort_by_version(corpus))
+    bucket_of = {c.id: c.bucket for c in corpus}
+    memo = NormalizationMemo(cfg.mode for cfg in cfg_range)
+    payloads = [_Payload(sigs, cfg, memo.modes.index(cfg.mode)) for cfg in cfg_range]
+    results = _scan_contracts(corpus, memo, payloads, jobs)
     cells = []
     cross = []
     for k, payload in enumerate(payloads):
@@ -353,10 +349,10 @@ def analyze_evolution(
         dets = {bucket: [] for bucket in bucket_names}
         hits = {bucket: {} for bucket in bucket_names}
         detected: dict[FragmentRef, tuple] = {}
-        for contract, (per_cell, _) in zip(union, results):
+        for contract, (per_cell, _) in zip(corpus, results):
             found, frag_hits = per_cell[k]
-            dets[bucket_of[contract.id]] += found
-            hits[bucket_of[contract.id]].update(frag_hits)
+            dets[contract.bucket] += found
+            hits[contract.bucket].update(frag_hits)
             detected.update(frag_hits)
         for bucket in bucket_names:
             _, classes = _cross_classes(payload, hits[bucket], cfg)

@@ -593,7 +593,7 @@ def test_acceptance_7_version_bucketing_and_na(capsys):
     if list(buckets) != ["^0.3", "^0.4", "^0.5", "^0.6", "unknown"]:
         problems.append(f"bucket order {list(buckets)}")
 
-    report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30])
+    report = analyze_evolution(corpus, builtin_signatures(), [CONSISTENT_30])
     cell = evolution_cell(report, "consistent", "^0.3", "REENTRANCY")
     if cell["class_count"] != 0 or cell["min_similarity"] is not None:
         problems.append(f"^0.3 reentrancy cell {cell}")

@@ -220,15 +220,20 @@ def test_fetch_success_and_partial_failure(tmp_path, monkeypatch, capsys):
     assert "1/2 contracts fetched" in captured.out
 
 
-def test_fetch_malformed_address_exits_two(tmp_path, capsys):
+def test_fetch_malformed_address_exits_two(tmp_path, monkeypatch, capsys):
+    def fake_fetch(*args, **kw):
+        raise AssertionError("no fetch may start while an address is malformed")
+
+    monkeypatch.setattr(corpus_mod, "fetch_contract", fake_fetch)
     with pytest.raises(SystemExit) as err:
         main(["fetch", "--address", "0x1234", "--out", str(tmp_path)])
     assert err.value.code == 2
 
     listing = tmp_path / "addresses.txt"
-    listing.write_text("# comment\n0xnotanaddress\n")
-    assert main(["fetch", "--addresses", str(listing), "--out", str(tmp_path)]) == 2
-    assert "malformed address" in capsys.readouterr().err
+    listing.write_text(f"# comment\n{ADDR_A}\n0xnotanaddress\n")
+    assert main(["fetch", "--address", ADDR_A, "--addresses", str(listing), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: malformed address: '0xnotanaddress'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("rate", ["0", "-1", "nan", "inf", "fast", "1e-12"])

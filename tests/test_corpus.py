@@ -56,6 +56,27 @@ def test_load_corpus_recursive_sorted_and_skips(tmp_path):
         assert c.content_digest == hashlib.sha256(c.source_text.encode()).hexdigest()
 
 
+def test_load_corpus_skips_an_unreadable_file(tmp_path, monkeypatch, caplog):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("a.sol", "b.sol", "c.sol"):
+        (root / name).write_text(wrap("    function f() public { a = 1; }"))
+    read_bytes = Path.read_bytes
+
+    def unreadable_b(path):
+        if path.name == "b.sol":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable_b)
+    with caplog.at_level(logging.WARNING, logger="volcano.corpus"):
+        corpus = load_corpus(root)
+    assert [c.id for c in corpus] == ["a.sol", "c.sol"]
+    assert corpus.skipped == 1
+    assert any(r.getMessage().startswith(f"skipping {root / 'b.sol'}: ") for r in caplog.records)
+    assert main(["scan", "--in", str(root), "--sigs", "builtin", "--out", str(tmp_path / "scan.json")]) == 0
+
+
 def test_a_contract_is_its_id_and_text_and_drops_a_passed_digest():
     text = wrap("    function f() public { a = 1; }", pragma="pragma solidity ^0.5.1;")
     contract = SourceContract("c.sol", text, "not the digest")
@@ -270,6 +291,28 @@ def test_sort_by_version_numeric_order_unknown_last():
     assert [c.id for c in buckets["^0.4"]] == ["four", "four2"]
     assert [c.id for c in buckets["unknown"]] == ["none"]
     assert buckets["^0.4"].label == "mix:^0.4"
+
+
+def test_sort_by_version_keeps_corpus_order_in_each_bucket():
+    five, four = "pragma solidity ^0.5.0;", "pragma solidity ^0.4.0;"
+    body = "    function f() public { a = 1; }"
+    order = {"z": five, "a": four, "m": five, "y": None, "b": four, "c": None}
+    buckets = sort_by_version(make_corpus("mix", {cid: wrap(body, pragma) for cid, pragma in order.items()}))
+    assert {key: [c.id for c in part] for key, part in buckets.items()} == {
+        "^0.4": ["a", "b"],
+        "^0.5": ["z", "m"],
+        "unknown": ["y", "c"],
+    }
+
+
+def test_a_contract_without_a_version_is_in_the_unknown_bucket():
+    huge = "9" * 5_000
+    assert make_contract("v", wrap("    function f() public { a = 1; }", pragma="pragma solidity ^0.5.2;")).bucket == "^0.5"
+    assert make_contract("none", "contract C { function f() public { a = 1; } }").bucket == "unknown"
+    contract = make_contract("huge", f"pragma solidity ^0.{huge};\ncontract C {{}}\n")
+    assert contract.bucket == "unknown"
+    with pytest.raises(AttributeError):
+        contract.bucket = "^0.4"
 
 
 def test_dedupe_keeps_first_occurrence():

@@ -270,10 +270,11 @@ def test_evolution_matches_one_run_per_config(configs):
     """The configs of one run share a normalization memo; each gives its cells alone."""
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
-    buckets = sort_by_version(make_corpus("evo", sources))
+    corpus = make_corpus("evo", sources)
+    buckets = sort_by_version(corpus)
     sigs = builtin_signatures()
-    together = analyze_evolution(buckets, sigs, configs)
-    apart = [analyze_evolution(buckets, sigs, [cfg]) for cfg in configs]
+    together = analyze_evolution(corpus, sigs, configs)
+    apart = [analyze_evolution(corpus, sigs, [cfg]) for cfg in configs]
     assert together.cells == [cell for report in apart for cell in report.cells]
     assert together.cross_bucket_classes == [c for r in apart for c in r.cross_bucket_classes]
     detections = {
@@ -347,7 +348,7 @@ def test_every_detection_sits_in_a_class_of_its_type(min_lines, detected):
 def test_every_evolution_cell_with_detections_counts_a_class(min_lines):
     sources = dict(EVOLUTION_SOURCES, init=INITIALIZE_CONTRACT)
     report = analyze_evolution(
-        sort_by_version(make_corpus("evo", sources)), builtin_signatures(), [_window_config(min_lines)]
+        make_corpus("evo", sources), builtin_signatures(), [_window_config(min_lines)]
     )
     assert any(c["detections"] for c in report.cells) == (min_lines == 4)
     for cell in report.cells:
@@ -385,9 +386,9 @@ EVOLUTION_SOURCES = {
 
 
 def test_analyze_evolution_cells_and_na():
-    buckets = sort_by_version(make_corpus("evo", EVOLUTION_SOURCES))
-    assert list(buckets) == ["^0.3", "^0.4"]
-    report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30])
+    corpus = make_corpus("evo", EVOLUTION_SOURCES)
+    assert list(sort_by_version(corpus)) == ["^0.3", "^0.4"]
+    report = analyze_evolution(corpus, builtin_signatures(), [CONSISTENT_30])
     assert isinstance(report, EvolutionReport)
     empty = evolution_cell(report, "consistent", "^0.3", "REENTRANCY")
     assert empty["class_count"] == 0 and empty["min_similarity"] is None
@@ -399,8 +400,7 @@ def test_analyze_evolution_cells_and_na():
 
 
 def test_evolution_csv_renders_na(tmp_path):
-    buckets = sort_by_version(make_corpus("evo", EVOLUTION_SOURCES))
-    report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30])
+    report = analyze_evolution(make_corpus("evo", EVOLUTION_SOURCES), builtin_signatures(), [CONSISTENT_30])
     out = tmp_path / "evolution.csv"
     report.to_csv(out)
     rows = list(csv.reader(out.read_text().splitlines()))
@@ -418,8 +418,7 @@ def test_evolution_flags_cross_bucket_classes():
         "    function kill(address ancient) external { suicide(ancient); }",
         pragma="pragma solidity ^0.3.6;",
     )
-    buckets = sort_by_version(make_corpus("evo", sources))
-    report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30])
+    report = analyze_evolution(make_corpus("evo", sources), builtin_signatures(), [CONSISTENT_30])
     assert report.cross_bucket_classes
     flagged = report.cross_bucket_classes[0]
     assert flagged["buckets"] == ["^0.3", "^0.4"]
@@ -435,7 +434,6 @@ def test_evolution_builds_no_class_rows(monkeypatch):
         pragma="pragma solidity ^0.3.6;",
     )
     corpus = make_corpus("evo", sources)
-    buckets = sort_by_version(corpus)
     calls = {"class_row": 0, "similarity": 0}
 
     def counted(name, fn):
@@ -447,7 +445,7 @@ def test_evolution_builds_no_class_rows(monkeypatch):
 
     monkeypatch.setattr(detector_mod, "class_row", counted("class_row", detector_mod.class_row))
     monkeypatch.setattr(clone_engine_mod, "similarity", counted("similarity", clone_engine_mod.similarity))
-    report = analyze_evolution(buckets, builtin_signatures(), [CONSISTENT_30, BLIND_0])
+    report = analyze_evolution(corpus, builtin_signatures(), [CONSISTENT_30, BLIND_0])
     assert calls == {"class_row": 0, "similarity": 0}
     assert len({c["bucket"] for c in report.cells if c["class_count"]}) > 1
     assert report.cross_bucket_classes
@@ -476,10 +474,10 @@ def _normalize_cli(corpus, sigs, tmp_path):
 _CORPUS_COMMANDS = {
     "scan": lambda corpus, sigs, tmp_path: scan(corpus, sigs, CONSISTENT_30),
     "evolve-2": lambda corpus, sigs, tmp_path: analyze_evolution(
-        sort_by_version(corpus), sigs, [CONSISTENT_0, CONSISTENT_30]
+        corpus, sigs, [CONSISTENT_0, CONSISTENT_30]
     ),
     "evolve-4": lambda corpus, sigs, tmp_path: analyze_evolution(
-        sort_by_version(corpus), sigs, [BLIND_0, CONSISTENT_30, CONSISTENT_0, BLIND_30]
+        corpus, sigs, [BLIND_0, CONSISTENT_30, CONSISTENT_0, BLIND_30]
     ),
     "clones-cold": lambda corpus, sigs, tmp_path: incremental_sequences(
         AnalysisCache.empty(CONSISTENT_30), corpus, CONSISTENT_30
@@ -515,10 +513,10 @@ def test_every_corpus_command_extracts_each_contract_once(command, tmp_path, mon
 def test_evolution_parallel_matches_serial(configs, start_method):
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
-    buckets = sort_by_version(make_corpus("evo", sources))
+    corpus = make_corpus("evo", sources)
     sigs = builtin_signatures()
-    serial = analyze_evolution(buckets, sigs, configs, jobs=1)
-    parallel = analyze_evolution(buckets, sigs, configs, jobs=2)
+    serial = analyze_evolution(corpus, sigs, configs, jobs=1)
+    parallel = analyze_evolution(corpus, sigs, configs, jobs=2)
     assert parallel.to_dict() == serial.to_dict()
 
 
@@ -538,15 +536,43 @@ def test_evolution_starts_one_worker_pool_for_all_configs(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     sources = dict(REPEATING_SOURCES)
     sources.update(EVOLUTION_SOURCES)
-    buckets = sort_by_version(make_corpus("evo", sources))
+    corpus = make_corpus("evo", sources)
     sigs = builtin_signatures()
     configs = [
         CloneConfig(mode=RenamingMode.CONSISTENT, max_difference=Fraction(pct, 100)) for pct in (0, 10, 20, 30)
     ]
-    parallel = analyze_evolution(buckets, sigs, configs, jobs=2)
+    parallel = analyze_evolution(corpus, sigs, configs, jobs=2)
     assert len(pools) == 1
-    assert parallel.to_dict() == analyze_evolution(buckets, sigs, configs, jobs=1).to_dict()
+    assert parallel.to_dict() == analyze_evolution(corpus, sigs, configs, jobs=1).to_dict()
     assert len(pools) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_evolution_does_not_depend_on_corpus_order(jobs, monkeypatch):
+    """evolve sweeps the corpus in its own order; interleaved buckets give
+    the report of the same contracts in bucket-major order."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def kill(arg, pragma):
+        return wrap(f"    function kill(address {arg}) external {{\n        suicide({arg});\n    }}", pragma=pragma)
+
+    corpus = make_corpus(
+        "interleaved",
+        {
+            "a.sol": kill("bad", "pragma solidity ^0.5.0;"),
+            "b.sol": kill("worse", "pragma solidity ^0.4.10;"),
+            "c.sol": kill("worst", "pragma solidity ^0.5.3;"),
+            "d.sol": kill("any", None),
+        },
+    )
+    bucket_major = Corpus(label="interleaved", contracts=[c for part in sort_by_version(corpus).values() for c in part])
+    assert [c.id for c in bucket_major] == ["b.sol", "a.sol", "c.sol", "d.sol"]
+    sigs, configs = builtin_signatures(), [CONSISTENT_30, BLIND_0]
+    report = analyze_evolution(corpus, sigs, configs, jobs=jobs)
+    assert report.buckets == ["^0.4", "^0.5", "unknown"]
+    assert report.cross_bucket_classes
+    assert report.to_dict() == analyze_evolution(bucket_major, sigs, configs, jobs=jobs).to_dict()
 
 
 KILL_FUNCTION = "function kill(address evil) external {\n        suicide(evil);\n    }"
@@ -567,7 +593,7 @@ def test_each_distinct_fragment_text_is_pretty_printed_once_per_run(monkeypatch)
     monkeypatch.setattr(normalize_mod, "pretty_print", counting)
     runs = [
         lambda: scan(corpus, sigs, CONSISTENT_30),
-        lambda: analyze_evolution(sort_by_version(corpus), sigs, [BLIND_0, CONSISTENT_30]),
+        lambda: analyze_evolution(corpus, sigs, [BLIND_0, CONSISTENT_30]),
         lambda: derive_signatures(corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30),
     ]
     for run in runs:
@@ -611,7 +637,7 @@ def test_each_command_stores_only_the_modes_it_reads(monkeypatch):
     runs = [
         (lambda: scan(corpus, sigs, CONSISTENT_30), {"consistent"}),
         (lambda: incremental_sequences(AnalysisCache.empty(CONSISTENT_30), corpus, CONSISTENT_30), {"consistent"}),
-        (lambda: analyze_evolution(sort_by_version(corpus), sigs, [BLIND_0, CONSISTENT_30]), {"blind", "consistent"}),
+        (lambda: analyze_evolution(corpus, sigs, [BLIND_0, CONSISTENT_30]), {"blind", "consistent"}),
         (lambda: derive_signatures(corpus, {c.id: VulnerabilityType.DOS for c in corpus}, CONSISTENT_30),
          {"none", "consistent"}),
     ]
@@ -700,7 +726,7 @@ def test_decision_table_equals_deciding_each_fragment(cfg, min_lines):
         assert scan(corpus, sigs, cfg, jobs=jobs).detections == want
 
     buckets = sort_by_version(corpus)
-    cells = analyze_evolution(buckets, sigs, [cfg]).cells
+    cells = analyze_evolution(corpus, sigs, [cfg]).cells
     for bucket, part in buckets.items():
         dets = _deciding_by_fragment(part, sigs, cfg)
         for name in (t.name for t in VulnerabilityType):
@@ -746,7 +772,6 @@ def test_evolution_does_not_bucket_an_exemplar_by_its_contract_id():
     }
     exemplar = norm("function kill(address evil) external { suicide(evil); }", cid="a")
     sigs = SignatureSet(signatures=[VulnSignature("dos-a", VulnerabilityType.DOS, exemplar)])
-    buckets = sort_by_version(make_corpus("evo", sources))
-    report = analyze_evolution(buckets, sigs, [CONSISTENT_30])
+    report = analyze_evolution(make_corpus("evo", sources), sigs, [CONSISTENT_30])
     assert evolution_cell(report, "consistent", "^0.4", "DOS")["class_count"] == 1
     assert report.cross_bucket_classes == []
