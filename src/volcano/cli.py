@@ -188,7 +188,7 @@ def _cmd_extract(args) -> int:
     if args.dump:
         _write_or_print(jsonout.dumps(rows), args.out)
     else:
-        print(f"{len(rows)} fragments in {len(corpus)} contracts")
+        _write_or_print(f"{len(rows)} fragments in {len(corpus)} contracts\n", args.out)
     return 0
 
 

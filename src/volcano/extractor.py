@@ -3,18 +3,28 @@
 The scanner never parses Solidity properly. It masks comments and string
 literals, jumping with str.find from one `/`, `"` or `'` to the next, so
 masking costs per comment or string region, not per character. It
-matches every `{` to its `}` in one stack pass over the masked canvas,
-and finds the `function`, `constructor`, `modifier` and 0.6+
-`fallback()`/`receive()` keywords with str.find. From each keyword it
-reads only what decides a definition: the name, then the header's
-parentheses, braces, semicolons and nested declaration keywords, up to
-the body's `{` (in one step where the parentheses never nest, else from
-each `(` past its `)`), whose `}` is a lookup. Its cost follows the
-declarations and brackets, not the tokens, even where a parameter list
-never closes. That keeps it total over the 0.3-0.8 syntax range (and
-over the broken sources verified contracts occasionally contain):
-anything that cannot be matched to a body is skipped with a warning,
-never raised.
+matches every `{` to its `}` in one stack pass over the masked canvas.
+
+A contract whose every declaration has a flat header is then read in
+one regex pass: one re.finditer per declaration word (`function`,
+`constructor`, `modifier` and the 0.6+ `fallback()`/`receive()`) reads,
+in C, each declaration whose header is made of flat parenthesis groups
+and reaches its body's `{`, or a bodiless declaration's `;`, within
+_SHORT_HEADER characters. The pass vouches for a contract only when its
+matches are every keyword token of the canvas and no definition's header
+holds the next definition's start. Any other contract (one with a nested
+parameter list, a keyword inside another definition's header or a
+longer header) takes the keyword walk: it finds the keywords with str.find
+and from each reads only what decides a definition: the name, then the
+header's parentheses, braces, semicolons and nested declaration
+keywords, up to the body's `{` (in one step where the parentheses never
+nest, else from each `(` past its `)`, stopping where an earlier walk
+read on). Both read the same fragments; a body's `}` is a lookup. The
+cost follows the declarations and brackets, not the tokens, even where
+a parameter list never closes or many declarations share one header.
+That keeps it total over the 0.3-0.8 syntax range (and over the broken
+sources verified contracts occasionally contain): anything that cannot
+be matched to a body is skipped with a warning, never raised.
 
 Masking is length-preserving so every offset on the masked canvas maps
 straight back into the original text.
@@ -78,6 +88,42 @@ _HEADER_RE = re.compile(r"[(){};]|(?:function|constructor|modifier)(?![A-Za-z0-9
 # declaration far from any brace costs no more than the walk.
 _FLAT_HEADER_RE = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
 _SHORT_HEADER = 400
+
+# The one pass. Each pattern starts with its word as a literal, so the
+# regex engine jumps straight to its occurrences (a leading lookbehind
+# would try every offset); the lookbehind after the word rejects one that
+# a word character precedes. What follows is what _declaration accepts:
+# the name, where the word takes one, then a header of flat parenthesis
+# groups with no '{', ';', '}' or nested group, up to the first '{' or ';',
+# which the lookahead has found within _SHORT_HEADER characters, so no
+# attempt reads further on hostile text. A header that ends at its '{' is
+# one _body_open's flat path reads to that '{'; one that ends at its ';'
+# (an interface member, an abstract function, a function-typed variable,
+# a call) is one _body_open rejects on either of its paths, so it is no
+# definition. Where the rest does not match, the word alone does, so the
+# pass declines at the first keyword token it cannot read. The one group
+# is the name. The patterns stay strings: re compiles and caches each on
+# first use, so a command whose contracts hold no `receive` never
+# compiles its pattern.
+_NAME = r"[^A-Za-z_$(){};]*([A-Za-z_$][A-Za-z0-9_$]*)(?![A-Za-z0-9_$])"
+_FLAT_HEADER_END = r"(?=[^{;]{0,%d}[{;])[^(){};]*(?:\([^(){};]*\)[^(){};]*)*[{;]" % (_SHORT_HEADER - 1)
+
+
+def _one_pass_re(word: str, name: str) -> str:
+    return f"{word}(?<![A-Za-z0-9_$]{word})(?![A-Za-z0-9_$])(?:{name}{_FLAT_HEADER_END})?"
+
+
+# (word, its pattern, the fragment name of a match)
+_ONE_PASS = (
+    ("function", _one_pass_re("function", f"(?:{_NAME})?"), lambda m: m[1] or "<fallback>"),
+    ("constructor", _one_pass_re("constructor", ""), lambda m: "<constructor>"),
+    ("modifier", _one_pass_re("modifier", _NAME), lambda m: f"<modifier:{m[1]}>"),
+    ("fallback", _one_pass_re("fallback", r"(?=[^A-Za-z_$(){};]*\()"), lambda m: "<fallback>"),
+    ("receive", _one_pass_re("receive", r"(?=[^A-Za-z_$(){};]*\()"), lambda m: "<receive>"),
+)
+# Every occurrence of a word that may be a keyword token: no word
+# character follows it and no letter, _ or $ precedes it.
+_MAYBE_TOKEN = {word: f"{word}(?<![A-Za-z_$]{word})(?![A-Za-z0-9_$])" for word in _DECL_WORDS}
 
 
 def _blank(piece: str) -> str:
@@ -214,7 +260,7 @@ def _keywords(canvas: str) -> list[tuple[int, str]]:
     return found
 
 
-def _body_open(canvas: str, pos: int, paren_pairs) -> int | None:
+def _body_open(canvas: str, pos: int, paren_pairs, walked: dict[int, int | None]) -> int | None:
     """Offset of the body's '{' of the header read from pos, or None.
 
     The header holds a parameter list, visibility words, a modifier list
@@ -222,6 +268,10 @@ def _body_open(canvas: str, pos: int, paren_pairs) -> int | None:
     declaration; a new declaration keyword or an unbalanced ')' means we
     misread a type position, so there is no fragment. The walk jumps from
     each '(' past its ')' in paren_pairs(); one that never closes ends it.
+    Its only state is the offset it reads on from, so walked maps every
+    offset an earlier walk on the canvas read on from to that walk's
+    answer, and a walk that reaches one stops there: `receive(x)`
+    repeated before one ';' is read once, not once per `receive`.
     """
     brace = canvas.find("{", pos, pos + _SHORT_HEADER)
     if brace >= 0:
@@ -230,16 +280,21 @@ def _body_open(canvas: str, pos: int, paren_pairs) -> int | None:
                 and "modifier" not in head and _FLAT_HEADER_RE.fullmatch(head)):
             return brace
     close_of = paren_pairs()
-    i = pos
-    while m := _HEADER_RE.search(canvas, i):
+    i, steps, body = pos, [], None
+    while i not in walked and (m := _HEADER_RE.search(canvas, i)):
+        steps.append(i)
         t, i = m.group(), m.end()
         if t == "(" and m.start() in close_of:
             i = close_of[m.start()] + 1
         elif t == "{":
-            return m.start()
+            body = m.start()
+            break
         elif t in ("(", ")", ";") or (t != "}" and _starts_token(canvas, m.start())):
-            return None
-    return None
+            break
+    else:
+        body = walked.get(i)
+    walked.update(dict.fromkeys(steps, body))
+    return body
 
 
 def _declaration(canvas: str, word: str, start: int) -> tuple[str, int] | None:
@@ -258,6 +313,66 @@ def _declaration(canvas: str, word: str, start: int) -> tuple[str, int] | None:
     return (f"<{word}>", start) if tok == "(" else None
 
 
+def _one_pass(canvas: str) -> list[tuple[int, str, int]] | None:
+    """(keyword offset, name, body '{' offset) of every definition, in
+    offset order, when the one pass can vouch for the canvas; else None.
+
+    It vouches when, for each word, every match reads a declaration, the
+    matches are every occurrence the walk acts on, and no definition's
+    header holds the next definition's start (a keyword inside another
+    header is the walk's to decide). A match that is the word alone is a
+    keyword token the pass cannot read, so it declines there. Every match
+    is a keyword token, and every keyword token is an occurrence that no
+    letter, _ or $ precedes, so equal counts make the sets equal. One
+    word's matches never overlap: each resumes past the last one's end.
+    A match that ends at ';' is no definition, and it never overlaps a
+    definition: a header that held the other's start would reach the
+    other's end first.
+    """
+    found = []
+    words = 0
+    for word, pattern, name in _ONE_PASS:
+        occurrences = canvas.count(word)
+        if not occurrences:
+            continue
+        matches = 0
+        for m in re.finditer(pattern, canvas):
+            end = m.end() - 1
+            if canvas[end] == "{":
+                found.append((m.start(), name(m), end))
+            elif canvas[end] != ";":
+                return None
+            matches += 1
+        if matches != occurrences and matches != len(re.findall(_MAYBE_TOKEN[word], canvas)):
+            return None
+        words += 1
+    if words > 1:
+        found.sort()
+        if any(body > nxt for (_, _, body), (nxt, _, _) in zip(found, found[1:])):
+            return None
+    return found
+
+
+def _walk(canvas: str) -> list[tuple[int, str, int]]:
+    """(keyword offset, name, body '{' offset) of every definition, in
+    offset order, read keyword by keyword."""
+    # Built once, for the first header that leaves _body_open's flat path.
+    paren_pairs = functools.cache(lambda: _pairs(canvas, "(", ")"))
+    walked: dict[int, int | None] = {}
+    found = []
+    for pos, word in _keywords(canvas):
+        if not _starts_token(canvas, pos):
+            continue
+        declared = _declaration(canvas, word, pos + len(word))
+        if declared is None:
+            continue
+        name, header = declared
+        body = _body_open(canvas, header, paren_pairs, walked)
+        if body is not None:
+            found.append((pos, name, body))
+    return found
+
+
 def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
     """Extract every function/constructor/modifier definition with a body.
 
@@ -270,21 +385,13 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
     text = contract.source_text
     canvas = mask_comments_and_strings(text)
     close_of = _pairs(canvas, "{", "}")
-    # Built once, for the first header that leaves _body_open's flat path.
-    paren_pairs = functools.cache(lambda: _pairs(canvas, "(", ")"))
+    definitions = _one_pass(canvas)
+    if definitions is None:
+        definitions = _walk(canvas)
     # Keyed by (start_line, end_line, name): the ref within one contract.
     fragments: dict[tuple[int, int, str], FunctionFragment] = {}
-    line, counted = 1, 0  # the line of offset counted; keywords come in order
-    for pos, word in _keywords(canvas):
-        if not _starts_token(canvas, pos):
-            continue
-        declared = _declaration(canvas, word, pos + len(word))
-        if declared is None:
-            continue
-        name, header = declared
-        body = _body_open(canvas, header, paren_pairs)
-        if body is None:
-            continue
+    line, counted = 1, 0  # the line of offset counted; definitions come in order
+    for pos, name, body in definitions:
         line += text.count("\n", counted, pos)
         counted = pos
         close = close_of.get(body)
@@ -295,11 +402,6 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
             )
             continue
         end_line = line + text.count("\n", pos, close)
-        fragments[line, end_line, name] = FunctionFragment(
-            contract_id=contract.id,
-            name=name,
-            start_line=line,
-            end_line=end_line,
-            exact_text=text[pos:close + 1],
-        )
+        # Positional: keyword arguments make the dataclass __init__ a third slower.
+        fragments[line, end_line, name] = FunctionFragment(contract.id, name, line, end_line, text[pos:close + 1])
     return list(fragments.values())

@@ -7,11 +7,19 @@ import logging
 import re
 import sys
 
+from hypothesis import settings
+
 from volcano.corpus import Corpus, SourceContract
 from volcano.extractor import FragmentRef, FunctionFragment, extract_functions
 from volcano import normalize
 from volcano.errors import ModeError
 from volcano.normalize import NormalizedFragment, RenamingMode, in_mode, pretty_print, tokenize
+
+
+# `pytest --hypothesis-profile=ci` runs every property that sets no
+# example count of its own on more examples than the default suite
+# affords; the default profile stays as it is.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def make_contract(cid: str, text: str) -> SourceContract:

@@ -263,6 +263,13 @@ def test_extract_count_and_dump(corpus_dir, capsys):
     assert all(set(r) == {"contract_id", "name", "start_line", "end_line"} for r in rows)
 
 
+def test_extract_summary_goes_to_out(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "summary.txt"
+    assert main(["extract", "--in", str(corpus_dir), "--out", str(out)]) == 0
+    assert out.read_text() == "3 fragments in 3 contracts\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_normalize_single_file(tmp_path, capsys):
     path = tmp_path / "one.sol"
     path.write_text(KILL)
@@ -821,7 +828,9 @@ def test_threshold_zero_runs_no_lcs(tmp_path, monkeypatch, argv):
 _HOSTILE = {
     "digits.sol": f"pragma solidity ^0.{'9' * 5_000};\n" + KILL,
     "headers.sol": "function f(" * 36_400,
+    "named-headers.sol": "function f " * 40_000,
     "pragmas.sol": "pragma solidity x " * 20_000,
+    "receive-calls.sol": "receive(x) " * 40_000 + ";",
     "spaces.sol": "pragma solidity ^" + " " * 100_000 + "x;\n" + SAFE,
 }
 

@@ -229,16 +229,29 @@ def test_code_round_trip_is_exact_slice():
 # keywords glued to digits and words ("9function" holds a `function`
 # token, the other glued forms none), headers that do and do not open a
 # definition, a '}' before any '{', and unterminated strings and comments.
+# The later ones are the shapes the one pass keys on: words that hold a
+# keyword, a tab or CR before the name, no parameter list, a name after
+# digits, several flat groups, a keyword inside another header and
+# headers that end at a ';' (interface members, function-typed variables
+# and calls).
 _PIECES = [
     "function", "modifier", "constructor", "fallback", "receive", "assembly",
     " f", " g", "(", ")", "{", "}", ";", " ", "\n", "//", "/*", "*/", '"', "'", "\\", "x",
     "9function", "function9", "xfunction", "0xfunction", "$function",
     "fallback (", "receive;", "modifier m", "} {", '"open', "/* open", "'open\n",
     ") returns (", "((", "))", "; {",
+    "receiver", "xreceive(", "9receive(", "functionality", "_modifier", "receive(",
+    "function\tf", "modifier\rm", "modifier m {", "function {", "function 9x(",
+    " m(a) returns (uint)", "() public\n", " receive() ",
+    "function t() external;", " external returns (bool);", "function (uint) external f;",
+    "interface I { function t(); }", "receive(x);",
 ]
 _HEADERS = [
     "function f()", "function g()", "modifier f", "constructor()", "fallback()",
     "9function f()", "x9function f()", "function9 f()", "$function f()", "fallback ()",
+    "receive()", "function", "modifier m", "function 9x()", "function\tf(a) m(b) returns (uint)",
+    "modifier\rf(a)", "function f() receive()", "function f() public\n modifier m()",
+    "constructor(a) functionality(b)",
 ]
 
 
@@ -248,7 +261,7 @@ def _definition(parts):
 
 
 _nested = st.recursive(
-    st.sampled_from(["", "x;", "// c\n", '"s"', "{ }", "}"]),
+    st.sampled_from(["", "x;", "// c\n", '"s"', "{ }", "}", "function t() external;", "fallback(x);"]),
     lambda inner: st.tuples(
         st.sampled_from(_HEADERS), st.lists(inner, max_size=3), st.sampled_from([" ", "\n"])
     ).map(_definition),
@@ -297,6 +310,11 @@ def test_masking_equals_regex_scan_reference(text, mask_strings):
     assert (masked, warnings) == mask_reference(text, mask_strings)
 
 
+def _header(size: int) -> str:
+    """A flat header of size characters: the '{' or ';' that ends it stands right after it."""
+    return "(" + " " * (size - 3) + ") "
+
+
 @contextlib.contextmanager
 def _extractor_warnings():
     """Collect the messages the extractor's logger emits in the block."""
@@ -335,18 +353,57 @@ def _assert_matches_reference(contract):
 # ends the header.
 @example("function f(function g() { }) public { } function h(a { } function k() { }")
 @example("function f(x; {y}) m(z) { } function g(( ) { } modifier n() { }")
+# The one pass vouches for a contract only where its matches are every
+# keyword token and no header holds another match: a keyword inside a
+# flat header, words that hold a keyword, odd space and odd names.
+@example("function f() public\n modifier m() { } function g() { }")
+@example("function f() receive() { } function receive() { }")
+@example("address receiver; function f() { } xreceive() { } functionality; _modifier m() { }")
+@example("9receive() { } function f() { }")
+@example("function9 f() { } constructor9() { } modifier9 m() { } receive9() { }")
+@example("function\tf() { } modifier\rm() { _; } function\r\ng(a) { }")
+@example("modifier m { _; } function { } function 9x() { }")
+@example("modifier { } function g() { }")
+@example("modifier m(a) returns (uint) { } function f(a) m(b) returns (uint) public { }")
+@example("function f" + _header(399) + "{ }")
+@example("function g" + _header(400) + "{ }")
+# Walks that meet share one answer: the '{', the ';', the group's ')'.
+@example("receive(x)\nfallback((y)) { }\nreceive(z) receive(w) ; function f(receive(a) fallback(b)) { }")
+# A header that ends at its ';' is no definition, on the pass or the walk.
+@example("interface I { function t(uint a) external returns (bool); } function f() { }")
+@example("function (uint) external returns (uint) f; fallback(x); receive(y); modifier m() { _; }")
+@example("function f() public virtual; modifier m() virtual; constructor() { }")
+@example("function f() modifier m(); function g() { } modifier n() receive(); { }")
+@example("function f" + _header(399) + "; function g() { }")
+@example("function f" + _header(400) + "; function g() { }")
 def test_extraction_equals_token_walk_reference(text):
     _assert_matches_reference(SourceContract("c", text))
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["function f(" * 8_000, "contract C { function f( " * 4_000],
-    ids=["headers", "headers-in-a-contract"],
+    ("text", "names"),
+    [
+        ("function f(" * 8_000, []),
+        ("contract C { function f( " * 4_000, []),
+        # Every keyword sends the one pass's lookahead as far as it reaches.
+        ("function f " * 40_000, []),
+        ("function f" + "()" * 100_000, []),
+        ("function " + "a" * 200_000, []),
+        ("modifier m " * 40_000, []),
+        # Every "receive" is recounted; none is a keyword.
+        ("receiver " * 50_000 + "function f() { }", ["f"]),
+        # Every keyword's walk reaches the same end, in or out of a group.
+        ("receive(x) " * 40_000 + ";", []),
+        ("function f(" + "fallback(x) " * 40_000 + ") { }", ["f"]),
+    ],
+    ids=[
+        "headers", "headers-in-a-contract", "named-headers", "groups", "long-name",
+        "modifiers", "receivers", "receive-calls", "fallback-calls-in-a-group",
+    ],
 )
-def test_a_parameter_list_that_never_closes_is_read_in_linear_time(text):
+def test_a_parameter_list_that_never_closes_is_read_in_linear_time(text, names):
     started = time.perf_counter()
-    assert extract_functions(SourceContract("c", text)) == []
+    assert [f.name for f in extract_functions(SourceContract("c", text))] == names
     assert time.perf_counter() - started < 2.0
 
 
@@ -356,13 +413,37 @@ def test_parenthesis_pairs_are_built_once_and_only_off_the_flat_path(monkeypatch
     monkeypatch.setattr(
         extractor_mod, "_pairs", lambda canvas, left, right: built.append(left) or real(canvas, left, right)
     )
+    walked = []
+    walk = extractor_mod._walk
+    monkeypatch.setattr(extractor_mod, "_walk", lambda canvas: walked.append(canvas) or walk(canvas))
     flat = wrap("    function f(uint a) public returns (uint) { }\n    function g() { }")
     assert len(extract_functions(SourceContract("flat", flat))) == 2
     assert built == ["{"]
+    # Every declaration form in its flat shape takes the one pass, bodiless
+    # ones included.
+    every_form = "interface I { function t(uint a) external returns (bool); }\n" + wrap(
+        "    address receiver;\n"
+        "    function (uint) external returns (uint) hook;\n"
+        "    function v() public virtual;\n"
+        "    function named(uint a) public returns (uint) { return a; }\n"
+        "    constructor(address o) public { owner = o; }\n"
+        "    modifier onlyOwner { require(msg.sender == owner); _; }\n"
+        "    modifier gated(uint a) { _; }\n"
+        "    function () payable { }\n"
+        "    fallback() external payable { }\n"
+        "    receive() external payable { }"
+    )
+    assert len(extract_functions(SourceContract("every", every_form))) == 7
+    assert walked == []
     built.clear()
     nested = wrap("    function f(g(x)) { }\n    function h(k(y)) { }\n    modifier m(n(z)) { _; }")
     assert len(extract_functions(SourceContract("nested", nested))) == 3
     assert built == ["{", "("]
+    # One nested parameter list sends its whole contract to the walk.
+    walked.clear()
+    one_nested = flat.replace("f(uint a)", "f(uint[] memory (a))")
+    assert len(extract_functions(SourceContract("one-nested", one_nested))) == 2
+    assert len(walked) == 1
 
 
 # Every contract source the suite writes as a .sol file: the golden and
