@@ -196,8 +196,8 @@ def _cmd_normalize(args) -> int:
     path = Path(args.in_path)
     mode = RenamingMode(args.mode)
     if path.is_file():
-        text = path.read_text(encoding="utf-8")
-        contracts = [corpus_mod.SourceContract(path.name, text)]
+        # The bytes unchanged, as load_corpus reads them: read_text would turn a lone \r into \n.
+        contracts = [corpus_mod.SourceContract(path.name, path.read_bytes().decode("utf-8"))]
     else:
         contracts = list(corpus_mod.load_corpus(path))
     memo = NormalizationMemo((mode,))

@@ -5,24 +5,22 @@ literals, jumping with str.find from one `/`, `"` or `'` to the next, so
 masking costs per comment or string region, not per character. It
 matches every `{` to its `}` in one stack pass over the masked canvas.
 
-A contract whose every declaration has a flat header is then read in
-one regex pass: one re.finditer per declaration word (`function`,
-`constructor`, `modifier` and the 0.6+ `fallback()`/`receive()`) reads,
-in C, each declaration whose header is made of flat parenthesis groups
-and reaches its body's `{`, or a bodiless declaration's `;`, within
-_SHORT_HEADER characters. The pass vouches for a contract only when its
-matches are every keyword token of the canvas and no definition's header
-holds the next definition's start. Any other contract (one with a nested
-parameter list, a keyword inside another definition's header or a
-longer header) takes the keyword walk: it finds the keywords with str.find
-and from each reads only what decides a definition: the name, then the
+It then reads each declaration keyword token (`function`, `constructor`,
+`modifier` and the 0.6+ `fallback()`/`receive()`) once. One re.finditer
+per word matches every token of that word and, in C, reads its name and
+whether its header is flat: parenthesis groups that do not nest, up to
+the header's first `{` or `;` within _SHORT_HEADER characters. A flat
+header that ends at `;` (an interface member, an abstract function, a
+function-typed variable) opens no definition; one whose `{` comes before
+the next keyword token opens one with that body. Only the other headers
+(a nested parameter list such as `onlyRole(keccak256(x))`, a keyword
+inside the header, a longer header) are walked: the walk reads just the
 header's parentheses, braces, semicolons and nested declaration
-keywords, up to the body's `{` (in one step where the parentheses never
-nest, else from each `(` past its `)`, stopping where an earlier walk
-read on). Both read the same fragments; a body's `}` is a lookup. The
-cost follows the declarations and brackets, not the tokens, even where
-a parameter list never closes or many declarations share one header.
-That keeps it total over the 0.3-0.8 syntax range (and over the broken
+keywords up to the body's `{`, stepping from each `(` past its `)` and
+stopping where an earlier walk read on. A body's `}` is a lookup. The
+cost follows the tokens and the walked headers' brackets, even where a
+parameter list never closes or many declarations share one header. That
+keeps it total over the 0.3-0.8 syntax range (and over the broken
 sources verified contracts occasionally contain): anything that cannot
 be matched to a body is skipped with a warning, never raised.
 
@@ -32,7 +30,6 @@ straight back into the original text.
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
 import string
@@ -63,67 +60,53 @@ _REGION_RE = re.compile(
 
 _BLANK_RE = re.compile(r"[^\n]")
 
-# The masked canvas reads as word tokens and the punctuation (){};, as
-# _CANVAS_TOKEN_RE matches them left to right. A keyword counts only as a
-# whole token: no word character follows it, and no letter, _ or $ starts
-# a word before it (leading digits start no word, so "9function" holds a
-# `function` token while "xfunction" and "0xfunction" do not).
-_CANVAS_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[(){};]")
-_PUNCTUATION = frozenset("(){};")
+# A keyword counts only as a whole token: no word character follows it,
+# and no letter, _ or $ starts a word before it (leading digits start no
+# word, so "9function" holds a `function` token while "xfunction" and
+# "0xfunction" do not).
 _DIGITS = frozenset(string.digits)
 _WORD_STARTS = frozenset(string.ascii_letters + "_$")
-_WORD_CHARS = frozenset(string.ascii_letters + string.digits + "_$")
 
-# Words that can open a fragment. fallback/receive cover the 0.6+ keyword
-# forms; plain calls named "fallback" are rejected later because a call is
-# followed by ';' before any '{'. None of them holds another, so their
-# occurrences never overlap.
-_DECL_WORDS = ("function", "constructor", "modifier", "fallback", "receive")
 # What a header walk reacts to: parentheses, braces, ';' and the keywords
 # that would open another declaration.
 _HEADER_RE = re.compile(r"[(){};]|(?:function|constructor|modifier)(?![A-Za-z0-9_$])")
-# A header the walk reads straight to its '{': no ';', no nested declaration
-# keyword, and parentheses that never nest and all close. _body_open tries
-# it only on a '{' within _SHORT_HEADER characters, so a bodiless
-# declaration far from any brace costs no more than the walk.
-_FLAT_HEADER_RE = re.compile(r"[^()]*(?:\([^()]*\)[^()]*)*")
 _SHORT_HEADER = 400
 
-# The one pass. Each pattern starts with its word as a literal, so the
-# regex engine jumps straight to its occurrences (a leading lookbehind
-# would try every offset); the lookbehind after the word rejects one that
-# a word character precedes. What follows is what _declaration accepts:
-# the name, where the word takes one, then a header of flat parenthesis
-# groups with no '{', ';', '}' or nested group, up to the first '{' or ';',
-# which the lookahead has found within _SHORT_HEADER characters, so no
-# attempt reads further on hostile text. A header that ends at its '{' is
-# one _body_open's flat path reads to that '{'; one that ends at its ';'
-# (an interface member, an abstract function, a function-typed variable,
-# a call) is one _body_open rejects on either of its paths, so it is no
-# definition. Where the rest does not match, the word alone does, so the
-# pass declines at the first keyword token it cannot read. The one group
-# is the name. The patterns stay strings: re compiles and caches each on
-# first use, so a command whose contracts hold no `receive` never
-# compiles its pattern.
-_NAME = r"[^A-Za-z_$(){};]*([A-Za-z_$][A-Za-z0-9_$]*)(?![A-Za-z0-9_$])"
-_FLAT_HEADER_END = r"(?=[^{;]{0,%d}[{;])[^(){};]*(?:\([^(){};]*\)[^(){};]*)*[{;]" % (_SHORT_HEADER - 1)
+# One match per keyword token. Each pattern starts with its word as a
+# literal, so the regex engine jumps straight to its occurrences (a
+# leading lookbehind would try every offset); the lookbehind after the
+# word keeps an occurrence that no word character precedes or, in each
+# word's second pattern, one that a digit precedes. All that follows the
+# word is a lookahead, so a match is the word alone and never hides a
+# later token. Group 1 is the name, where the word takes one: the next
+# word token, if no (){}; comes first. Group 2 is where the header
+# starts; it is left unset where the word opens no declaration (a
+# modifier with no name, a fallback or receive that no '(' follows).
+# Groups 3 and 4 mark the header's first '{' or ';' where the header up
+# to it is flat: parenthesis groups with nothing of (){}; inside and no
+# '}' outside, with that '{' or ';' within _SHORT_HEADER characters, so
+# no attempt reads further on hostile text. The patterns stay strings:
+# re compiles and caches each on first use, so a command whose contracts
+# hold no `receive` never compiles its pattern.
+_NAME = r"[^A-Za-z_$(){};]*([A-Za-z_$][A-Za-z0-9_$]*)"
+_FLAT = r"(?:(?=[^{;]{0,%d}[{;])[^(){};]*(?:\([^(){};]*\)[^(){};]*)*(?:()\{|();))?" % (_SHORT_HEADER - 1)
 
 
-def _one_pass_re(word: str, name: str) -> str:
-    return f"{word}(?<![A-Za-z0-9_$]{word})(?![A-Za-z0-9_$])(?:{name}{_FLAT_HEADER_END})?"
+def _token_res(word: str, name: str) -> tuple[str, str, str]:
+    rest = f"(?![A-Za-z0-9_$])(?:(?={name}(){_FLAT})|)"
+    return word, f"{word}(?<![A-Za-z0-9_$]{word}){rest}", f"{word}(?<=[0-9]{word}){rest}"
 
 
-# (word, its pattern, the fragment name of a match)
-_ONE_PASS = (
-    ("function", _one_pass_re("function", f"(?:{_NAME})?"), lambda m: m[1] or "<fallback>"),
-    ("constructor", _one_pass_re("constructor", ""), lambda m: "<constructor>"),
-    ("modifier", _one_pass_re("modifier", _NAME), lambda m: f"<modifier:{m[1]}>"),
-    ("fallback", _one_pass_re("fallback", r"(?=[^A-Za-z_$(){};]*\()"), lambda m: "<fallback>"),
-    ("receive", _one_pass_re("receive", r"(?=[^A-Za-z_$(){};]*\()"), lambda m: "<receive>"),
+# (word, its pattern, its pattern after a digit). fallback/receive cover
+# the 0.6+ keyword forms; a plain call named "fallback" is no definition,
+# as a ';' ends its header before any '{'.
+_TOKENS = (
+    _token_res("function", f"(?:{_NAME})?"),
+    _token_res("constructor", "()"),
+    _token_res("modifier", _NAME),
+    _token_res("fallback", r"()(?=[^A-Za-z_$(){};]*\()"),
+    _token_res("receive", r"()(?=[^A-Za-z_$(){};]*\()"),
 )
-# Every occurrence of a word that may be a keyword token: no word
-# character follows it and no letter, _ or $ precedes it.
-_MAYBE_TOKEN = {word: f"{word}(?<![A-Za-z_$]{word})(?![A-Za-z0-9_$])" for word in _DECL_WORDS}
 
 
 def _blank(piece: str) -> str:
@@ -245,41 +228,19 @@ def _pairs(canvas: str, left: str, right: str) -> dict[int, int]:
     return close_of
 
 
-def _keywords(canvas: str) -> list[tuple[int, str]]:
-    """(offset, word) of every declaration keyword on the canvas that no
-    word character follows, in offset order."""
-    found = []
-    for word in _DECL_WORDS:
-        size = len(word)
-        pos = canvas.find(word)
-        while pos >= 0:
-            if canvas[pos + size:pos + size + 1] not in _WORD_CHARS:
-                found.append((pos, word))
-            pos = canvas.find(word, pos + size)
-    found.sort()
-    return found
-
-
-def _body_open(canvas: str, pos: int, paren_pairs, walked: dict[int, int | None]) -> int | None:
+def _body_open(canvas: str, pos: int, close_of: dict[int, int], walked: dict[int, int | None]) -> int | None:
     """Offset of the body's '{' of the header read from pos, or None.
 
     The header holds a parameter list, visibility words, a modifier list
     and a returns clause. A ';' outside parentheses is a bodiless
     declaration; a new declaration keyword or an unbalanced ')' means we
     misread a type position, so there is no fragment. The walk jumps from
-    each '(' past its ')' in paren_pairs(); one that never closes ends it.
+    each '(' past its ')' in close_of; one that never closes ends it.
     Its only state is the offset it reads on from, so walked maps every
     offset an earlier walk on the canvas read on from to that walk's
     answer, and a walk that reaches one stops there: `receive(x)`
     repeated before one ';' is read once, not once per `receive`.
     """
-    brace = canvas.find("{", pos, pos + _SHORT_HEADER)
-    if brace >= 0:
-        head = canvas[pos:brace]
-        if (";" not in head and "function" not in head and "constructor" not in head
-                and "modifier" not in head and _FLAT_HEADER_RE.fullmatch(head)):
-            return brace
-    close_of = paren_pairs()
     i, steps, body = pos, [], None
     while i not in walked and (m := _HEADER_RE.search(canvas, i)):
         steps.append(i)
@@ -297,84 +258,64 @@ def _body_open(canvas: str, pos: int, paren_pairs, walked: dict[int, int | None]
     return body
 
 
-def _declaration(canvas: str, word: str, start: int) -> tuple[str, int] | None:
-    """(name, offset its header starts at) of the definition keyword word,
-    which ends at start, or None."""
-    if word == "constructor":
-        return "<constructor>", start
-    nxt = _CANVAS_TOKEN_RE.search(canvas, start)
-    tok = nxt.group() if nxt else None
-    is_word = tok is not None and tok not in _PUNCTUATION
+def _name(m: re.Match) -> str:
+    """The fragment name of a keyword token's match, whose text is its word."""
+    word = m[0]
     if word == "function":
-        return (tok, nxt.end()) if is_word else ("<fallback>", start)
+        return m[1] or "<fallback>"
     if word == "modifier":
-        return (f"<modifier:{tok}>", nxt.end()) if is_word else None
-    # fallback / receive keyword form: must open a parameter list
-    return (f"<{word}>", start) if tok == "(" else None
+        return f"<modifier:{m[1]}>"
+    return f"<{word}>"
 
 
-def _one_pass(canvas: str) -> list[tuple[int, str, int]] | None:
+def _definitions(canvas: str) -> list[tuple[int, str, int]]:
     """(keyword offset, name, body '{' offset) of every definition, in
-    offset order, when the one pass can vouch for the canvas; else None.
+    offset order.
 
-    It vouches when, for each word, every match reads a declaration, the
-    matches are every occurrence the walk acts on, and no definition's
-    header holds the next definition's start (a keyword inside another
-    header is the walk's to decide). A match that is the word alone is a
-    keyword token the pass cannot read, so it declines there. Every match
-    is a keyword token, and every keyword token is an occurrence that no
-    letter, _ or $ precedes, so equal counts make the sets equal. One
-    word's matches never overlap: each resumes past the last one's end.
-    A match that ends at ';' is no definition, and it never overlaps a
-    definition: a header that held the other's start would reach the
-    other's end first.
+    Each keyword token ends one of three ways. A flat header that ends at
+    its ';' (an interface member, an abstract function, a function-typed
+    variable, a call) is no definition: the walk would stop at that ';'
+    or sooner. A flat header whose '{' comes before the next keyword token
+    is a definition: nothing the walk stops at stands between. Any other
+    token that opens a declaration is walked from where its header starts.
     """
-    found = []
-    words = 0
-    for word, pattern, name in _ONE_PASS:
+    tokens: list[re.Match] = []
+    runs = 0  # each finditer adds one run of tokens in offset order
+    for word, pattern, after_digit in _TOKENS:
         occurrences = canvas.count(word)
         if not occurrences:
             continue
-        matches = 0
-        for m in re.finditer(pattern, canvas):
-            end = m.end() - 1
-            if canvas[end] == "{":
-                found.append((m.start(), name(m), end))
-            elif canvas[end] != ";":
-                return None
-            matches += 1
-        if matches != occurrences and matches != len(re.findall(_MAYBE_TOKEN[word], canvas)):
-            return None
-        words += 1
-    if words > 1:
-        found.sort()
-        if any(body > nxt for (_, _, body), (nxt, _, _) in zip(found, found[1:])):
-            return None
-    return found
-
-
-def _walk(canvas: str) -> list[tuple[int, str, int]]:
-    """(keyword offset, name, body '{' offset) of every definition, in
-    offset order, read keyword by keyword."""
-    # Built once, for the first header that leaves _body_open's flat path.
-    paren_pairs = functools.cache(lambda: _pairs(canvas, "(", ")"))
-    walked: dict[int, int | None] = {}
-    found = []
-    for pos, word in _keywords(canvas):
-        if not _starts_token(canvas, pos):
-            continue
-        declared = _declaration(canvas, word, pos + len(word))
-        if declared is None:
-            continue
-        name, header = declared
-        body = _body_open(canvas, header, paren_pairs, walked)
-        if body is not None:
-            found.append((pos, name, body))
-    return found
+        found = list(re.finditer(pattern, canvas))
+        runs += 1
+        # Only where some occurrence is no strict token can a digit precede one.
+        if len(found) < occurrences:
+            found += [m for m in re.finditer(after_digit, canvas) if _starts_token(canvas, m.start())]
+            runs += 1
+        tokens += found
+    if runs > 1:
+        tokens.sort(key=re.Match.start)
+    # From the last token back, so each knows where the next one starts.
+    walked = None  # with close_of, built for the first header the regex cannot read
+    definitions = []
+    nxt = len(canvas)
+    for m in reversed(tokens):
+        pos, brace = m.start(), m.start(3)
+        if 0 <= brace < nxt:
+            definitions.append((pos, _name(m), brace))
+        elif m.start(4) < 0 and (header := m.start(2)) >= 0:
+            if walked is None:
+                close_of, walked = _pairs(canvas, "(", ")"), {}
+            body = _body_open(canvas, header, close_of, walked)
+            if body is not None:
+                definitions.append((pos, _name(m), body))
+        nxt = pos
+    definitions.reverse()
+    return definitions
 
 
 def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
-    """Extract every function/constructor/modifier definition with a body.
+    """Extract every function, constructor, modifier, fallback and receive
+    definition with a body.
 
     Fragments appear in source order. Nested definitions (a Yul function in
     an assembly block, say) become their own fragments; the enclosing one
@@ -385,13 +326,10 @@ def extract_functions(contract: "SourceContract") -> list[FunctionFragment]:
     text = contract.source_text
     canvas = mask_comments_and_strings(text)
     close_of = _pairs(canvas, "{", "}")
-    definitions = _one_pass(canvas)
-    if definitions is None:
-        definitions = _walk(canvas)
     # Keyed by (start_line, end_line, name): the ref within one contract.
     fragments: dict[tuple[int, int, str], FunctionFragment] = {}
     line, counted = 1, 0  # the line of offset counted; definitions come in order
-    for pos, name, body in definitions:
+    for pos, name, body in _definitions(canvas):
         line += text.count("\n", counted, pos)
         counted = pos
         close = close_of.get(body)

@@ -280,6 +280,18 @@ def test_normalize_single_file(tmp_path, capsys):
     assert "suicide ( X1 ) ;" in out
 
 
+def test_normalize_reads_a_file_as_its_directory_does(tmp_path, capsys):
+    """A file whose lines end in a lone CR prints the same uids whether it
+    is named or found under a directory: both read its bytes unchanged."""
+    path = tmp_path / "a.sol"
+    path.write_bytes(b"contract C {\r    function f() public {\r        x = 1;\r    }\r}\r")
+    assert main(["normalize", "--in", str(path)]) == 0
+    named = capsys.readouterr().out
+    assert main(["normalize", "--in", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == named
+    assert named.startswith("-- a.sol:f:1-1 [none]\n")
+
+
 def test_non_utf8_inputs_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.sol"
     path.write_bytes(b"contract C { function f() public { x = 1; } }\xff\xfe")

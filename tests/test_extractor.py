@@ -229,9 +229,9 @@ def test_code_round_trip_is_exact_slice():
 # keywords glued to digits and words ("9function" holds a `function`
 # token, the other glued forms none), headers that do and do not open a
 # definition, a '}' before any '{', and unterminated strings and comments.
-# The later ones are the shapes the one pass keys on: words that hold a
-# keyword, a tab or CR before the name, no parameter list, a name after
-# digits, several flat groups, a keyword inside another header and
+# The later ones are the shapes each token's regex keys on: words that
+# hold a keyword, a tab or CR before the name, no parameter list, a name
+# after digits, several flat groups, a keyword inside another header and
 # headers that end at a ';' (interface members, function-typed variables
 # and calls).
 _PIECES = [
@@ -343,19 +343,19 @@ def _assert_matches_reference(contract):
 @given(_sources)
 @example("9function f() { } x9function g() { } 0xfunction h() { }")
 @example("$function f() { } function9 g() { } } function k() { }")
-# Headers around the flat-parentheses shortcut: a ';' at and below depth
-# 0, an unbalanced ')', nested and repeated parameter lists.
+# Headers around the flat-header regex: a ';' at and below depth 0, an
+# unbalanced ')', nested and repeated parameter lists.
 @example("function f(); { } function g(x; y) { }")
 @example("function f()) { } fallback (} { } modifier m(a, (b)) { }")
 @example("function f(uint a) returns (uint) { } function g((x) { }")
-# Off the shortcut the walk steps over each parameter list whole: what
+# Off the flat headers the walk steps over each parameter list whole: what
 # it holds (a keyword, '{', ';') never counts, and one that never closes
 # ends the header.
 @example("function f(function g() { }) public { } function h(a { } function k() { }")
 @example("function f(x; {y}) m(z) { } function g(( ) { } modifier n() { }")
-# The one pass vouches for a contract only where its matches are every
-# keyword token and no header holds another match: a keyword inside a
-# flat header, words that hold a keyword, odd space and odd names.
+# A flat header reaches its '{' before the next keyword token or is
+# walked: a keyword inside a flat header, words that hold a keyword, odd
+# space and odd names.
 @example("function f() public\n modifier m() { } function g() { }")
 @example("function f() receive() { } function receive() { }")
 @example("address receiver; function f() { } xreceive() { } functionality; _modifier m() { }")
@@ -369,13 +369,22 @@ def _assert_matches_reference(contract):
 @example("function g" + _header(400) + "{ }")
 # Walks that meet share one answer: the '{', the ';', the group's ')'.
 @example("receive(x)\nfallback((y)) { }\nreceive(z) receive(w) ; function f(receive(a) fallback(b)) { }")
-# A header that ends at its ';' is no definition, on the pass or the walk.
+# A header that ends at its ';' is no definition, flat or walked.
 @example("interface I { function t(uint a) external returns (bool); } function f() { }")
 @example("function (uint) external returns (uint) f; fallback(x); receive(y); modifier m() { _; }")
 @example("function f() public virtual; modifier m() virtual; constructor() { }")
 @example("function f() modifier m(); function g() { } modifier n() receive(); { }")
 @example("function f" + _header(399) + "; function g() { }")
 @example("function f" + _header(400) + "; function g() { }")
+# Each token is read on its own: a flat definition beside a walked one, a
+# keyword inside a flat group or a ';'-ended header, a token that a digit
+# precedes between two flat definitions, and keywords that open no
+# declaration inside a flat header.
+@example("function f() { } function g(h(x)) public { } modifier m() { _; }")
+@example("function f(modifier x) { } function g(uint function) { }")
+@example("function f() receive(); function g(modifier m) external; function h() { }")
+@example("function f() { } 9function g() { } function h() { } 9modifier m() { }")
+@example("function f() modifier { } function g() receive { }")
 def test_extraction_equals_token_walk_reference(text):
     _assert_matches_reference(SourceContract("c", text))
 
@@ -385,12 +394,12 @@ def test_extraction_equals_token_walk_reference(text):
     [
         ("function f(" * 8_000, []),
         ("contract C { function f( " * 4_000, []),
-        # Every keyword sends the one pass's lookahead as far as it reaches.
+        # Every keyword sends its regex's lookahead as far as it reaches.
         ("function f " * 40_000, []),
         ("function f" + "()" * 100_000, []),
         ("function " + "a" * 200_000, []),
         ("modifier m " * 40_000, []),
-        # Every "receive" is recounted; none is a keyword.
+        # Every "receive" is searched again after a digit; none is a keyword.
         ("receiver " * 50_000 + "function f() { }", ["f"]),
         # Every keyword's walk reaches the same end, in or out of a group.
         ("receive(x) " * 40_000 + ";", []),
@@ -414,13 +423,15 @@ def test_parenthesis_pairs_are_built_once_and_only_off_the_flat_path(monkeypatch
         extractor_mod, "_pairs", lambda canvas, left, right: built.append(left) or real(canvas, left, right)
     )
     walked = []
-    walk = extractor_mod._walk
-    monkeypatch.setattr(extractor_mod, "_walk", lambda canvas: walked.append(canvas) or walk(canvas))
+    body_open = extractor_mod._body_open
+    monkeypatch.setattr(
+        extractor_mod, "_body_open", lambda canvas, pos, *memo: walked.append(pos) or body_open(canvas, pos, *memo)
+    )
     flat = wrap("    function f(uint a) public returns (uint) { }\n    function g() { }")
     assert len(extract_functions(SourceContract("flat", flat))) == 2
     assert built == ["{"]
-    # Every declaration form in its flat shape takes the one pass, bodiless
-    # ones included.
+    # Every declaration form in its flat shape is read without a walk,
+    # bodiless ones included.
     every_form = "interface I { function t(uint a) external returns (bool); }\n" + wrap(
         "    address receiver;\n"
         "    function (uint) external returns (uint) hook;\n"
@@ -439,11 +450,11 @@ def test_parenthesis_pairs_are_built_once_and_only_off_the_flat_path(monkeypatch
     nested = wrap("    function f(g(x)) { }\n    function h(k(y)) { }\n    modifier m(n(z)) { _; }")
     assert len(extract_functions(SourceContract("nested", nested))) == 3
     assert built == ["{", "("]
-    # One nested parameter list sends its whole contract to the walk.
+    # One nested parameter list sends only its own declaration to the walk.
     walked.clear()
     one_nested = flat.replace("f(uint a)", "f(uint[] memory (a))")
     assert len(extract_functions(SourceContract("one-nested", one_nested))) == 2
-    assert len(walked) == 1
+    assert walked == [one_nested.index("(uint[]")]
 
 
 # Every contract source the suite writes as a .sol file: the golden and
