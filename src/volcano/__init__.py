@@ -7,16 +7,8 @@ submodule, so importing one submodule does not import the others.
 import importlib
 
 _EXPORTS = {
-    "cache": ["AnalysisCache", "incremental_scan"],
-    "clone_engine": [
-        "CloneClass",
-        "CloneConfig",
-        "ClonePair",
-        "clone_classes",
-        "cluster_classes",
-        "detect_pairs",
-        "similarity",
-    ],
+    "cache": ["AnalysisCache"],
+    "clone_engine": ["CloneClass", "CloneConfig", "clone_classes", "similarity"],
     "corpus": [
         "Corpus",
         "SolidityVersion",

@@ -220,7 +220,7 @@ def clone_report_dict(cfg: CloneConfig, pairs, classes, table) -> dict:
     return {
         "config": cfg.to_dict(),
         "pairs": [
-            {"left": p.left.uid, "right": p.right.uid, "similarity": p.similarity}
+            {"left": p.left.uid, "right": p.right.uid, "similarity": p.lcs_len / p.max_len}
             for p in pairs
         ],
         "classes": [class_row(cls, table, table[cls.members[0]]) for cls in classes],
@@ -441,10 +441,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VolcanoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VolcanoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:

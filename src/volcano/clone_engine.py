@@ -26,12 +26,14 @@ hi >= n for either side's n lines, so each side of n lines shares at least
 need = ceil(n * (den - num) / den) lines with the other, counted as a
 multiset. Each line becomes a token (line, k) for its k-th occurrence, so
 the multiset overlap is a set overlap, and every sequence's tokens are
-sorted by one global order: frequency over the distinct sequences, then
-the token. The first common token of a clone pair then sits within the
-first n - need + 1 = n * num // den + 1 tokens of each side, so an index of
-those prefixes yields every clone pair as a candidate. Every candidate
-still goes through the size filter and the exact threshold, so the index
-drops only pairs that cannot clone and changes no decision.
+sorted by one global order: frequency over the distinct sequences, ties
+in order of first appearance, which is fixed for a given input (the filter
+is exact for any fixed total order). The first common token of a clone
+pair then sits within the first n - need + 1 = n * num // den + 1 tokens of
+each side, so an index of those prefixes yields every clone pair as a
+candidate. Every candidate still goes through the size filter and the
+exact threshold, so the index drops only pairs that cannot clone and
+changes no decision.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ class ClonePair:
     right: FragmentRef
     lcs_len: int
     max_len: int
-
-    @property
-    def similarity(self) -> float:
-        return self.lcs_len / self.max_len
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,9 @@ def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
     candidate, and with new empty no index is built. Every clone pair with
     a side in new is one: it shares a token within each side's first
     n * num // den + 1 tokens in the global order (see the module
-    docstring). old sequences enter the index first; each new one probes
-    the prefixes indexed so far, then adds its own.
+    docstring): by frequency, ties by first appearance in old + new, so
+    no two tokens are compared. old sequences enter the index first; each
+    new one probes the prefixes indexed so far, then adds its own.
     """
     if not new:
         return []
@@ -202,7 +201,7 @@ def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
     seqs = old + new
     tokens = [_tokens(lines) for lines in seqs]
     freq = Counter(t for toks in tokens for t in toks)
-    rank = {t: r for r, t in enumerate(sorted(freq, key=lambda t: (freq[t], t)))}
+    rank = {t: r for r, t in enumerate(sorted(freq, key=freq.__getitem__))}
     index: dict[tuple, list[int]] = {}
     out = []
     for x, toks in enumerate(tokens):
@@ -213,17 +212,6 @@ def _candidates(old, new, cfg: CloneConfig) -> list[tuple]:
         for t in prefix:
             index.setdefault(t, []).append(x)
     return out
-
-
-def _table(fragments, cfg: CloneConfig) -> dict:
-    """The fragment table {origin: lines} of normalized fragments in cfg's
-    mode; the last fragment given for an origin stands for it."""
-    table = {}
-    for nf in fragments:
-        if nf.mode is not cfg.mode:
-            raise ModeMismatch(f"{nf.origin.uid} is in mode {nf.mode.value}, config wants {cfg.mode.value}")
-        table[nf.origin] = nf.lines
-    return table
 
 
 def _sequence_pairs(table, cfg: CloneConfig, known=frozenset(), decided=()):
@@ -293,9 +281,14 @@ def detect_pairs(fragments, cfg: CloneConfig) -> list[ClonePair]:
 
     The last fragment given for an origin stands for it, so an origin
     never pairs with itself; fragments outside [min_lines, max_lines]
-    never pair.
+    never pair. Every fragment must be in cfg's mode.
     """
-    return _fragment_pairs(*_sequence_pairs(_table(fragments, cfg), cfg))
+    table = {}
+    for nf in fragments:
+        if nf.mode is not cfg.mode:
+            raise ModeMismatch(f"{nf.origin.uid} is in mode {nf.mode.value}, config wants {cfg.mode.value}")
+        table[nf.origin] = nf.lines
+    return _fragment_pairs(*_sequence_pairs(table, cfg))
 
 
 def _components(edges) -> list[list]:

@@ -37,7 +37,6 @@ ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
 class SolidityVersion:
     major: int
     minor: int
-    raw: str
 
     @property
     def bucket(self) -> str:
@@ -127,9 +126,8 @@ def parse_pragma(source_text: str) -> SolidityVersion | None:
     m = _PRAGMA_RE.search(masked)
     if not m or not m.group(2):
         return None
-    raw = m.group(1).strip()
     best = None
-    for alternative in raw.split("||"):
+    for alternative in m.group(1).split("||"):
         try:
             bounds = [
                 _bounds(c.group(1) or "", int(c.group(2)), _num(c.group(3)), _num(c.group(4)))
@@ -144,7 +142,7 @@ def parse_pragma(source_text: str) -> SolidityVersion | None:
             best = lowest
     if best is None:
         return None
-    return SolidityVersion(major=best[0], minor=best[1], raw=raw)
+    return SolidityVersion(major=best[0], minor=best[1])
 
 
 def load_corpus(root, label: str | None = None) -> Corpus:

@@ -6,23 +6,27 @@ masking costs per comment or string region, not per character. It
 matches every `{` to its `}` in one stack pass over the masked canvas.
 
 It then reads each declaration keyword token (`function`, `constructor`,
-`modifier` and the 0.6+ `fallback()`/`receive()`) once. One re.finditer
-per word matches every token of that word and, in C, reads its name and
-whether its header is flat: parenthesis groups that do not nest, up to
-the header's first `{` or `;` within _SHORT_HEADER characters. A flat
-header that ends at `;` (an interface member, an abstract function, a
-function-typed variable) opens no definition; one whose `{` comes before
-the next keyword token opens one with that body. Only the other headers
-(a nested parameter list such as `onlyRole(keccak256(x))`, a keyword
-inside the header, a longer header) are walked: the walk reads just the
-header's parentheses, braces, semicolons and nested declaration
-keywords up to the body's `{`, stepping from each `(` past its `)` and
-stopping where an earlier walk read on. A body's `}` is a lookup. The
-cost follows the tokens and the walked headers' brackets, even where a
-parameter list never closes or many declarations share one header. That
-keeps it total over the 0.3-0.8 syntax range (and over the broken
-sources verified contracts occasionally contain): anything that cannot
-be matched to a body is skipped with a warning, never raised.
+`modifier` and the 0.6+ `fallback()`/`receive()`) once. Before 0.6,
+`fallback` and `receive` are ordinary names (`function receive(uint x)`, a
+modifier called in a header), so they open a declaration only where a
+contract member can start: the last word or (){}; token before them is
+';', '{' or '}', or there is none. One re.finditer per word matches every
+token of that word and, in C, reads its name and whether its header is
+flat: parenthesis groups that do not nest, up to the header's first `{`
+or `;` within _SHORT_HEADER characters. A flat header that ends at `;`
+(an interface member, an abstract function, a function-typed variable)
+opens no definition; one whose `{` comes before the next keyword token
+opens one with that body. Only the other headers (a nested parameter
+list such as `onlyRole(keccak256(x))`, a keyword inside the header, a
+longer header) are walked: the walk reads just the header's
+parentheses, braces, semicolons and nested declaration keywords up to
+the body's `{`, stepping from each `(` past its `)` and stopping where
+an earlier walk read on. A body's `}` is a lookup. The cost follows the
+tokens and the walked headers' brackets, even where a parameter list
+never closes or many declarations share one header. That keeps it total
+over the 0.3-0.8 syntax range (and over the broken sources verified
+contracts occasionally contain): anything that cannot be matched to a
+body is skipped with a warning, never raised.
 
 Masking is length-preserving so every offset on the masked canvas maps
 straight back into the original text.
@@ -66,6 +70,7 @@ _BLANK_RE = re.compile(r"[^\n]")
 # "0xfunction" do not).
 _DIGITS = frozenset(string.digits)
 _WORD_STARTS = frozenset(string.ascii_letters + "_$")
+_TOKEN_CHARS = _WORD_STARTS | frozenset("(){};")
 
 # What a header walk reacts to: parentheses, braces, ';' and the keywords
 # that would open another declaration.
@@ -210,6 +215,16 @@ def _starts_token(canvas: str, pos: int) -> bool:
     return not (i and canvas[i - 1] in _WORD_STARTS)
 
 
+def _opens_member(canvas: str, pos: int) -> bool:
+    """Whether a contract member can start at pos: the last word or (){};
+    token before it is ';', '{' or '}', or there is none. Digits start no
+    word, so the last of _TOKEN_CHARS before pos tells that token's kind."""
+    i = pos - 1
+    while i >= 0 and canvas[i] not in _TOKEN_CHARS:
+        i -= 1
+    return i < 0 or canvas[i] in ";{}"
+
+
 def _pairs(canvas: str, left: str, right: str) -> dict[int, int]:
     """Offset of each left that closes -> offset of its right; a stray right is skipped."""
     find = canvas.find
@@ -291,6 +306,9 @@ def _definitions(canvas: str) -> list[tuple[int, str, int]]:
         if len(found) < occurrences:
             found += [m for m in re.finditer(after_digit, canvas) if _starts_token(canvas, m.start())]
             runs += 1
+        if word in ("fallback", "receive"):
+            # A dropped token ends no flat header: a walk reads past these words.
+            found = [m for m in found if _opens_member(canvas, m.start())]
         tokens += found
     if runs > 1:
         tokens.sort(key=re.Match.start)

@@ -414,12 +414,10 @@ def derive_signatures(
             )
             continue
         vuln_type = VulnerabilityType[class_labels[0]]
-        size = {m: len(printed[m]) for m in cls.members}
-        median = sorted(size.values())[(len(size) - 1) // 2]
-        exemplar_ref = min(
-            (m for m in cls.members if size[m] == median),
-            key=lambda m: (m.contract_id, m.start_line),
-        )
+        # Renaming maps lines one to one: a member's clustered line count is
+        # its printed one. Members are sorted, so ties go to the least ref.
+        median = sorted(len(table[m]) for m in cls.members)[(len(cls.members) - 1) // 2]
+        exemplar_ref = next(m for m in cls.members if len(table[m]) == median)
         exemplar = NormalizedFragment(exemplar_ref, RenamingMode.NONE, printed[exemplar_ref])
         sig_id = _generated_id(vuln_type, exemplar, taken)
         taken.add(sig_id)

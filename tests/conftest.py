@@ -41,22 +41,15 @@ def norm(text: str, mode: RenamingMode = RenamingMode.NONE, cid: str = "c"):
 
 
 def render_reference(tokens: list[str]) -> str:
-    """normalize._render as one attach loop for every line."""
-    parts: list[str] = []
-    attach = False
-    for t in tokens:
-        if t == ".":
-            if parts:
-                parts[-1] += "."
-            else:
-                parts.append(".")
-            attach = True
-        elif attach:
-            parts[-1] += t
-            attach = False
-        else:
-            parts.append(t)
-    return " ".join(parts).replace("\n", " ")
+    """A line's text by the rule normalize._render implements: tokens
+    joined by one space, with no space on either side of a "." token, and
+    a newline inside a token read as a space."""
+    text = ""
+    for k, t in enumerate(tokens):
+        if k and t != "." and tokens[k - 1] != ".":
+            text += " "
+        text += t
+    return text.replace("\n", " ")
 
 
 def _renamable_reference(token: str, declared: str | None) -> bool:
@@ -171,7 +164,9 @@ def _try_extract_reference(tokens, k, n):
             return None
         name = f"<modifier:{tokens[j][0]}>"
         j += 1
-    else:  # fallback / receive keyword form: must open a parameter list
+    else:  # fallback / receive keyword form: starts a member, opens a parameter list
+        if k and tokens[k - 1][0] not in (";", "{", "}"):
+            return None
         if not (j < n and tokens[j][0] == "("):
             return None
         name = "<fallback>" if word == "fallback" else "<receive>"

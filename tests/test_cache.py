@@ -262,7 +262,7 @@ def _apply(sources: dict[str, str], op, pick, name, tag, variant) -> None:
 def test_incremental_equals_scratch_across_saved_generations(cfg, generations):
     def key(pairs, classes, *_):
         return (
-            [(p.left, p.right, p.lcs_len, p.max_len, p.similarity) for p in pairs],
+            [(p.left, p.right, p.lcs_len, p.max_len, p.lcs_len / p.max_len) for p in pairs],
             [(c.class_id, c.members) for c in classes],
         )
 

@@ -437,6 +437,31 @@ def test_scan_lists_a_detection_of_an_origin_once(tmp_path):
     assert doc["per_type_instances"]["DOS"] == 2
 
 
+def test_a_pre_06_function_named_receive_is_one_fragment(tmp_path, capsys):
+    # Before 0.6 `receive` is an ordinary name; only where a contract member
+    # starts does it open a keyword-form declaration.
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "w.sol").write_text(
+        "pragma solidity ^0.4.24;\ncontract W {\nuint balance;\n"
+        "function receive(uint amountToSend) {\n"
+        "\tif(balance >= amountToSend)\n"
+        "\tmsg.sender.call.value(amountToSend)();\n"
+        "\tbalance -= amountToSend; //state variable updated after external call function is executed\n"
+        "}\n}\n"
+    )
+    assert main(["extract", "--in", str(root), "--dump"]) == 0
+    assert [r["name"] for r in json.loads(capsys.readouterr().out)] == ["receive"]
+    out = tmp_path / "out.json"
+    assert main(["clones", "--in", str(root), "--mode", "consistent", "--threshold", "30", "--no-cache",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pairs"] == []
+    assert main(["scan", "--in", str(root), "--sigs", "builtin", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["detections"]) == 2
+    assert {k: v for k, v in doc["per_type_instances"].items() if v} == {"REENTRANCY": 1, "INTEGER_UO": 1}
+
+
 def test_derive_classes_equal_clones_classes_under_a_shared_origin(tmp_path, capsys, monkeypatch):
     # A.sol's nested Yul function shares its enclosing function's name and
     # line; extraction keeps one fragment per origin, the nested one, so
@@ -608,7 +633,7 @@ def test_the_package_exports_resolve_on_first_access():
     import volcano
     import volcano.detector
 
-    assert len(set(volcano.__all__)) == len(volcano.__all__) == 36
+    assert len(set(volcano.__all__)) == len(volcano.__all__) == 32
     assert volcano.scan is volcano.detector.scan
     assert all(getattr(volcano, name) is not None for name in volcano.__all__)
     assert set(volcano.__all__) <= set(dir(volcano))

@@ -20,7 +20,6 @@ from volcano.clone_engine import (
     _fragment_pairs,
     _sequence_classes,
     _sequence_pairs,
-    _table,
     clone_classes,
     clone_lcs,
     cluster_classes,
@@ -41,6 +40,11 @@ def frag(uid: str, lines, mode=RenamingMode.BLIND, start=1) -> NormalizedFragmen
         mode=mode,
         lines=lines,
     )
+
+
+def table_of(fragments) -> dict:
+    """The fragment table {origin: lines}; the last fragment given for an origin stands for it."""
+    return {nf.origin: nf.lines for nf in fragments}
 
 
 def cfg(threshold=Fraction(0), mode=RenamingMode.BLIND, min_lines=1, max_lines=None):
@@ -322,13 +326,13 @@ def test_an_origin_given_twice_pairs_as_its_last_fragment_once():
     config = cfg(Fraction(30, 100))
     got = [(p.left.uid, p.right.uid, p.lcs_len) for p in detect_pairs([a_old, a_new, b], config)]
     assert got == [("a.sol:f:1-4", "b.sol:f:1-4", 3)]
-    (cls,) = clone_classes(_table([a_old, a_new, b], config), config)
+    (cls,) = clone_classes(table_of([a_old, a_new, b]), config)
     assert cls.members == (a_new.origin, b.origin)
 
 
 def _decisions(fragments, config):
     """The clone decisions of a run over fragments, as _sequence_pairs takes them."""
-    _, groups, clones = _sequence_pairs(_table(fragments, config), config)
+    _, groups, clones = _sequence_pairs(table_of(fragments), config)
     return set(groups), clones
 
 
@@ -340,7 +344,7 @@ def _unordered(clones) -> set[tuple]:
 @given(st.one_of(_fragments, _near_misses()), _configs, st.sets(st.sampled_from("abcd")))
 def test_sequence_pairs_seeded_with_earlier_decisions_equal_an_unseeded_run(fragments, config, seen):
     known, decided = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
-    table = _table(fragments, config)
+    table = table_of(fragments)
     seeded = _sequence_pairs(table, config, known, decided)
     unseeded = _sequence_pairs(table, config)
     # warm equals cold: the decisions a cache keeps are those of a fresh run
@@ -357,7 +361,7 @@ def test_candidates_hold_every_clone_pair_with_a_new_side(fragments, config, see
     of those."""
     known, decided = _decisions([nf for nf in fragments if nf.origin.contract_id in seen], config)
     with mock.patch.object(clone_engine_mod, "clone_lcs", wraps=clone_lcs) as decide:
-        _sequence_pairs(_table(fragments, config), config, known, decided)
+        _sequence_pairs(table_of(fragments), config, known, decided)
     decided = [c.args[:2] for c in decide.call_args_list]
     assert len({frozenset(p) for p in decided}) == len(decided)
     assert not [p for p in decided if p[0] in known and p[1] in known]
@@ -402,7 +406,7 @@ def test_candidate_index_runs_no_kernel_on_dissimilar_functions(monkeypatch):
 
 @given(_fragments, _configs)
 def test_clone_classes_equal_clustered_pairs(fragments, config):
-    assert clone_classes(_table(fragments, config), config) == cluster_classes(detect_pairs(fragments, config))
+    assert clone_classes(table_of(fragments), config) == cluster_classes(detect_pairs(fragments, config))
 
 
 def test_pair_similarity_fields_consistent():
@@ -410,7 +414,7 @@ def test_pair_similarity_fields_consistent():
     b = frag("b", ["x", "y", "z", "q"])
     (pair,) = detect_pairs([a, b], cfg(Fraction(30, 100)))
     assert (pair.lcs_len, pair.max_len) == (3, 4)
-    assert pair.similarity == 3 / 4
+    assert pair.lcs_len / pair.max_len == 3 / 4
     assert {pair.left.contract_id, pair.right.contract_id} == {"a", "b"}
 
 

@@ -125,7 +125,6 @@ def test_load_corpus_empty_warns(tmp_path, caplog):
 def test_parse_pragma_cases(constraint, expected):
     v = parse_pragma(f"pragma solidity {constraint};\ncontract C {{}}")
     assert (v.major, v.minor) == expected
-    assert v.raw == constraint
     assert v.bucket == f"^{expected[0]}.{expected[1]}"
 
 
@@ -496,8 +495,8 @@ def test_fetch_explorer_other_error_raises(tmp_path, monkeypatch):
 
 
 def test_version_dataclass_bucket():
-    assert SolidityVersion(0, 4, "^0.4.10").bucket == "^0.4"
-    assert SolidityVersion(0, 10, ">=0.10").bucket == "^0.10"
+    assert SolidityVersion(0, 4).bucket == "^0.4"
+    assert SolidityVersion(0, 10).bucket == "^0.10"
 
 
 def test_corpus_iteration_and_len():
@@ -569,7 +568,7 @@ def test_fetch_flattens_a_multi_file_source(form, tmp_path, monkeypatch):
     headers = [line for line in text.splitlines() if line.startswith("// File: ")]
     assert headers == [f"// File: {json.dumps(path)}" for path in sorted(MULTI_FILES)]
     assert {f.name for f in extract_functions(contract)} == {"pay", "take", "drop"}
-    assert contract.version == SolidityVersion(0, 5, "^0.5.1")  # Ledger.sol sorts before Pay.sol
+    assert contract.version == SolidityVersion(0, 5)  # Ledger.sol sorts before Pay.sol
 
 
 @pytest.mark.parametrize("source", ["{not json", "{{not json}}", "{}", '{"A.sol": "contract A {}"}',

@@ -118,6 +118,22 @@ def test_extract_all_declaration_forms():
     ]
 
 
+@pytest.mark.parametrize(
+    "body, names",
+    [
+        ("function receive(uint x) { }", ["receive"]),
+        ("function fallback() public { }", ["fallback"]),
+        ("function f() receive() { }", ["f"]),
+        ("modifier m() fallback(1) { _; }", ["<modifier:m>"]),
+        ("uint x; receive() external payable { }", ["<receive>"]),
+    ],
+)
+def test_fallback_and_receive_open_a_declaration_only_where_a_member_starts(body, names):
+    # Before 0.6 both words are ordinary names; one that follows a word,
+    # '(' or ')' is a name or a modifier call, not the keyword form.
+    assert [f.name for f in extract_functions(make_contract("c", wrap(body)))] == names
+
+
 def test_bodiless_declarations_are_skipped():
     src = wrap(
         "\n".join(
