@@ -17,14 +17,12 @@ names, literals, and the fragment's own declared name are never renamed.
 Normalization is one token pass. pretty_print tokenizes the
 comment-stripped text once and keeps each printed line's tokens on the
 fragment it returns, and renaming maps those tokens instead of reading
-the printed lines again. The renamed lines are defined as the renaming of
-each printed line read back by tokenize, so a line whose reading can
-differ from its tokens is read back: one holding a quote (rendering turns
-a newline into a space, so an unterminated string literal swallows the
-rest of the line) or a `.` directly before a digit (`1 . 0x1f` renders
-as `1.0x1f`, which reads as `1.0` and the identifier `x1f`). A fragment
-that carries no tokens, such as a signature exemplar, is read line by
-line through the same renamer.
+the printed lines again. So a literal stays whole even where its printed
+line would read differently: `1 . 0x1f` prints as `1.0x1f` and keeps the
+literal `0x1f`, and a string left open before a newline ends at that
+newline, so the identifiers after it on the printed line are renamed. A
+fragment that carries no tokens, such as a derived exemplar, is tokenized
+line by line through the same renamer.
 """
 
 from __future__ import annotations
@@ -93,9 +91,8 @@ class NormalizedFragment:
     lines: tuple[str, ...]  # interned, so equal lines are usually one object
 
     # Not a field, so equality, hashing and repr ignore it: pretty_print
-    # sets it to one entry per line, the line's tokens or None where the
-    # line must be read back (see the module docstring). None here means
-    # every line is read back.
+    # sets it to the tokens each line was printed from, which renaming
+    # maps. None here means every line is tokenized again from its text.
     line_tokens = None
 
     @property
@@ -161,9 +158,6 @@ def _split_lines(tokens: list[str]) -> list[list[str]]:
     return lines
 
 
-_DOT_DIGIT_RE = re.compile(r"\.\d")
-
-
 def pretty_print(fragment: FunctionFragment) -> NormalizedFragment:
     """Normalize layout only; renaming mode stays NONE.
 
@@ -175,12 +169,7 @@ def pretty_print(fragment: FunctionFragment) -> NormalizedFragment:
         raise EmptyFragment(fragment.ref.uid)
     lines = tuple([sys.intern(_render(tokens)) for tokens in token_lines])
     nf = NormalizedFragment(origin=fragment.ref, mode=RenamingMode.NONE, lines=lines)
-    # A line tokenize may read differently from the tokens it was rendered
-    # from, one with a quote or a '.' directly before a digit, is read back.
-    object.__setattr__(nf, "line_tokens", tuple([
-        None if '"' in line or "'" in line or ("." in line and _DOT_DIGIT_RE.search(line)) else tokens
-        for line, tokens in zip(lines, token_lines)
-    ]))
+    object.__setattr__(nf, "line_tokens", tuple(token_lines))
     return nf
 
 
@@ -205,8 +194,8 @@ def _renamable(token: str) -> bool:
 def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
     if nf.mode is not RenamingMode.NONE:
         raise ModeError(f"{nf.origin.uid} is already in mode {nf.mode.value}")
-    kept = nf.line_tokens or (None,) * len(nf.lines)
-    token_lines = [tokenize(line) if tokens is None else tokens for line, tokens in zip(nf.lines, kept)]
+    kept = nf.line_tokens is not None
+    token_lines = nf.line_tokens if kept else [tokenize(line) for line in nf.lines]
     # Each distinct token is decided once, in order of first occurrence,
     # the order consistent mode numbers its placeholders in. A token that
     # cannot start an identifier is passed over before the cached check.
@@ -220,10 +209,10 @@ def _rename(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
     else:
         mapping = dict.fromkeys(names, "X")
     new_lines = []
-    for line, tokens, kept_tokens in zip(nf.lines, token_lines, kept):
+    for line, tokens in zip(nf.lines, token_lines):
         out = list(map(mapping.get, tokens, tokens))
-        # A kept line none of whose tokens is renamed renders as printed.
-        new_lines.append(line if kept_tokens is not None and out == tokens else sys.intern(_render(out)))
+        # A printed line none of whose tokens is renamed stays as printed.
+        new_lines.append(line if kept and out == tokens else sys.intern(_render(out)))
     return NormalizedFragment(origin=nf.origin, mode=mode, lines=tuple(new_lines))
 
 

@@ -30,8 +30,8 @@ from .errors import (
     UnlabeledContract,
 )
 from . import jsonout
-from .extractor import FragmentRef
-from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode
+from .extractor import FragmentRef, extract_functions
+from .normalize import NormalizationMemo, NormalizedFragment, RenamingMode, pretty_print
 
 log = logging.getLogger(__name__)
 
@@ -85,12 +85,8 @@ class SignatureSet:
 
 
 def _exemplars(contract_id: str, source: str) -> list[NormalizedFragment]:
-    """The mode-NONE fragments of one signature source text."""
-    records = NormalizationMemo((RenamingMode.NONE,)).records(SourceContract(contract_id, source))
-    return [
-        NormalizedFragment(FragmentRef(contract_id, start, end, name), RenamingMode.NONE, lines)
-        for name, start, end, lines in records
-    ]
+    """The mode-NONE fragments of one signature source text, each with its printed tokens."""
+    return [pretty_print(f) for f in extract_functions(SourceContract(contract_id, source))]
 
 
 # Built-in exemplars. The re-entrancy and integer over/underflow entries

@@ -8,6 +8,7 @@ import re
 import sys
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from volcano.corpus import Corpus, SourceContract
 from volcano.extractor import FragmentRef, FunctionFragment, extract_functions
@@ -20,6 +21,16 @@ from volcano.normalize import NormalizedFragment, RenamingMode, in_mode, pretty_
 # example count of its own on more examples than the default suite
 # affords; the default profile stays as it is.
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+# Hostile fragment text: unterminated and escaped literals, backslash-
+# newlines, dots between numbers, hex literals and identifiers, comments
+# and placeholder names. Half the atoms come from the second list, so
+# that runs of quotes, newlines, dots and digits meet often.
+ATOMS = st.one_of(
+    st.sampled_from(["a", "X1", "x1f", "msg", "1", "\u0663", " ", ";", "{", "//", "/*"]),
+    st.sampled_from(['"', "'", "\\", "\n", ".", "1 .", "0x1f"]),
+)
 
 
 def make_contract(cid: str, text: str) -> SourceContract:
@@ -60,10 +71,9 @@ def _renamable_reference(token: str, declared: str | None) -> bool:
     return token not in normalize.BUILTIN_MEMBERS and not normalize._ELEMENTARY_RE.fullmatch(token)
 
 
-def normalize_reference(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
-    """in_mode as a second token pass: every printed line is tokenized
-    again from its text, token by token, with no token kept from
-    pretty_print and no decision cached."""
+def _rename_reference(nf: NormalizedFragment, token_lines, mode: RenamingMode) -> NormalizedFragment:
+    """The lines of nf renamed from one token list per line, token by
+    token, with no decision cached and every line rendered again."""
     if nf.mode is not RenamingMode.NONE:
         raise ModeError(f"{nf.origin.uid} is already in mode {nf.mode.value}")
     if mode is RenamingMode.NONE:
@@ -73,9 +83,9 @@ def normalize_reference(nf: NormalizedFragment, mode: RenamingMode) -> Normalize
     mapping: dict[str, str] = {}
     placeholders = 0
     new_lines = []
-    for line in nf.lines:
+    for tokens in token_lines:
         out = []
-        for t in tokenize(line):
+        for t in tokens:
             if _renamable_reference(t, declared):
                 if consistent:
                     if t not in mapping:
@@ -90,6 +100,22 @@ def normalize_reference(nf: NormalizedFragment, mode: RenamingMode) -> Normalize
                 out.append(t)
         new_lines.append(sys.intern(render_reference(out)))
     return NormalizedFragment(origin=nf.origin, mode=mode, lines=tuple(new_lines))
+
+
+def normalize_reference(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
+    """in_mode of a fragment that carries no tokens: every line is
+    tokenized again from its text, token by token."""
+    return _rename_reference(nf, [tokenize(line) for line in nf.lines], mode)
+
+
+def printed_reference(nf: NormalizedFragment, mode: RenamingMode) -> NormalizedFragment:
+    """in_mode of a pretty_print result: each printed line is the
+    rendering of the tokens it was printed from, and those tokens, not the
+    line's text, are renamed."""
+    assert len(nf.line_tokens) == len(nf.lines)
+    for line, tokens in zip(nf.lines, nf.line_tokens):
+        assert line == render_reference(tokens)
+    return _rename_reference(nf, nf.line_tokens, mode)
 
 
 def wrap(body: str, pragma: str | None = "pragma solidity ^0.4.10;") -> str:

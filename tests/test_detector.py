@@ -32,7 +32,7 @@ from volcano.detector import (
 )
 from volcano.errors import EmptySignatureSet
 from volcano.extractor import FragmentRef, extract_functions
-from volcano.normalize import RenamingMode, in_mode, pretty_print
+from volcano.normalize import RenamingMode, in_mode, pretty_print, tokenize
 from volcano.signatures import (
     SignatureSet,
     VulnerabilityType,
@@ -504,6 +504,43 @@ def test_every_corpus_command_extracts_each_contract_once(command, tmp_path, mon
     monkeypatch.setattr(normalize_mod, "extract_functions", counting)
     _CORPUS_COMMANDS[command](corpus, sigs, tmp_path)
     assert sorted(calls) == sorted(sources)
+
+
+# Two buckets, a quoted line, and one text repeated across contracts.
+QUOTED_SOURCES = {
+    "greet.sol": wrap(
+        '    function greet() public { require(open, "closed; come back"); hello = 1; }',
+        pragma="pragma solidity ^0.4.10;",
+    ),
+    "greet2.sol": wrap(
+        '    function greet() public { require(open, "closed; come back"); hello = 1; }',
+        pragma="pragma solidity ^0.5.0;",
+    ),
+    "kill.sol": wrap("    function kill(address bad) external { suicide(bad); }", pragma="pragma solidity ^0.5.0;"),
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "evolve"])
+def test_each_fragment_text_is_tokenized_once(command, monkeypatch):
+    """Renaming maps the tokens each line was printed from: no config
+    tokenizes a printed line again, a signature exemplar's included."""
+    corpus = make_corpus("quoted", QUOTED_SOURCES)
+    sigs = builtin_signatures()
+    texts = {f.exact_text for contract in corpus for f in extract_functions(contract)}
+    assert len(texts) == 2
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return tokenize(code)
+
+    monkeypatch.setattr(normalize_mod, "tokenize", counting)
+    if command == "scan":
+        report = scan(corpus, sigs, CONSISTENT_30)
+    else:
+        report = analyze_evolution(corpus, sigs, [BLIND_30, CONSISTENT_30])
+    assert report.to_dict()
+    assert len(calls) == len(texts)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_contract, norm, normalize_reference, render_reference, wrap
+from conftest import ATOMS, make_contract, norm, normalize_reference, printed_reference, wrap
 
 from volcano.errors import EmptyFragment, ModeError
 from volcano.extractor import FunctionFragment, extract_functions
@@ -368,19 +368,21 @@ def _fragment(text: str, name: str) -> FunctionFragment:
     return FunctionFragment(contract_id="c", name=name, start_line=1, end_line=1, exact_text=text)
 
 
-# Two lines whose tokens read back differently from their rendered text:
-# rendering turns the newline after an unterminated quote into a space,
-# so the literal swallows the rest of the line, and `1 . 0x1f` renders as
-# `1.0x1f`, which reads back as `1.0` and the identifier `x1f`.
+# Two lines whose text reads back differently from the tokens they were
+# printed from: rendering turns the newline after an unterminated quote
+# into a space, though the literal ends at that newline, and `1 . 0x1f`
+# renders as `1.0x1f`, which reads back as `1.0` and the identifier `x1f`.
+# Renaming maps the printed tokens, so the identifiers after the quote are
+# renamed and the hex literal stays whole.
 _TRAPS = {
     "unterminated quote": (
         's = "open\nowner + amount ;',
-        {"none": 's = "open owner + amount ;', "blind": 'X = "open owner + amount ;',
-         "consistent": 'X2 = "open owner + amount ;'},
+        {"none": 's = "open owner + amount ;', "blind": 'X = "open X + X ;',
+         "consistent": 'X2 = "open X3 + X4 ;'},
     ),
     "dot before digit": (
         "v = 1 . 0x1f ;",
-        {"none": "v = 1.0x1f ;", "blind": "X = 1.0 X ;", "consistent": "X2 = 1.0 X3 ;"},
+        {"none": "v = 1.0x1f ;", "blind": "X = 1.0x1f ;", "consistent": "X2 = 1.0x1f ;"},
     ),
 }
 
@@ -388,33 +390,23 @@ _TRAPS = {
 @pytest.mark.parametrize("mode", _MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", ["X1", "<modifier:X1>"])
 @pytest.mark.parametrize("trap", list(_TRAPS))
-def test_a_line_that_reads_back_differently_renames_as_read_back(trap, name, mode):
+def test_a_line_that_reads_back_differently_renames_its_printed_tokens(trap, name, mode):
     text, want = _TRAPS[trap]
     fragment = _fragment(text, name)
     printed = pretty_print(fragment)
     assert in_mode(printed, mode).lines == (want[mode.value],)
-    assert normalize_reference(printed, mode).lines == (want[mode.value],)
+    assert printed_reference(printed, mode).lines == (want[mode.value],)
     assert NormalizationMemo([mode]).lines(fragment) == ((want[mode.value],),)
-
-
-# Hostile fragment text: unterminated and escaped literals, backslash-
-# newlines, dots between numbers, hex literals and identifiers, comments
-# and placeholder names. Half the atoms come from the second list, so
-# that runs of quotes, newlines, dots and digits meet often.
-_ATOMS = st.one_of(
-    st.sampled_from(["a", "X1", "x1f", "msg", "1", "\u0663", " ", ";", "{", "//", "/*"]),
-    st.sampled_from(['"', "'", "\\", "\n", ".", "1 .", "0x1f"]),
-)
 
 
 @settings(max_examples=400)
 @given(
-    st.lists(_ATOMS, min_size=1, max_size=20).map("".join),
+    st.lists(ATOMS, min_size=1, max_size=20).map("".join),
     st.sampled_from(["X1", "<modifier:X1>", "f", "<fallback>"]),
     _DECLARED,
 )
 def test_memo_lines_equal_the_two_pass_reference(text, name, declared):
-    """Every subset and order of declared modes."""
+    """Every subset and order of declared modes, against the printed tokens renamed one by one."""
     fragment = _fragment(text, name)
     try:
         printed = pretty_print(fragment)
@@ -422,7 +414,17 @@ def test_memo_lines_equal_the_two_pass_reference(text, name, declared):
         with pytest.raises(EmptyFragment):
             NormalizationMemo(declared).lines(fragment)
         return
-    for line, tokens in zip(printed.lines, printed.line_tokens):
-        assert tokens is None or line == render_reference(tokens)
-    want = tuple(normalize_reference(printed, mode).lines for mode in declared)
+    want = tuple(printed_reference(printed, mode).lines for mode in declared)
     assert NormalizationMemo(declared).lines(fragment) == want
+
+
+@given(
+    st.lists(st.lists(ATOMS, max_size=12).map("".join), min_size=1, max_size=4),
+    st.sampled_from(["X1", "<modifier:X1>", "f", "<fallback>"]),
+    st.sampled_from(_MODES),
+)
+def test_a_fragment_without_tokens_renames_its_lines_read_back(lines, name, mode):
+    """A hand-built fragment carries no tokens: each line is tokenized again from its text."""
+    nf = NormalizedFragment(_fragment("x", name).ref, RenamingMode.NONE, tuple(lines))
+    assert nf.line_tokens is None
+    assert in_mode(nf, mode) == normalize_reference(nf, mode)

@@ -7,10 +7,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_corpus, wrap
+from conftest import ATOMS, make_corpus, wrap
 
 from volcano.clone_engine import CloneConfig
+from volcano.corpus import SourceContract
 from volcano.errors import (
     MalformedLabels,
     MalformedManifest,
@@ -18,12 +21,13 @@ from volcano.errors import (
     UnknownType,
     UnlabeledContract,
 )
-from volcano.normalize import RenamingMode, in_mode
+from volcano.normalize import NormalizationMemo, RenamingMode, in_mode
 from volcano.signatures import (
     ANNOTATION_PREFIX,
     SignatureSet,
     VulnerabilityType,
     VulnSignature,
+    _exemplars,
     builtin_signatures,
     derive_signatures,
     load_signatures,
@@ -104,6 +108,22 @@ def test_exemplar_in_modes():
     blind = in_mode(sig.exemplar, RenamingMode.BLIND)
     assert blind.lines[2] == "if ( X >= X ) msg.sender.call.value ( X ) ( ) ;"
     assert in_mode(sig.exemplar, RenamingMode.NONE) is sig.exemplar
+
+
+@given(
+    st.lists(st.lists(ATOMS, max_size=12).map("".join), min_size=1, max_size=3),
+    st.sampled_from(["function f(uint a) public", "modifier X1(uint a)", "function() payable", "constructor()"]),
+)
+def test_a_signature_file_normalizes_as_its_exemplars(bodies, header):
+    """Scanned as a corpus contract, a signature file's fragments normalize
+    in every mode exactly as its exemplars do."""
+    text = wrap("\n".join(f"    // @volcano:vuln=DOS\n    {header} {{\n{body}\n    }}" for body in bodies))
+    memo = NormalizationMemo(list(RenamingMode))
+    records = memo.records(SourceContract("sig.sol", text))
+    exemplars = _exemplars("sig.sol", text)
+    assert [(e.origin.name, e.origin.start_line, e.origin.end_line) for e in exemplars] == [r[:3] for r in records]
+    for column, mode in enumerate(memo.modes, start=3):
+        assert [in_mode(e, mode).lines for e in exemplars] == [r[column] for r in records]
 
 
 def test_signature_set_rejects_duplicate_ids():
